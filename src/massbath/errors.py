@@ -35,7 +35,13 @@ class StepUnderflowError(MassbathError):
 
 
 class NonConvergedMaxError(MassbathError):
-    """Max-over-time search failed to stabilize."""
+    """Max-over-time search failed to stabilize; carries the cell's coordinates
+    (axis1 = T/omega, or None in the vacuum; axis2 = omega*L) when known."""
+
+    def __init__(self, message, axis1=None, axis2=None):
+        super().__init__(message)
+        self.axis1 = axis1
+        self.axis2 = axis2
 
 
 class NoGenerationError(MassbathError):

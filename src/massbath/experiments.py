@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,9 +31,7 @@ from .measures import (
     CONCURRENCE_CUTOFF,
     NEGATIVITY_CUTOFF,
     _measures_arrays,
-    concurrence,
     entanglement,
-    negativity,
 )
 from .xstate import (
     CLOSED_FORM,
@@ -42,6 +39,7 @@ from .xstate import (
     FROZEN,
     LAMBDA_SINGULAR_BAND,
     EigenPropagator,
+    RateMatrix,
     XState,
     _closed_form_populations,
     build_rate_matrix,
@@ -67,7 +65,14 @@ __all__ = [
     "run_verification",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Max-over-time kernel: cells per array pass, horizon doublings per cell,
+# zoom levels and points per level (in time; in log-separation for the
+# thermal threshold's search over separations).
+CELL_BLOCK = 8
+MAX_DOUBLINGS = 40
+ZOOM_LEVELS = 3
+ZOOM_POINTS = 129
+SEP_ZOOM_POINTS = CELL_BLOCK
 
 
 @dataclass(frozen=True)
@@ -197,114 +202,172 @@ def evolve_scan(config: SweepConfig) -> SweepResult:
     return SweepResult(config, taus, seps, conc, neg, method)
 
 
-def _golden_max(fn: Callable[[float], float], lo: float, hi: float, iters: int = 40) -> float:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    return max(fc, fd)
+def _grid_peaks(values: np.ndarray, grid: np.ndarray):
+    """Best sample along the last axis, the bracket of its neighbours, its index."""
+    i = np.argmax(values, axis=-1)[..., None]
+    last = grid.shape[-1] - 1
+    return (
+        np.take_along_axis(values, i, -1)[..., 0],
+        np.take_along_axis(grid, np.maximum(i - 1, 0), -1)[..., 0],
+        np.take_along_axis(grid, np.minimum(i + 1, last), -1)[..., 0],
+        i[..., 0],
+    )
+
+
+def _zoom(evaluate, lo: np.ndarray, hi: np.ndarray, points: int = ZOOM_POINTS) -> np.ndarray:
+    """Maximum of `evaluate` inside every bracket [lo, hi], by zooming.
+
+    Each of ZOOM_LEVELS levels samples `points` equally spaced points in
+    every bracket with one call, evaluate(grid) with grid of shape
+    lo.shape + (points,), then shrinks each bracket to the neighbours of its
+    best sample.
+    """
+    best = np.full(lo.shape, -np.inf)
+    for _ in range(ZOOM_LEVELS):
+        grid = np.linspace(lo, hi, points, axis=-1)
+        top, lo, hi, _ = _grid_peaks(evaluate(grid), grid)
+        best = np.maximum(best, top)
+    return best
+
+
+# perfbench/tracing.py times the refinement stage under its former name.
+_golden_max = _zoom
+
+
+def _stack_measures(initial: XState, rates: list[RateMatrix]):
+    """measures(taus) -> (2, N, S, K) concurrence and negativity of N cells at
+    per-cell times taus of shape (N, S, K), from one propagation call."""
+    prop = EigenPropagator(rates)
+    pops0 = initial.populations()
+    decay_ge = np.array([r.decay_ge for r in rates])[:, None, None]
+    decay_as = np.array([r.decay_as for r in rates])[:, None, None]
+
+    def measures(taus: np.ndarray) -> np.ndarray:
+        pops = prop.populations(pops0, taus)
+        return np.stack(
+            _measures_arrays(
+                pops[..., 0],
+                pops[..., 1],
+                pops[..., 2],
+                pops[..., 3],
+                initial.coh_ge * np.exp(-decay_ge * taus),
+                initial.coh_as * np.exp(-decay_as * taus),
+            )
+        )
+
+    return measures
 
 
 def _max_over_time(
     initial: XState,
-    coeffs,
+    rates: list[RateMatrix],
     gray: float,
-    measure: str,
+    cells: list[tuple],
     tau_points: int = 1201,
     tol: float = 1e-6,
-) -> tuple[float, float]:
-    """Max over Gamma0*tau in [0, adaptive] of the requested measure(s).
+) -> np.ndarray:
+    """Max over Gamma0*tau of (concurrence, negativity) for a stack of cells.
 
-    Starts at Gamma0*tau_max = 20/gray and doubles the horizon until the
-    refined maximum is stable to tol.
+    `rates` holds N non-frozen rate matrices and `cells` their grid
+    coordinates (T/omega, omega*L), used to name a cell that fails. Every
+    cell starts at Gamma0*tau_max = 20/gray; each pass samples [0, tau_max]
+    on tau_points points, zooms in on the best sample of each measure and
+    doubles tau_max for the cells whose maxima moved by tol or more since the
+    last pass. Each step is one array operation over the cells still active;
+    a cell leaves the stack on the pass on which it became stable. Returns
+    (2, N).
     """
-    if coeffs.is_frozen:
-        value = entanglement(initial)
-        return value.concurrence, value.negativity
-    rates = build_rate_matrix(coeffs)
-    prop = EigenPropagator(rates)
-    pops0 = initial.populations()
-
-    def arrays(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pops = prop.populations(pops0, taus)
-        coh_ge = initial.coh_ge * np.exp(-rates.decay_ge * taus)
-        coh_as = initial.coh_as * np.exp(-rates.decay_as * taus)
-        return _measures_arrays(pops[:, 0], pops[:, 1], pops[:, 2], pops[:, 3], coh_ge, coh_as)
-
-    def at(tau: float, which: str) -> float:
-        state = prop.state(initial, tau)
-        return concurrence(state) if which == "concurrence" else negativity(state)
-
-    want_c = measure in ("concurrence", "both")
-    want_n = measure in ("negativity", "both")
+    peaks = np.empty((2, len(rates)))
+    active = np.arange(len(rates))
+    best = np.full((2, active.size), -np.inf)
+    stacked = 0
     tau_max = 20.0 / gray if gray > 0.0 else 20.0
-    best_c = best_n = -math.inf
-    for _ in range(40):
+    for _ in range(MAX_DOUBLINGS):
+        if stacked != active.size:
+            measures = _stack_measures(initial, [rates[k] for k in active])
+            stacked = active.size
+
+        def zoomed(grid: np.ndarray) -> np.ndarray:
+            # Both measures' brackets go through one propagation call.
+            values = measures(np.swapaxes(grid, 0, 1))
+            return np.stack((values[0, :, 0], values[1, :, 1]))
+
         taus = np.linspace(0.0, tau_max, tau_points)
-        arr_c, arr_n = arrays(taus)
-        new_c = best_c
-        new_n = best_n
-        if want_c:
-            i = int(np.argmax(arr_c))
-            lo, hi = taus[max(0, i - 1)], taus[min(taus.size - 1, i + 1)]
-            new_c = max(arr_c[i], _golden_max(lambda t: at(t, "concurrence"), lo, hi))
-        if want_n:
-            i = int(np.argmax(arr_n))
-            lo, hi = taus[max(0, i - 1)], taus[min(taus.size - 1, i + 1)]
-            new_n = max(arr_n[i], _golden_max(lambda t: at(t, "negativity"), lo, hi))
-        stable_c = not want_c or abs(new_c - best_c) < tol
-        stable_n = not want_n or abs(new_n - best_n) < tol
-        best_c = max(best_c, new_c)
-        best_n = max(best_n, new_n)
-        if stable_c and stable_n:
-            return max(best_c, 0.0), max(best_n, 0.0)
+        grid = np.broadcast_to(taus, (2, active.size, tau_points))
+        on_grid, lo, hi, _ = _grid_peaks(measures(grid[0, :, None])[:, :, 0], grid)
+        new = np.maximum(on_grid, _zoom(zoomed, lo, hi))
+        stable = np.all(np.abs(new - best) < tol, axis=0)
+        best = np.maximum(best, new)
+        peaks[:, active[stable]] = np.maximum(best[:, stable], 0.0)
+        active, best = active[~stable], best[:, ~stable]
+        if not active.size:
+            return peaks
         tau_max *= 2.0
+    axis1, axis2 = cells[int(active[0])]
     raise NonConvergedMaxError(
-        f"max-over-time did not stabilize below {tol} within 40 horizon doublings"
+        f"max-over-time did not stabilize below {tol} within {MAX_DOUBLINGS} "
+        f"horizon doublings at (T/omega={axis1}, omega*L={axis2})",
+        axis1=axis1,
+        axis2=axis2,
     )
 
 
+def _cell_maxima(
+    initial: XState, rates: list[RateMatrix], gray: float, cells: list[tuple]
+) -> np.ndarray:
+    """(2, N) max-over-time measures of N cells, CELL_BLOCK cells per kernel call.
+
+    Frozen cells keep the initial values; `cells` holds each cell's
+    coordinates for errors.
+    """
+    peaks = np.empty((2, len(rates)))
+    frozen = np.array([r.is_frozen for r in rates], dtype=bool)
+    value = entanglement(initial)
+    peaks[:, frozen] = [[value.concurrence], [value.negativity]]
+    live = np.flatnonzero(~frozen)
+    for start in range(0, live.size, CELL_BLOCK):
+        block = live[start : start + CELL_BLOCK]
+        peaks[:, block] = _max_over_time(
+            initial, [rates[k] for k in block], gray, [cells[k] for k in block]
+        )
+    return peaks
+
+
 def thermal_scan(config: SweepConfig) -> SweepResult:
-    """Max-over-time measure values over a (T/omega, omega*L) grid."""
+    """Max-over-time measure values over a (T/omega, omega*L) grid.
+
+    Both measures are always computed. Raises ValueError for T/omega <= 0
+    before any cell runs; a failing cell raises SweepCellError or
+    NonConvergedMaxError carrying its (T/omega, omega*L).
+    """
     if config.reduction != "max_over_time":
         raise ValueError("thermal_scan requires reduction='max_over_time'")
     if config.temp_axis is None:
         raise ValueError("thermal_scan requires a temp_axis")
     temps = config.temp_axis.values()
+    if not temps[0] > 0.0:
+        raise ValueError(f"T/omega must be > 0, got {temps[0]}")
     seps = config.sep_axis.values()
     gray = gray_factor(config.mass_ratio, 1.0)
-    conc = np.zeros((temps.size, seps.size))
-    neg = np.zeros_like(conc)
-    method = np.empty((temps.size, seps.size), dtype=object)
-    for i, temp in enumerate(temps):
-        for j, sep in enumerate(seps):
+    cells = [(float(temp), float(sep)) for temp in temps for sep in seps]
+    rates = []
+    for temp, sep in cells:
+        try:
             cfg = FieldBathConfig.from_ratios(config.mass_ratio, sep, temp)
-            coeffs = coefficients(cfg)
-            try:
-                best_c, best_n = _max_over_time(
-                    config.initial, coeffs, gray, config.measure
-                )
-            except NonConvergedMaxError:
-                raise
-            except Exception as exc:
-                raise SweepCellError(
-                    f"sweep failed at (T/omega={temp}, sep={sep}): {exc}",
-                    axis1=temp,
-                    axis2=sep,
-                ) from exc
-            conc[i, j] = best_c
-            neg[i, j] = best_n
-            method[i, j] = FROZEN if coeffs.is_frozen else EIGEN
-    return SweepResult(config, temps, seps, conc, neg, method)
+            rates.append(build_rate_matrix(coefficients(cfg)))
+        except Exception as exc:
+            raise SweepCellError(
+                f"sweep failed at (T/omega={temp}, omega*L={sep}): {exc}",
+                axis1=temp,
+                axis2=sep,
+            ) from exc
+    peaks = _cell_maxima(config.initial, rates, gray, cells)
+    shape = (temps.size, seps.size)
+    frozen = np.array([r.is_frozen for r in rates]).reshape(shape)
+    method = np.where(frozen, FROZEN, EIGEN).astype(object)
+    return SweepResult(
+        config, temps, seps, peaks[0].reshape(shape), peaks[1].reshape(shape), method
+    )
 
 
 def scaling_check(
@@ -343,51 +406,71 @@ def scaling_check(
 def _vacuum_max_over_time(
     initial: XState,
     mass_ratio: float,
-    sep: float,
+    seps,
     measure: str,
     u_points: int = 1600,
-) -> float:
-    """Max over time of one measure in the vacuum at a given separation.
+):
+    """Max over time of one measure in the vacuum at each separation in seps.
 
-    Works in the decay exponent u = gray*Gamma0*tau; extends the horizon if
-    the maximum sits at the right edge (late-time delayed births).
+    Works in the decay exponent u = gray*Gamma0*tau on the closed form,
+    CELL_BLOCK separations per array pass; a separation whose maximum sits at
+    the right edge of [0, u_max] (late-time delayed birth) gets u_max doubled.
+    Separations in the |lam| ~ 1 band go through the eigen kernel. Returns a
+    float for a scalar sep, else an array shaped like seps.
     """
-    config = FieldBathConfig.from_ratios(mass_ratio, sep)
-    coeffs = vacuum_coefficients(config)
-    gray = gray_factor(config.mass, config.omega)
-    if coeffs.is_frozen:
-        value = entanglement(initial)
-        return value.concurrence if measure == "concurrence" else value.negativity
-    lam = spatial_factor(config.omega, config.separation, gray)
-    if abs(lam) > 1.0 - LAMBDA_SINGULAR_BAND:
-        best_c, best_n = _max_over_time(initial, coeffs, gray, measure)
-        return best_c if measure == "concurrence" else best_n
-    g0 = config.gamma0
+    flat = np.atleast_1d(np.asarray(seps, dtype=float)).ravel()
+    which = 0 if measure == "concurrence" else 1
+    gray = gray_factor(mass_ratio, 1.0)
+    # Frozen dynamics (gray = 0) has lam = 1 and lies in the band too.
+    lams = np.array([spatial_factor(1.0, sep, gray) for sep in flat])
+    in_band = np.abs(lams) > 1.0 - LAMBDA_SINGULAR_BAND
+    out = np.empty(flat.size)
+    band_rates = [
+        build_rate_matrix(vacuum_coefficients(FieldBathConfig.from_ratios(mass_ratio, sep)))
+        for sep in flat[in_band]
+    ]
+    band_cells = [(None, float(sep)) for sep in flat[in_band]]
+    out[in_band] = _cell_maxima(initial, band_rates, gray, band_cells)[which]
+    closed = np.flatnonzero(~in_band)
+    for start in range(0, closed.size, CELL_BLOCK):
+        block = closed[start : start + CELL_BLOCK]
+        out[block] = _closed_form_maxima(initial, lams[block], which, u_points, flat[block])
+    return float(out[0]) if np.ndim(seps) == 0 else out.reshape(np.shape(seps))
 
-    def values(u_grid: np.ndarray) -> np.ndarray:
-        xi = np.exp(-u_grid)
+
+def _closed_form_maxima(
+    initial: XState, lams: np.ndarray, which: int, u_points: int, seps: np.ndarray
+) -> np.ndarray:
+    """Max over u of measure `which` on the vacuum closed form, one per lam."""
+
+    def values(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        xi = np.exp(-u)
         pop_g, pop_a, pop_s, pop_e = _closed_form_populations(
-            initial.pop_e, initial.pop_a, initial.pop_s, lam, xi
+            initial.pop_e, initial.pop_a, initial.pop_s, lam[:, None], xi
         )
-        conc, neg = _measures_arrays(
+        return _measures_arrays(
             pop_g, pop_a, pop_s, pop_e, initial.coh_ge * xi, initial.coh_as * xi
-        )
-        return conc if measure == "concurrence" else neg
+        )[which]
 
-    def at(u: float) -> float:
-        state = closed_form_state(initial, lam, math.exp(-u))
-        return concurrence(state) if measure == "concurrence" else negativity(state)
-
+    peaks = np.empty(lams.size)
+    pending = np.arange(lams.size)
     u_max = 40.0
     for _ in range(20):
-        u_grid = np.linspace(0.0, u_max, u_points)
-        vals = values(u_grid)
-        i = int(np.argmax(vals))
-        if i < u_points - 2:
-            lo, hi = u_grid[max(0, i - 1)], u_grid[i + 1]
-            return max(float(vals[i]), _golden_max(at, lo, hi))
+        lam = lams[pending]
+        grid = np.broadcast_to(np.linspace(0.0, u_max, u_points), (lam.size, u_points))
+        on_grid, lo, hi, i = _grid_peaks(values(grid, lam), grid)
+        done = i < u_points - 2
+        refined = _zoom(lambda u: values(u, lam[done]), lo[done], hi[done])
+        peaks[pending[done]] = np.maximum(on_grid[done], refined)
+        pending = pending[~done]
+        if not pending.size:
+            return peaks
         u_max *= 2.0
-    raise NonConvergedMaxError("vacuum max-over-time kept peaking at the horizon")
+    sep = float(seps[pending[0]])
+    raise NonConvergedMaxError(
+        f"vacuum max-over-time kept peaking at the horizon at omega*L={sep}",
+        axis2=sep,
+    )
 
 
 def generation_reach(
@@ -409,12 +492,12 @@ def generation_reach(
     if gray == 0.0:
         raise NoGenerationError("frozen dynamics: no separation dependence at all")
 
-    def max_measure(sep: float) -> float:
+    def max_measure(sep):
         return _vacuum_max_over_time(initial, mass_ratio, sep, measure)
 
     step = 0.05
     x_grid = np.arange(step, 26.0 + step / 2, step)
-    values = np.array([max_measure(x / gray) for x in x_grid])
+    values = max_measure(x_grid / gray)
     above = np.nonzero(values > cutoff)[0]
     if above.size == 0:
         raise NoGenerationError(
@@ -528,21 +611,24 @@ def thermal_generation_threshold(
         raise NoGenerationError("frozen dynamics: nothing is ever generated")
     if sep_values is None:
         sep_values = np.geomspace(0.05, 6.0, 24) / gray
+    sep_values = np.asarray(sep_values, dtype=float)
 
     def best_over_seps(temp: float) -> float:
-        def peak(sep: float) -> float:
-            cfg = FieldBathConfig.from_ratios(mass_ratio, sep, temp)
-            best_c, _ = _max_over_time(
-                initial, thermal_coefficients(cfg), gray, "concurrence"
-            )
-            return best_c
+        def peaks(seps: np.ndarray) -> np.ndarray:
+            flat = seps.ravel()
+            rates = [
+                build_rate_matrix(
+                    thermal_coefficients(FieldBathConfig.from_ratios(mass_ratio, sep, temp))
+                )
+                for sep in flat
+            ]
+            cells = [(temp, float(sep)) for sep in flat]
+            return _cell_maxima(initial, rates, gray, cells)[0].reshape(seps.shape)
 
-        values = [peak(sep) for sep in sep_values]
-        i = int(np.argmax(values))
-        lo = sep_values[max(0, i - 1)]
-        hi = sep_values[min(len(sep_values) - 1, i + 1)]
-        log_peak = _golden_max(lambda u: peak(math.exp(u)), math.log(lo), math.log(hi), iters=20)
-        return max(max(values), log_peak)
+        values = peaks(sep_values)
+        _, lo, hi, _ = _grid_peaks(values, np.log(sep_values))
+        log_peak = _zoom(lambda u: peaks(np.exp(u)), lo, hi, points=SEP_ZOOM_POINTS)
+        return max(float(values.max()), float(log_peak))
 
     t_lo, t_hi = bracket
     if not best_over_seps(t_lo) > cutoff:

@@ -204,6 +204,8 @@ class RateMatrix:
         gen = np.array(self.generator, dtype=float)
         if gen.shape != (4, 4):
             raise ValueError(f"generator must be 4x4, got {gen.shape}")
+        if not (np.all(np.isfinite(gen)) and math.isfinite(self.decay_as + self.decay_ge)):
+            raise ValueError("rates must be finite")
         scale = max(1.0, float(np.max(np.abs(gen))))
         col_sums = gen.sum(axis=0)
         if np.max(np.abs(col_sums)) > 1e-12 * scale:
@@ -305,58 +307,82 @@ def closed_form_state(initial: XState, lam: float, xi: float) -> XState:
 
 
 class EigenPropagator:
-    """Exact propagator for one RateMatrix, reusable across times and states.
+    """Exact propagator for one RateMatrix or a stack of them.
 
-    Diagonalizes the generator once; if the eigendecomposition does not
-    reconstruct the generator to 1e-12 (defective spectrum, e.g. at
-    |spatial factor| = 1 where two decay channels merge), it falls back to a
-    scaling-and-squaring matrix exponential per evaluation.
+    Diagonalizes every generator once, in real arithmetic: the physical
+    generators obey detailed balance (up_a*down_s == up_s*down_a), so their
+    spectrum is real. A generator whose eigenvalues are not all real, or whose
+    eigendecomposition does not reconstruct it to 1e-12 (defective spectrum,
+    e.g. at |spatial factor| = 1 where two decay channels merge), falls back
+    to scaling-and-squaring matrix exponentials.
     """
 
-    def __init__(self, rates: RateMatrix):
+    def __init__(self, rates: RateMatrix | Sequence[RateMatrix]):
         self.rates = rates
-        self._frozen = rates.is_frozen
-        self._use_expm = False
-        if self._frozen:
-            return
-        gen = rates.generator
-        scale = max(1.0, float(np.max(np.abs(gen))))
+        self._single = isinstance(rates, RateMatrix)
+        stack = [rates] if self._single else list(rates)
+        gens = np.stack([r.generator for r in stack])
+        self._gens = gens
+        frozen = np.array([r.is_frozen for r in stack])
+        eigvals, eigvecs = np.linalg.eig(gens)
+        real = True
+        if np.iscomplexobj(eigvals):
+            real = np.all(eigvals.imag == 0.0, axis=-1)
+            eigvals, eigvecs = eigvals.real, eigvecs.real
         try:
-            eigvals, eigvecs = np.linalg.eig(gen)
             inv = np.linalg.inv(eigvecs)
-            residual = np.max(
-                np.abs(eigvecs @ np.diag(eigvals) @ inv - gen)
-            )
-            self._use_expm = residual > 1e-12 * scale
         except np.linalg.LinAlgError:
-            self._use_expm = True
-        if not self._use_expm:
-            self._eigvals = eigvals
-            self._eigvecs = eigvecs
-            self._inv = inv
+            inv = np.stack([_inverse_or_nan(v) for v in eigvecs])
+        count = len(stack)
+        rebuilt = (eigvecs * eigvals[:, None, :]) @ inv
+        residual = np.abs(rebuilt - gens).reshape(count, 16).max(1)
+        scale = np.maximum(1.0, np.abs(gens).reshape(count, 16).max(1))
+        # NaN residuals (singular eigenvectors) fail the check too.
+        self._frozen = frozen
+        self._use_expm = ~frozen & ~(real & (residual <= 1e-12 * scale))
+        self._fallback = np.flatnonzero(self._use_expm)
+        # Frozen generators propagate exactly through the identity; the modes
+        # of fallback generators are placeholders that expm overwrites.
+        trivial = frozen | self._use_expm
+        if trivial.any():
+            eigvals[trivial] = 0.0
+            eigvecs[trivial] = inv[trivial] = np.eye(4)
+        self._eigvals, self._inv = eigvals, inv
+        self._eigvecs_t = np.swapaxes(eigvecs, 1, 2)[:, None]
 
     def populations(self, pops0: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        """Population vectors at each tau; shape (len(taus), 4)."""
+        """Population vectors at each tau.
+
+        taus is one time grid shared by every generator, shape (K,), or
+        per-generator grids of shape (N, ..., K), each row along the last
+        axis one grid. Returns taus' shape plus a trailing axis of 4 for a
+        single RateMatrix (taus of shape (K,)), else (N, ..., K, 4).
+        """
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        if np.any(taus < 0.0):
+        if (taus < 0.0).any():
             raise ValueError("tau must be >= 0")
         pops0 = np.asarray(pops0, dtype=float)
-        if self._frozen:
-            return np.tile(pops0, (taus.size, 1))
-        if self._use_expm:
-            from scipy.linalg import expm
-
-            return np.stack(
-                [expm(self.rates.generator * t) @ pops0 for t in taus]
-            )
-        weights = self._inv @ pops0.astype(complex)
-        modes = np.exp(np.outer(taus, self._eigvals)) * weights
-        return (modes @ self._eigvecs.T).real
+        shared = taus.ndim == 1
+        rows = taus.reshape(1 if shared else taus.shape[0], -1, taus.shape[-1])
+        count = len(self._eigvals)
+        if self._fallback.size == count:
+            out = np.empty((count,) + rows.shape[1:] + (4,))
+        else:
+            modes = np.exp(rows[..., None] * self._eigvals[:, None, None, :])
+            modes *= (self._inv @ pops0)[:, None, None, :]
+            out = modes @ self._eigvecs_t
+        for n in self._fallback:
+            for r, row in enumerate(rows[0 if shared else n]):
+                out[n, r] = _expm_populations(self._gens[n], pops0, row)
+        out = out.reshape((count,) + (taus.shape if shared else taus.shape[1:]) + (4,))
+        return out[0] if self._single else out
 
     def state(self, initial: XState, tau: float) -> XState:
+        if not self._single:
+            raise ValueError("state() needs a propagator for a single RateMatrix")
         if tau < 0.0 or not math.isfinite(tau):
             raise ValueError(f"tau must be finite and >= 0, got {tau}")
-        if self._frozen or tau == 0.0:
+        if self._frozen[0] or tau == 0.0:
             return initial
         pops = self.populations(initial.populations(), np.array([tau]))[0]
         return XState(
@@ -367,6 +393,44 @@ class EigenPropagator:
             coh_ge=initial.coh_ge * math.exp(-self.rates.decay_ge * tau),
             coh_as=initial.coh_as * math.exp(-self.rates.decay_as * tau),
         )
+
+
+def _inverse_or_nan(matrix: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(matrix)
+    except np.linalg.LinAlgError:
+        return np.full_like(matrix, np.nan)
+
+
+def _expm_populations(gen: np.ndarray, pops0: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Populations by matrix exponentials; shape (len(taus), 4).
+
+    A uniform grid t0 + k*dt costs two exponentials, expm(G t0) @ pops0 and
+    expm(G dt), whose powers are applied by repeated squaring: the samples
+    filled so far are advanced by P = expm(G dt)^filled, then P is squared.
+    Any other grid takes one exponential per time.
+    """
+    from scipy.linalg import expm
+
+    count = taus.size
+    t0 = taus[0]
+    dt = (taus[-1] - t0) / max(count - 1, 1)
+    uniform = count > 2 and np.max(
+        np.abs(taus - (t0 + dt * np.arange(count)))
+    ) <= 4.0 * np.finfo(float).eps * max(taus[-1], 1.0)
+    if not uniform:
+        return np.stack([expm(gen * t) @ pops0 for t in taus])
+    out = np.empty((count, 4))
+    out[0] = expm(gen * t0) @ pops0
+    power = expm(gen * dt)
+    filled = 1
+    while filled < count:
+        take = min(filled, count - filled)
+        out[filled : filled + take] = out[:take] @ power.T
+        filled += take
+        if filled < count:
+            power = power @ power
+    return out
 
 
 def propagate_eigen(initial: XState, rates: RateMatrix, tau: float) -> XState:
@@ -488,7 +552,11 @@ def integrate_ode(
     h = min(tau_end, 0.1 / rate_scale)
     stages = np.empty((6, 8))
     while t < tau_end:
-        h = min(h, tau_end - t)
+        remaining = tau_end - t
+        if remaining - h < MIN_STEP:
+            # Stretch the step onto tau_end rather than leave a sliver
+            # below MIN_STEP; landing by t += h could miss through roundoff.
+            h = remaining
         if h < MIN_STEP:
             raise StepUnderflowError(f"step {h} below {MIN_STEP} at tau={t}")
         stages[0] = rhs(y)
@@ -499,7 +567,7 @@ def integrate_ode(
         y4 = y + h * sum(b * k for b, k in zip(_RKF_B4, stages))
         err = float(np.max(np.abs(y5 - y4)))
         if err <= tol:
-            t += h
+            t = tau_end if h == remaining else t + h
             y = y5
             taus.append(t)
             states.append(snapshot(y))

@@ -263,6 +263,30 @@ class TestNumericalFailureExit:
         assert code == 3
         assert "separation 1.0" in err
 
+    def test_non_positive_temperature_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "t.csv"
+        code, _, err = run_cli(
+            ["map", "temp-sep", "--mass-ratio", "0", "--temp-min", "-0.1",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert "T/omega" in err
+        assert not out.exists()
+
+    def test_non_converged_cell_exits_3_with_coordinates(self, capsys, monkeypatch, tmp_path):
+        import massbath.experiments as experiments
+
+        monkeypatch.setattr(experiments, "MAX_DOUBLINGS", 1)
+        code, _, err = run_cli(
+            ["map", "temp-sep", "--mass-ratio", "0", "--temp-min", "0.1",
+             "--temp-max", "0.2", "--temp-count", "2", "--sep-min", "1",
+             "--sep-max", "2", "--sep-count", "2", "--out", str(tmp_path / "t.csv")],
+            capsys,
+        )
+        assert code == 3
+        assert "T/omega=0.1, omega*L=1.0" in err
+
     def test_runtime_error_exits_3(self, capsys, monkeypatch):
         import massbath.cli as cli
         from massbath.errors import StepUnderflowError

@@ -23,7 +23,7 @@ from massbath import (
     to_product_basis,
     vacuum_coefficients,
 )
-from massbath.xstate import EigenPropagator, Trajectory
+from massbath.xstate import EigenPropagator, RateMatrix, Trajectory
 
 
 def vacuum_like(lam: float) -> GklsCoefficients:
@@ -125,6 +125,14 @@ class TestRateMatrix:
         rates = build_rate_matrix(GklsCoefficients(0.3, 0.25, 0.1, 0.05))
         assert rates.decay_as == rates.decay_ge == pytest.approx(1.2)
 
+    def test_rejects_non_finite_rates(self):
+        gen = np.zeros((4, 4))
+        gen[1, 0], gen[0, 0] = np.nan, -1.0
+        with pytest.raises(ValueError, match="finite"):
+            RateMatrix(generator=gen, decay_as=0.0, decay_ge=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            RateMatrix(generator=np.zeros((4, 4)), decay_as=math.inf, decay_ge=0.0)
+
 
 class TestDecayFactor:
     def test_values(self):
@@ -216,6 +224,29 @@ class TestEigenPropagator:
         oracle = integrate_ode(XState.excited(), rates, 1.0, tol=1e-12).states[-1]
         assert state_distance(out, oracle) < 1e-9
 
+    def test_stack_matches_single_propagators(self, rng):
+        # Frozen, defective (lam = 1: expm fallback) and diagonalizable
+        # generators in one stack, on a shared grid and on per-generator rows.
+        stack = [
+            build_rate_matrix(GklsCoefficients(0.0, 0.0, 0.0, 0.0)),
+            build_rate_matrix(vacuum_like(1.0)),
+            build_rate_matrix(vacuum_like(0.3)),
+            build_rate_matrix(
+                thermal_coefficients(FieldBathConfig.from_ratios(0.5, 2.0, 0.2))
+            ),
+        ]
+        prop = EigenPropagator(stack)
+        assert list(prop._use_expm) == [False, True, False, False]
+        pops0 = random_xstate(rng).populations()
+        taus = np.linspace(0.0, 8.0, 33)
+        shared = prop.populations(pops0, taus)
+        rows = prop.populations(pops0, np.stack([[taus / 2, taus]] * len(stack)))
+        assert shared.shape == (4, 33, 4) and rows.shape == (4, 2, 33, 4)
+        for n, rates in enumerate(stack):
+            alone = EigenPropagator(rates).populations(pops0, taus)
+            assert np.max(np.abs(shared[n] - alone)) < 1e-14
+            assert np.max(np.abs(rows[n, 1] - alone)) < 1e-14
+
     def test_semigroup_property(self, rng):
         for _ in range(20):
             state = random_xstate(rng)
@@ -278,6 +309,17 @@ class TestIntegrateOde:
         traj = integrate_ode(state, rates, 10.0)
         for _, sample in traj:
             assert abs(sample.populations().sum() - 1.0) < 1e-10
+
+    def test_lands_on_tau_end_despite_roundoff(self):
+        # t += h once fell 3.6e-15 short of tau_end here, leaving a last step
+        # below MIN_STEP and raising StepUnderflowError.
+        config = FieldBathConfig.from_ratios(0.14411830230318454, 0.0022667353159141093)
+        rates = build_rate_matrix(vacuum_coefficients(config))
+        tau_end = 25.154398385150618
+        traj = integrate_ode(XState.antisymmetric(), rates, tau_end)
+        assert traj.taus[-1] == tau_end
+        eig = propagate_eigen(XState.antisymmetric(), rates, tau_end)
+        assert state_distance(traj.states[-1], eig) < 1e-8
 
     def test_tolerance_bounds(self):
         rates = build_rate_matrix(vacuum_like(0.0))
