@@ -27,12 +27,7 @@ import numpy as np
 from . import __version__
 from .errors import MassbathError, NotAStateError, SweepCellError
 from .field_bath import FieldBathConfig, coefficients, gray_factor, spatial_factor
-from .measures import (
-    CONCURRENCE_CUTOFF,
-    NEGATIVITY_CUTOFF,
-    concurrence,
-    negativity,
-)
+from .measures import concurrence, negativity
 from .experiments import (
     GridAxis,
     SweepConfig,
@@ -40,13 +35,7 @@ from .experiments import (
     run_verification,
     thermal_scan,
 )
-from .xstate import (
-    LAMBDA_SINGULAR_BAND,
-    XState,
-    build_rate_matrix,
-    closed_form_trajectory,
-    eigen_trajectory,
-)
+from .xstate import XState, build_rate_matrix, eigen_trajectory
 
 EVOLVE_HEADER = (
     "tau,rho_G,rho_A,rho_S,rho_E,re_GE,im_GE,re_AS,im_AS,concurrence,negativity"
@@ -189,18 +178,8 @@ def cmd_coeffs(args) -> int:
 def cmd_evolve(args) -> int:
     initial = parse_initial(args.initial)
     config = FieldBathConfig.from_ratios(args.mass_ratio, args.sep, args.temp_ratio)
-    coeffs = coefficients(config)
-    gray = gray_factor(config.mass, config.omega)
-    lam = spatial_factor(config.omega, config.separation, gray)
     taus = np.linspace(0.0, args.tmax, args.steps)
-    if (
-        not config.is_thermal
-        and not coeffs.is_frozen
-        and abs(lam) <= 1.0 - LAMBDA_SINGULAR_BAND
-    ):
-        trajectory = closed_form_trajectory(initial, lam, gray, config.gamma0, taus)
-    else:
-        trajectory = eigen_trajectory(initial, build_rate_matrix(coeffs), taus)
+    trajectory = eigen_trajectory(initial, build_rate_matrix(coefficients(config)), taus)
     lines = [EVOLVE_HEADER]
     for tau, state in trajectory:
         lines.append(
@@ -230,7 +209,6 @@ def cmd_evolve(args) -> int:
             "temp-ratio": args.temp_ratio,
             "tmax": args.tmax,
             "steps": args.steps,
-            "measure": args.measure,
             "method": trajectory.method,
         }
         _write_manifest("evolve", params, outputs)
@@ -275,7 +253,6 @@ def cmd_map_time_sep(args) -> int:
         sep_axis=_axis_from_args(args, "sep"),
         tau_axis=_axis_from_args(args, "tau"),
         temp_ratio=args.temp_ratio,
-        reduction="instantaneous",
     )
     try:
         result = evolve_scan(config)
@@ -288,8 +265,6 @@ def cmd_map_time_sep(args) -> int:
         "temp-ratio": args.temp_ratio,
         "axis1": "tau",
         "axis2": "sep",
-        "cutoff-c": args.cutoff_c,
-        "cutoff-n": args.cutoff_n,
     }
     return _write_map(result, "map time-sep", params, args.out)
 
@@ -301,7 +276,6 @@ def cmd_map_temp_sep(args) -> int:
         initial=initial,
         sep_axis=_axis_from_args(args, "sep"),
         temp_axis=_axis_from_args(args, "temp"),
-        reduction="max_over_time",
     )
     try:
         result = thermal_scan(config)
@@ -313,8 +287,6 @@ def cmd_map_temp_sep(args) -> int:
         "mass-ratio": args.mass_ratio,
         "axis1": "temp-ratio",
         "axis2": "sep",
-        "cutoff-c": args.cutoff_c,
-        "cutoff-n": args.cutoff_n,
     }
     return _write_map(result, "map temp-sep", params, args.out)
 
@@ -376,12 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--temp-ratio", type=float, default=None)
     evolve.add_argument("--tmax", type=float, default=10.0)
     evolve.add_argument("--steps", type=int, default=200)
-    evolve.add_argument(
-        "--measure",
-        choices=("concurrence", "negativity", "both"),
-        default="both",
-        help="recorded in the manifest; the CSV schema always carries both",
-    )
     evolve.add_argument("--out", default=None, help="CSV path (default: stdout)")
     evolve.set_defaults(func=cmd_evolve)
 
@@ -395,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     time_sep.add_argument("--initial", default="E")
     _add_axis(time_sep, "tau", 0.05, 20.0, 40)
     _add_axis(time_sep, "sep", 0.05, 20.0, 40)
-    time_sep.add_argument("--cutoff-c", type=float, default=CONCURRENCE_CUTOFF)
-    time_sep.add_argument("--cutoff-n", type=float, default=NEGATIVITY_CUTOFF)
     time_sep.add_argument("--out", required=True)
     time_sep.set_defaults(func=cmd_map_time_sep)
 
@@ -408,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     temp_sep.add_argument("--initial", default="E")
     _add_axis(temp_sep, "temp", 0.02, 0.4, 20)
     _add_axis(temp_sep, "sep", 0.05, 20.0, 40)
-    temp_sep.add_argument("--cutoff-c", type=float, default=CONCURRENCE_CUTOFF)
-    temp_sep.add_argument("--cutoff-n", type=float, default=NEGATIVITY_CUTOFF)
     temp_sep.add_argument("--out", required=True)
     temp_sep.set_defaults(func=cmd_map_temp_sep)
 

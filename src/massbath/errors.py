@@ -14,11 +14,11 @@ class NonXFormError(NotAStateError):
 
 
 class LambdaSingularError(MassbathError, ValueError):
-    """Closed-form propagation requested inside the |spatial factor| ~ 1 band.
+    """Closed-form measure branch formulas requested at |spatial factor| ~ 1.
 
-    The closed-form solution contains 1/(1 - lambda^2) factors whose removable
-    singularity is numerically unstable near |lambda| = 1; callers must route
-    such cases to the eigendecomposition propagator instead.
+    closed_form_concurrence and closed_form_negativity carry 1/(1 - lambda^2)
+    factors whose removable singularity is numerically unstable near
+    |lambda| = 1; propagate the state and measure it instead.
     """
 
 

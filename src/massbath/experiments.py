@@ -25,23 +25,14 @@ from .field_bath import (
     spatial_factor,
     spectral_density,
     thermal_coefficients,
-    vacuum_coefficients,
 )
-from .measures import (
-    CONCURRENCE_CUTOFF,
-    NEGATIVITY_CUTOFF,
-    _measures_arrays,
-    entanglement,
-)
+from .measures import CONCURRENCE_CUTOFF, _measures_arrays, entanglement
 from .xstate import (
-    CLOSED_FORM,
-    EIGEN,
     FROZEN,
-    LAMBDA_SINGULAR_BAND,
     EigenPropagator,
     RateMatrix,
     XState,
-    _closed_form_populations,
+    _cascade,
     build_rate_matrix,
     closed_form_state,
     decay_factor,
@@ -104,9 +95,9 @@ class GridAxis:
 class SweepConfig:
     """Parameters of a sweep over (Gamma0*tau, omega*L) or (T/omega, omega*L).
 
-    For reduction="instantaneous" (time-separation maps) set tau_axis, with
-    temp_ratio fixing an optional common bath temperature. For
-    reduction="max_over_time" (temperature-separation maps) set temp_axis.
+    evolve_scan (instantaneous values, time-separation maps) needs tau_axis,
+    with temp_ratio fixing an optional common bath temperature; thermal_scan
+    (max over time, temperature-separation maps) needs temp_axis.
     """
 
     mass_ratio: float
@@ -115,16 +106,10 @@ class SweepConfig:
     tau_axis: GridAxis | None = None
     temp_axis: GridAxis | None = None
     temp_ratio: float | None = None
-    measure: str = "both"
-    reduction: str = "instantaneous"
 
     def __post_init__(self):
         if self.mass_ratio < 0.0:
             raise ValueError(f"mass_ratio must be >= 0, got {self.mass_ratio}")
-        if self.measure not in ("concurrence", "negativity", "both"):
-            raise ValueError(f"unknown measure {self.measure!r}")
-        if self.reduction not in ("instantaneous", "max_over_time"):
-            raise ValueError(f"unknown reduction {self.reduction!r}")
 
 
 @dataclass(frozen=True)
@@ -137,8 +122,6 @@ class SweepResult:
     concurrence: np.ndarray
     negativity: np.ndarray
     method: np.ndarray
-    cutoff_concurrence: float = CONCURRENCE_CUTOFF
-    cutoff_negativity: float = NEGATIVITY_CUTOFF
 
 
 def _column_measures(
@@ -148,38 +131,21 @@ def _column_measures(
     sep: float,
     taus: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, str]:
-    """Both measures along a time grid at one separation, plus the method used."""
+    """Both measures along a time grid at one separation, plus the route used."""
     config = FieldBathConfig.from_ratios(mass_ratio, sep, temp_ratio)
-    coeffs = coefficients(config)
-    if coeffs.is_frozen:
-        value = entanglement(initial)
-        ones = np.ones_like(taus)
-        return value.concurrence * ones, value.negativity * ones, FROZEN
-    gray = gray_factor(config.mass, config.omega)
-    lam = spatial_factor(config.omega, config.separation, gray)
-    if temp_ratio is None and abs(lam) <= 1.0 - LAMBDA_SINGULAR_BAND:
-        xi = np.exp(-gray * config.gamma0 * taus)
-        pop_g, pop_a, pop_s, pop_e = _closed_form_populations(
-            initial.pop_e, initial.pop_a, initial.pop_s, lam, xi
-        )
-        coh_ge = initial.coh_ge * xi
-        coh_as = initial.coh_as * xi
-        method = CLOSED_FORM
-    else:
-        rates = build_rate_matrix(coeffs)
-        pops = EigenPropagator(rates).populations(initial.populations(), taus)
-        pop_g, pop_a, pop_s, pop_e = pops.T
-        coh_ge = initial.coh_ge * np.exp(-rates.decay_ge * taus)
-        coh_as = initial.coh_as * np.exp(-rates.decay_as * taus)
-        method = EIGEN
-    conc, neg = _measures_arrays(pop_g, pop_a, pop_s, pop_e, coh_ge, coh_as)
-    return conc, neg, method
+    rates = build_rate_matrix(coefficients(config))
+    prop = EigenPropagator(rates)
+    pops = prop.populations(initial.populations(), taus)
+    conc, neg = _measures_arrays(
+        *pops.T,
+        initial.coh_ge * np.exp(-rates.decay_ge * taus),
+        initial.coh_as * np.exp(-rates.decay_as * taus),
+    )
+    return conc, neg, prop.routes[0]
 
 
 def evolve_scan(config: SweepConfig) -> SweepResult:
     """Instantaneous measure values over a (Gamma0*tau, omega*L) grid."""
-    if config.reduction != "instantaneous":
-        raise ValueError("evolve_scan requires reduction='instantaneous'")
     if config.tau_axis is None:
         raise ValueError("evolve_scan requires a tau_axis")
     taus = config.tau_axis.values()
@@ -234,13 +200,13 @@ def _zoom(evaluate, lo: np.ndarray, hi: np.ndarray, points: int = ZOOM_POINTS) -
 _golden_max = _zoom
 
 
-def _stack_measures(initial: XState, rates: list[RateMatrix]):
-    """measures(taus) -> (2, N, S, K) concurrence and negativity of N cells at
-    per-cell times taus of shape (N, S, K), from one propagation call."""
-    prop = EigenPropagator(rates)
+def _stack_measures(initial: XState, prop: EigenPropagator):
+    """measures(taus) -> (2, N, S, K) concurrence and negativity of the N
+    cells of prop at per-cell times taus of shape (N, S, K), from one
+    propagation call."""
     pops0 = initial.populations()
-    decay_ge = np.array([r.decay_ge for r in rates])[:, None, None]
-    decay_as = np.array([r.decay_as for r in rates])[:, None, None]
+    decay_ge = np.array([r.decay_ge for r in prop.rates])[:, None, None]
+    decay_as = np.array([r.decay_as for r in prop.rates])[:, None, None]
 
     def measures(taus: np.ndarray) -> np.ndarray:
         pops = prop.populations(pops0, taus)
@@ -265,11 +231,13 @@ def _max_over_time(
     cells: list[tuple],
     tau_points: int = 1201,
     tol: float = 1e-6,
+    prop: EigenPropagator | None = None,
 ) -> np.ndarray:
     """Max over Gamma0*tau of (concurrence, negativity) for a stack of cells.
 
     `rates` holds N non-frozen rate matrices and `cells` their grid
-    coordinates (T/omega, omega*L), used to name a cell that fails. Every
+    coordinates (T/omega, omega*L), used to name a cell that fails; `prop`,
+    if given, is the propagator of `rates`, reused for the first pass. Every
     cell starts at Gamma0*tau_max = 20/gray; each pass samples [0, tau_max]
     on tau_points points, zooms in on the best sample of each measure and
     doubles tau_max for the cells whose maxima moved by tol or more since the
@@ -280,12 +248,13 @@ def _max_over_time(
     peaks = np.empty((2, len(rates)))
     active = np.arange(len(rates))
     best = np.full((2, active.size), -np.inf)
-    stacked = 0
+    prop = EigenPropagator(rates) if prop is None else prop
+    measures = _stack_measures(initial, prop)
     tau_max = 20.0 / gray if gray > 0.0 else 20.0
     for _ in range(MAX_DOUBLINGS):
-        if stacked != active.size:
-            measures = _stack_measures(initial, [rates[k] for k in active])
-            stacked = active.size
+        if len(prop.routes) != active.size:
+            prop = EigenPropagator([rates[k] for k in active])
+            measures = _stack_measures(initial, prop)
 
         def zoomed(grid: np.ndarray) -> np.ndarray:
             # Both measures' brackets go through one propagation call.
@@ -314,23 +283,27 @@ def _max_over_time(
 
 def _cell_maxima(
     initial: XState, rates: list[RateMatrix], gray: float, cells: list[tuple]
-) -> np.ndarray:
-    """(2, N) max-over-time measures of N cells, CELL_BLOCK cells per kernel call.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(2, N) max-over-time measures of N cells and the N propagation routes,
+    CELL_BLOCK cells per kernel call.
 
     Frozen cells keep the initial values; `cells` holds each cell's
     coordinates for errors.
     """
     peaks = np.empty((2, len(rates)))
+    routes = np.full(len(rates), FROZEN, dtype=object)
     frozen = np.array([r.is_frozen for r in rates], dtype=bool)
     value = entanglement(initial)
     peaks[:, frozen] = [[value.concurrence], [value.negativity]]
     live = np.flatnonzero(~frozen)
     for start in range(0, live.size, CELL_BLOCK):
         block = live[start : start + CELL_BLOCK]
+        prop = EigenPropagator([rates[k] for k in block])
+        routes[block] = prop.routes
         peaks[:, block] = _max_over_time(
-            initial, [rates[k] for k in block], gray, [cells[k] for k in block]
+            initial, prop.rates, gray, [cells[k] for k in block], prop=prop
         )
-    return peaks
+    return peaks, routes
 
 
 def thermal_scan(config: SweepConfig) -> SweepResult:
@@ -340,8 +313,6 @@ def thermal_scan(config: SweepConfig) -> SweepResult:
     before any cell runs; a failing cell raises SweepCellError or
     NonConvergedMaxError carrying its (T/omega, omega*L).
     """
-    if config.reduction != "max_over_time":
-        raise ValueError("thermal_scan requires reduction='max_over_time'")
     if config.temp_axis is None:
         raise ValueError("thermal_scan requires a temp_axis")
     temps = config.temp_axis.values()
@@ -361,13 +332,10 @@ def thermal_scan(config: SweepConfig) -> SweepResult:
                 axis1=temp,
                 axis2=sep,
             ) from exc
-    peaks = _cell_maxima(config.initial, rates, gray, cells)
+    peaks, routes = _cell_maxima(config.initial, rates, gray, cells)
     shape = (temps.size, seps.size)
-    frozen = np.array([r.is_frozen for r in rates]).reshape(shape)
-    method = np.where(frozen, FROZEN, EIGEN).astype(object)
-    return SweepResult(
-        config, temps, seps, peaks[0].reshape(shape), peaks[1].reshape(shape), method
-    )
+    conc, neg = peaks.reshape((2,) + shape)
+    return SweepResult(config, temps, seps, conc, neg, routes.reshape(shape))
 
 
 def scaling_check(
@@ -415,26 +383,21 @@ def _vacuum_max_over_time(
     Works in the decay exponent u = gray*Gamma0*tau on the closed form,
     CELL_BLOCK separations per array pass; a separation whose maximum sits at
     the right edge of [0, u_max] (late-time delayed birth) gets u_max doubled.
-    Separations in the |lam| ~ 1 band go through the eigen kernel. Returns a
-    float for a scalar sep, else an array shaped like seps.
+    Frozen dynamics (gray = 0) keeps the initial value. Returns a float for a
+    scalar sep, else an array shaped like seps.
     """
     flat = np.atleast_1d(np.asarray(seps, dtype=float)).ravel()
     which = 0 if measure == "concurrence" else 1
     gray = gray_factor(mass_ratio, 1.0)
-    # Frozen dynamics (gray = 0) has lam = 1 and lies in the band too.
-    lams = np.array([spatial_factor(1.0, sep, gray) for sep in flat])
-    in_band = np.abs(lams) > 1.0 - LAMBDA_SINGULAR_BAND
-    out = np.empty(flat.size)
-    band_rates = [
-        build_rate_matrix(vacuum_coefficients(FieldBathConfig.from_ratios(mass_ratio, sep)))
-        for sep in flat[in_band]
-    ]
-    band_cells = [(None, float(sep)) for sep in flat[in_band]]
-    out[in_band] = _cell_maxima(initial, band_rates, gray, band_cells)[which]
-    closed = np.flatnonzero(~in_band)
-    for start in range(0, closed.size, CELL_BLOCK):
-        block = closed[start : start + CELL_BLOCK]
-        out[block] = _closed_form_maxima(initial, lams[block], which, u_points, flat[block])
+    if gray == 0.0:
+        value = entanglement(initial)
+        out = np.full(flat.size, (value.concurrence, value.negativity)[which])
+    else:
+        lams = np.array([spatial_factor(1.0, sep, gray) for sep in flat])
+        out = np.empty(flat.size)
+        for start in range(0, flat.size, CELL_BLOCK):
+            block = slice(start, start + CELL_BLOCK)
+            out[block] = _closed_form_maxima(initial, lams[block], which, u_points, flat[block])
     return float(out[0]) if np.ndim(seps) == 0 else out.reshape(np.shape(seps))
 
 
@@ -442,15 +405,12 @@ def _closed_form_maxima(
     initial: XState, lams: np.ndarray, which: int, u_points: int, seps: np.ndarray
 ) -> np.ndarray:
     """Max over u of measure `which` on the vacuum closed form, one per lam."""
+    pops0 = initial.populations()
 
     def values(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        xi = np.exp(-u)
-        pop_g, pop_a, pop_s, pop_e = _closed_form_populations(
-            initial.pop_e, initial.pop_a, initial.pop_s, lam[:, None], xi
-        )
-        return _measures_arrays(
-            pop_g, pop_a, pop_s, pop_e, initial.coh_ge * xi, initial.coh_as * xi
-        )[which]
+        pops = _cascade(pops0, 1.0 - lam[:, None], 1.0 + lam[:, None], u)
+        fade = np.exp(-u)
+        return _measures_arrays(*pops, initial.coh_ge * fade, initial.coh_as * fade)[which]
 
     peaks = np.empty(lams.size)
     pending = np.arange(lams.size)
@@ -623,7 +583,7 @@ def thermal_generation_threshold(
                 for sep in flat
             ]
             cells = [(temp, float(sep)) for sep in flat]
-            return _cell_maxima(initial, rates, gray, cells)[0].reshape(seps.shape)
+            return _cell_maxima(initial, rates, gray, cells)[0][0].reshape(seps.shape)
 
         values = peaks(sep_values)
         _, lo, hi, _ = _grid_peaks(values, np.log(sep_values))

@@ -20,16 +20,23 @@ from .errors import (
     LambdaSingularError,
     NotAStateError,
 )
-from .xstate import LAMBDA_SINGULAR_BAND, Trajectory, XState
+from .xstate import POP_TOL, PSD_TOL, Trajectory, XState
 
-# Default contour cutoffs for map outputs: values below these count as
-# "no entanglement" when extracting generation regions.
+# Cutoffs below which a measure counts as "no entanglement" when locating
+# generation regions; CONCURRENCE_CUTOFF is the default of generation_reach,
+# enlargement_factor and thermal_generation_threshold.
 CONCURRENCE_CUTOFF = 1e-3
 NEGATIVITY_CUTOFF = 1e-5
 
 # Radicands more negative than this signal an unphysical state instead of
-# roundoff and raise; anything in (-tol, 0) is clipped to zero.
-RADICAND_TOL = 1e-12
+# roundoff and raise; anything in (-tol, 0) is clipped to zero. A state that
+# XState accepts stays above it: pop_g*pop_e >= -POP_TOL*(1 + 3*POP_TOL), and
+# (a+s)^2 - 4 re(coh_as)^2 >= (a-s)^2 - 4*PSD_TOL.
+RADICAND_TOL = 4.0 * PSD_TOL + 2.0 * POP_TOL
+
+# The branch formulas below carry 1/(1 - lam^2) and are evaluated only where
+# |lam| stays this far from 1.
+_LAMBDA_BAND = 1e-6
 
 __all__ = [
     "EntanglementValue",
@@ -126,7 +133,8 @@ def _measures_arrays(pop_g, pop_a, pop_s, pop_e, coh_ge, coh_as):
     gap = pop_g - pop_e
     n1 = 0.5 * (pop_g + pop_e - np.sqrt(diff * diff + 4.0 * im_as * im_as + gap * gap))
     n2 = 0.5 * (total - 2.0 * np.hypot(abs_ge, re_as))
-    neg = np.maximum(0.0, -2.0 * n1) + np.maximum(0.0, -2.0 * n2)
+    # 0.0 - x, not -x: a zero comes out +0.0, never -0.0.
+    neg = 0.0 - 2.0 * (np.minimum(n1, 0.0) + np.minimum(n2, 0.0))
     return conc, neg
 
 
@@ -142,10 +150,8 @@ def _check_closed_form_args(initial: XState, lam: float) -> None:
         raise AssumptionViolatedError(
             "closed-form measure terms require a vanishing A-S coherence"
         )
-    if abs(lam) > 1.0 - LAMBDA_SINGULAR_BAND:
-        raise LambdaSingularError(
-            f"|lam| = {abs(lam)} is within {LAMBDA_SINGULAR_BAND} of 1"
-        )
+    if abs(lam) > 1.0 - _LAMBDA_BAND:
+        raise LambdaSingularError(f"|lam| = {abs(lam)} is within {_LAMBDA_BAND} of 1")
 
 
 def closed_form_concurrence(initial: XState, lam: float, xi) -> tuple:

@@ -5,10 +5,11 @@ E = |11>}. X-form states (only diagonal plus anti-diagonal entries in the
 product basis) stay X-form under the rate equations used here, so a state is
 fully described by four populations and the two coherences G-E and A-S.
 
-Three propagators are provided: the vacuum closed form, an exact linear-system
-propagator by eigendecomposition (with a matrix-exponential fallback for
-defective generators), and an adaptive Runge-Kutta integrator that serves as
-an independent oracle for the other two.
+One exact propagator, EigenPropagator, picks a route per generator: the
+identity for frozen dynamics, the closed-form cascade solution for generators
+without upward rates (the vacuum), an eigendecomposition in general, and
+matrix exponentials for generators that do not diagonalize cleanly. An
+adaptive Runge-Kutta integrator serves as an independent oracle.
 """
 
 from __future__ import annotations
@@ -19,23 +20,17 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    LambdaSingularError,
-    NonXFormError,
-    NotAStateError,
-    StepUnderflowError,
-)
+from .errors import NonXFormError, NotAStateError, StepUnderflowError
 from .field_bath import GklsCoefficients
 
 POP_TOL = 1e-10
 PSD_TOL = 1e-10
 OFF_X_TOL = 1e-12
 
-# |spatial factor| closer to 1 than this is routed away from the closed form.
-LAMBDA_SINGULAR_BAND = 1e-6
-
+# Routes of a propagated generator (and the RKF45 oracle's ODE).
 CLOSED_FORM = "closed_form"
 EIGEN = "eigen"
+EXPM = "expm"
 ODE = "ode"
 FROZEN = "frozen"
 
@@ -56,9 +51,9 @@ __all__ = [
     "random_xstate",
     "CLOSED_FORM",
     "EIGEN",
+    "EXPM",
     "ODE",
     "FROZEN",
-    "LAMBDA_SINGULAR_BAND",
 ]
 
 
@@ -261,60 +256,102 @@ def decay_factor(tau: float, gray: float, g0: float) -> float:
     return math.exp(-gray * g0 * tau)
 
 
-def _closed_form_populations(e0, a0, s0, lam, xi):
-    """Populations of the vacuum closed form; xi may be an array.
+def _decay(rate, t):
+    """(exp(-rate*t), t*psi(rate*t)) with psi(z) = -expm1(-z)/z, psi(0) = 1.
 
-    pop_g comes from the trace so the total is exactly one.
+    The second is the integral of exp(-rate*s) over s in [0, t].
     """
-    ratio_a = (1.0 - lam) / (1.0 + lam)
-    ratio_s = (1.0 + lam) / (1.0 - lam)
-    xi2 = xi * xi
-    pop_a = (ratio_a * e0 + a0) * xi ** (1.0 - lam) - ratio_a * e0 * xi2
-    pop_s = (ratio_s * e0 + s0) * xi ** (1.0 + lam) - ratio_s * e0 * xi2
-    pop_e = e0 * xi2
-    pop_g = 1.0 - pop_a - pop_s - pop_e
+    x = -rate * t
+    fade = np.exp(x)
+    span = np.expm1(x, out=x)
+    live = rate > 0.0
+    span /= -np.where(live, rate, 1.0)
+    return fade, span if np.all(live) else np.where(live, span, t)
+
+
+def _cascade(pops0, d_a, d_s, t):
+    """Populations (pop_g, pop_a, pop_s, pop_e) of the cascade E -> A -> G,
+    E -> S -> G at times t.
+
+    d_a = rate(E -> A) = rate(A -> G) and d_s = rate(E -> S) = rate(S -> G)
+    broadcast against t. With psi(z) = -expm1(-z)/z (psi(0) = 1),
+
+        pop_e = e0 exp(-(d_a + d_s) t)
+        pop_a = exp(-d_a t) (a0 + e0 d_a t psi(d_s t)), likewise pop_s,
+
+    and pop_g from the trace. Nothing divides by a difference of rates, so
+    the solution stays exact where a rate vanishes (|lam| = 1 in the vacuum)
+    and at any time, however late.
+    """
+    g0, a0, s0, e0 = pops0
+    fade_a, span_a = _decay(d_a, t)
+    fade_s, span_s = _decay(d_s, t)
+    # In place, since temporaries cost as much as the arithmetic on them.
+    pop_a = (e0 * d_a) * span_s
+    pop_a += a0
+    pop_a *= fade_a
+    pop_s = (e0 * d_s) * span_a
+    pop_s += s0
+    pop_s *= fade_s
+    pop_e = e0 * fade_a
+    pop_e *= fade_s
+    pop_g = (g0 + a0 + s0 + e0) - pop_a
+    pop_g -= pop_s
+    pop_g -= pop_e
     return pop_g, pop_a, pop_s, pop_e
+
+
+# The cascade generator is d_a*_CASCADE_A + d_s*_CASCADE_S, entry for entry
+# as build_rate_matrix lays it out when the upward rates vanish.
+_CASCADE_A = np.array([[0, 1, 0, 0], [0, -1, 0, 1], [0, 0, 0, 0], [0, 0, 0, -1]], dtype=float)
+_CASCADE_S = np.array([[0, 0, 1, 0], [0, 0, 0, 0], [0, 0, -1, 1], [0, 0, 0, -1]], dtype=float)
+
+
+def _xstates(pops, coh_ge, coh_as) -> tuple[XState, ...]:
+    """Validated states from (K, 4) populations and K coherence pairs."""
+    return tuple(
+        XState(p[0], p[1], p[2], p[3], coh_ge=ge, coh_as=as_)
+        for p, ge, as_ in zip(pops, coh_ge, coh_as)
+    )
+
+
+def _vacuum_states(initial: XState, lam: float, u: np.ndarray) -> tuple[XState, ...]:
+    """Vacuum states at decay exponents u = gray*Gamma0*tau (an array).
+
+    In u the vacuum is the cascade with d_a = 1 - lam and d_s = 1 + lam, and
+    both coherences decay as exp(-u).
+    """
+    if not (math.isfinite(lam) and -1.0 <= lam <= 1.0):
+        raise ValueError(f"lam must lie in [-1, 1], got {lam}")
+    pops = np.stack(_cascade(initial.populations(), 1.0 - lam, 1.0 + lam, u), axis=-1)
+    fade = np.exp(-u)
+    return _xstates(pops, initial.coh_ge * fade, initial.coh_as * fade)
 
 
 def closed_form_state(initial: XState, lam: float, xi: float) -> XState:
     """Vacuum-bath state at the time implied by xi = exp(-gray*Gamma0*tau).
 
-    Valid only in the vacuum regime (a1 == b1). Raises LambdaSingularError
-    inside the |lam| ~ 1 band, where callers must use propagate_eigen.
+    Valid only in the vacuum regime (a1 == b1), for any lam in [-1, 1].
     """
-    if not (math.isfinite(lam) and math.isfinite(xi)):
-        raise ValueError("non-finite input")
-    if abs(lam) > 1.0 - LAMBDA_SINGULAR_BAND:
-        raise LambdaSingularError(
-            f"|lam| = {abs(lam)} is within {LAMBDA_SINGULAR_BAND} of 1; "
-            "use propagate_eigen"
-        )
     if not 0.0 < xi <= 1.0:
         raise ValueError(f"xi must lie in (0, 1], got {xi}")
     if xi == 1.0:
         return initial
-    pop_g, pop_a, pop_s, pop_e = _closed_form_populations(
-        initial.pop_e, initial.pop_a, initial.pop_s, lam, xi
-    )
-    return XState(
-        pop_g,
-        pop_a,
-        pop_s,
-        pop_e,
-        coh_ge=xi * initial.coh_ge,
-        coh_as=xi * initial.coh_as,
-    )
+    return _vacuum_states(initial, lam, np.array([-math.log(xi)]))[0]
 
 
 class EigenPropagator:
     """Exact propagator for one RateMatrix or a stack of them.
 
-    Diagonalizes every generator once, in real arithmetic: the physical
-    generators obey detailed balance (up_a*down_s == up_s*down_a), so their
-    spectrum is real. A generator whose eigenvalues are not all real, or whose
-    eigendecomposition does not reconstruct it to 1e-12 (defective spectrum,
-    e.g. at |spatial factor| = 1 where two decay channels merge), falls back
-    to scaling-and-squaring matrix exponentials.
+    Picks one route per generator, reported in `routes`: FROZEN (all rates
+    zero; the identity), CLOSED_FORM (no upward rates, as in the vacuum: the
+    cascade solution), EIGEN or EXPM. EIGEN diagonalizes the generator once,
+    in real arithmetic: the physical generators obey detailed balance
+    (up_a*down_s == up_s*down_a), so their spectrum is real. A generator whose
+    eigenvalues are not all real, or whose eigendecomposition does not
+    reconstruct it to 1e-12 (a nearly defective spectrum, as for a thermal
+    bath at |spatial factor| ~ 1), takes EXPM: scaling-and-squaring matrix
+    exponentials.
     """
 
     def __init__(self, rates: RateMatrix | Sequence[RateMatrix]):
@@ -324,31 +361,26 @@ class EigenPropagator:
         gens = np.stack([r.generator for r in stack])
         self._gens = gens
         frozen = np.array([r.is_frozen for r in stack])
-        eigvals, eigvecs = np.linalg.eig(gens)
-        real = True
-        if np.iscomplexobj(eigvals):
-            real = np.all(eigvals.imag == 0.0, axis=-1)
-            eigvals, eigvecs = eigvals.real, eigvecs.real
-        try:
-            inv = np.linalg.inv(eigvecs)
-        except np.linalg.LinAlgError:
-            inv = np.stack([_inverse_or_nan(v) for v in eigvecs])
-        count = len(stack)
-        rebuilt = (eigvecs * eigvals[:, None, :]) @ inv
-        residual = np.abs(rebuilt - gens).reshape(count, 16).max(1)
-        scale = np.maximum(1.0, np.abs(gens).reshape(count, 16).max(1))
-        # NaN residuals (singular eigenvectors) fail the check too.
-        self._frozen = frozen
-        self._use_expm = ~frozen & ~(real & (residual <= 1e-12 * scale))
-        self._fallback = np.flatnonzero(self._use_expm)
-        # Frozen generators propagate exactly through the identity; the modes
-        # of fallback generators are placeholders that expm overwrites.
-        trivial = frozen | self._use_expm
-        if trivial.any():
-            eigvals[trivial] = 0.0
-            eigvecs[trivial] = inv[trivial] = np.eye(4)
-        self._eigvals, self._inv = eigvals, inv
-        self._eigvecs_t = np.swapaxes(eigvecs, 1, 2)[:, None]
+        # d_a and d_s of the cascade are the G <- A and G <- S rates.
+        self._d_a, self._d_s = gens[:, 0, 1, None, None], gens[:, 0, 2, None, None]
+        pattern = self._d_a * _CASCADE_A + self._d_s * _CASCADE_S
+        cascade = ~frozen & np.all(gens == pattern, axis=(1, 2))
+        rest = np.flatnonzero(~frozen & ~cascade)
+        ok = np.zeros(0, dtype=bool)
+        if rest.size:
+            ok, eigvals, eigvecs, inv = _diagonalize(gens[rest])
+            self._eigvals, self._inv = eigvals[ok], inv[ok]
+            # C-ordered transposes let matmul take its fast path.
+            self._eigvecs_t = np.ascontiguousarray(np.swapaxes(eigvecs[ok], 1, 2))[:, None]
+        self._route = {
+            FROZEN: np.flatnonzero(frozen),
+            CLOSED_FORM: np.flatnonzero(cascade),
+            EIGEN: rest[ok],
+            EXPM: rest[~ok],
+        }
+        self.routes = np.empty(len(stack), dtype=object)
+        for route, index in self._route.items():
+            self.routes[index] = route
 
     def populations(self, pops0: np.ndarray, taus: np.ndarray) -> np.ndarray:
         """Population vectors at each tau.
@@ -364,14 +396,26 @@ class EigenPropagator:
         pops0 = np.asarray(pops0, dtype=float)
         shared = taus.ndim == 1
         rows = taus.reshape(1 if shared else taus.shape[0], -1, taus.shape[-1])
-        count = len(self._eigvals)
-        if self._fallback.size == count:
-            out = np.empty((count,) + rows.shape[1:] + (4,))
-        else:
-            modes = np.exp(rows[..., None] * self._eigvals[:, None, None, :])
+        count = len(self.routes)
+
+        def grid(index: np.ndarray) -> np.ndarray:
+            return rows if shared or index.size == count else rows[index]
+
+        out = np.empty((count,) + rows.shape[1:] + (4,))
+        out[self._route[FROZEN]] = pops0
+        eigen = self._route[EIGEN]
+        if eigen.size:
+            modes = np.exp(grid(eigen)[..., None] * self._eigvals[:, None, None, :])
             modes *= (self._inv @ pops0)[:, None, None, :]
-            out = modes @ self._eigvecs_t
-        for n in self._fallback:
+            if eigen.size == count:
+                out = modes @ self._eigvecs_t
+            else:
+                out[eigen] = modes @ self._eigvecs_t
+        cascade = self._route[CLOSED_FORM]
+        if cascade.size:
+            rates = self._d_a[cascade], self._d_s[cascade]
+            out[cascade] = np.stack(_cascade(pops0, *rates, grid(cascade)), axis=-1)
+        for n in self._route[EXPM]:
             for r, row in enumerate(rows[0 if shared else n]):
                 out[n, r] = _expm_populations(self._gens[n], pops0, row)
         out = out.reshape((count,) + (taus.shape if shared else taus.shape[1:]) + (4,))
@@ -382,17 +426,40 @@ class EigenPropagator:
             raise ValueError("state() needs a propagator for a single RateMatrix")
         if tau < 0.0 or not math.isfinite(tau):
             raise ValueError(f"tau must be finite and >= 0, got {tau}")
-        if self._frozen[0] or tau == 0.0:
+        if self.routes[0] == FROZEN or tau == 0.0:
             return initial
-        pops = self.populations(initial.populations(), np.array([tau]))[0]
-        return XState(
-            pops[0],
-            pops[1],
-            pops[2],
-            pops[3],
-            coh_ge=initial.coh_ge * math.exp(-self.rates.decay_ge * tau),
-            coh_as=initial.coh_as * math.exp(-self.rates.decay_as * tau),
+        return self._states(initial, np.array([tau]))[0]
+
+    def _states(self, initial: XState, taus: np.ndarray) -> tuple[XState, ...]:
+        pops = self.populations(initial.populations(), taus)
+        return _xstates(
+            pops,
+            initial.coh_ge * np.exp(-self.rates.decay_ge * taus),
+            initial.coh_as * np.exp(-self.rates.decay_as * taus),
         )
+
+
+def _diagonalize(gens: np.ndarray):
+    """(ok, eigvals, eigvecs, inv) of a stack of generators, in real arithmetic.
+
+    ok is False where an eigenvalue is complex or the decomposition does not
+    reconstruct the generator to 1e-12 (NaN residuals from singular
+    eigenvectors fail too).
+    """
+    eigvals, eigvecs = np.linalg.eig(gens)
+    real = True
+    if np.iscomplexobj(eigvals):
+        real = np.all(eigvals.imag == 0.0, axis=-1)
+        eigvals, eigvecs = eigvals.real, eigvecs.real
+    try:
+        inv = np.linalg.inv(eigvecs)
+    except np.linalg.LinAlgError:
+        inv = np.stack([_inverse_or_nan(v) for v in eigvecs])
+    count = len(gens)
+    rebuilt = (eigvecs * eigvals[:, None, :]) @ inv
+    residual = np.abs(rebuilt - gens).reshape(count, 16).max(1)
+    scale = np.maximum(1.0, np.abs(gens).reshape(count, 16).max(1))
+    return real & (residual <= 1e-12 * scale), eigvals, eigvecs, inv
 
 
 def _inverse_or_nan(matrix: np.ndarray) -> np.ndarray:
@@ -593,27 +660,28 @@ def closed_form_trajectory(
     taus: Sequence[float],
 ) -> Trajectory:
     """Sample the vacuum closed form on a time grid (times in true units)."""
-
-    def at(tau: float) -> XState:
-        return closed_form_state(initial, lam, decay_factor(tau, gray, g0))
-
+    taus = np.asarray(taus, dtype=float)
+    rate = gray * g0
+    if not (np.isfinite(taus).all() and math.isfinite(rate)) or (taus < 0.0).any():
+        raise ValueError("taus and rates must be finite, taus >= 0")
     return Trajectory(
-        taus=tuple(float(t) for t in taus),
-        states=tuple(at(t) for t in taus),
+        taus=tuple(taus.tolist()),
+        states=_vacuum_states(initial, lam, rate * taus),
         method=CLOSED_FORM,
-        evaluate=at,
+        evaluate=lambda t: _vacuum_states(initial, lam, np.array([rate * t]))[0],
     )
 
 
 def eigen_trajectory(
     initial: XState, rates: RateMatrix, taus: Sequence[float]
 ) -> Trajectory:
-    """Sample the eigendecomposition propagator on a time grid."""
+    """Sample the propagator on a time grid; method is the route it took."""
     prop = EigenPropagator(rates)
+    taus = np.asarray(taus, dtype=float)
     return Trajectory(
-        taus=tuple(float(t) for t in taus),
-        states=tuple(prop.state(initial, t) for t in taus),
-        method=FROZEN if rates.is_frozen else EIGEN,
+        taus=tuple(taus.tolist()),
+        states=prop._states(initial, taus),
+        method=prop.routes[0],
         evaluate=lambda t: prop.state(initial, t),
     )
 

@@ -45,6 +45,28 @@ def check_block_positivity(state: XState, tol: float = 1e-9) -> None:
     assert abs(state.coh_as) ** 2 <= state.pop_a * state.pop_s + tol
 
 
+def mp_expm_populations(generator, pops0, tau: float, dps: int = 40) -> np.ndarray:
+    """Populations expm(generator*tau) @ pops0 from a dps-digit mpmath expm."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        gen = mpmath.matrix([[mpmath.mpf(float(x)) for x in row] for row in generator])
+        vec = mpmath.matrix([mpmath.mpf(float(x)) for x in pops0])
+        out = mpmath.expm(gen * mpmath.mpf(float(tau))) * vec
+        return np.array([float(x) for x in out])
+
+
+def mp_reference_state(rates, initial: XState, tau: float) -> XState:
+    """State at tau from a 40-digit matrix exponential of the generator."""
+    import mpmath
+
+    pops = mp_expm_populations(rates.generator, initial.populations(), tau)
+    with mpmath.workdps(40):
+        fade_ge = float(mpmath.exp(-mpmath.mpf(rates.decay_ge) * mpmath.mpf(float(tau))))
+        fade_as = float(mpmath.exp(-mpmath.mpf(rates.decay_as) * mpmath.mpf(float(tau))))
+    return XState(*pops, coh_ge=initial.coh_ge * fade_ge, coh_as=initial.coh_as * fade_as)
+
+
 def off_x_magnitude(state: XState) -> float:
     rho = to_product_basis(state)
     mask = np.zeros((4, 4), dtype=bool)

@@ -7,6 +7,14 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import mp_reference_state
+from massbath import (
+    FieldBathConfig,
+    build_rate_matrix,
+    coefficients,
+    concurrence,
+    negativity,
+)
 from massbath.cli import EVOLVE_HEADER, MAP_HEADER, main, parse_initial
 
 
@@ -245,6 +253,74 @@ class TestMap:
         second = (tmp_path / "b.csv.manifest.json").read_text()
         assert json.loads(first)["timestamp"] == json.loads(second)["timestamp"]
         assert json.loads(first)["outputs"][0]["sha256"] == json.loads(second)["outputs"][0]["sha256"]
+
+
+def reference_row(mass_ratio, sep, initial, tau):
+    """Evolve-CSV entries and both measures from a 40-digit expm."""
+    rates = build_rate_matrix(coefficients(FieldBathConfig.from_ratios(mass_ratio, sep)))
+    state = mp_reference_state(rates, parse_initial(initial), tau)
+    return [
+        state.pop_g, state.pop_a, state.pop_s, state.pop_e,
+        state.coh_ge.real, state.coh_ge.imag, state.coh_as.real, state.coh_as.imag,
+        concurrence(state), negativity(state),
+    ]
+
+
+class TestNearUnitSpatialFactor:
+    """Vacuum runs with 1 - lam below 1e-6 and long times: every command
+    takes the cascade route and matches a 40-digit reference."""
+
+    @pytest.mark.parametrize(
+        "initial, sep, tmax, steps",
+        [("E", "1e-4", "30", "300"), ("A", "0.003", "1000", "200")],
+    )
+    def test_evolve(self, capsys, initial, sep, tmax, steps):
+        code, out, err = run_cli(
+            ["evolve", "--initial", initial, "--mass-ratio", "0", "--sep", sep,
+             "--tmax", tmax, "--steps", steps],
+            capsys,
+        )
+        assert code == 0, err
+        rows = [[float(x) for x in line.split(",")] for line in out.strip().splitlines()[1:]]
+        assert len(rows) == int(steps)
+        for row in (rows[1], rows[len(rows) // 2], rows[-1]):
+            expected = reference_row(0.0, float(sep), initial, row[0])
+            assert max(abs(x - y) for x, y in zip(row[1:], expected)) < 1e-8
+
+    def test_map_at_late_times(self, capsys, tmp_path):
+        out_path = tmp_path / "late.csv"
+        code, _, err = run_cli(
+            ["map", "time-sep", "--mass-ratio", "0", "--initial", "A",
+             "--tau-min", "700", "--tau-max", "800", "--tau-count", "2",
+             "--sep-min", "0.003", "--sep-max", "0.0031", "--sep-count", "2",
+             "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 0, err
+        for line in out_path.read_text().strip().splitlines()[1:]:
+            tau, sep, conc, neg, _ = line.split(",")
+            expected = reference_row(0.0, float(sep), "A", float(tau))
+            assert abs(float(conc) - expected[-2]) < 1e-8
+            assert abs(float(neg) - expected[-1]) < 1e-8
+            assert float(conc) > 0.998
+
+
+class TestNoNegativeZero:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "time-sep", "--tau-count", "3", "--sep-count", "3"],
+            ["map", "temp-sep", "--temp-count", "2", "--sep-count", "2"],
+        ],
+    )
+    def test_unentangled_map_prints_plain_zeros(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "g.csv"
+        code, _, _ = run_cli(
+            argv + ["--mass-ratio", "0", "--initial", "G", "--out", str(out_path)], capsys
+        )
+        assert code == 0
+        rows = out_path.read_text().strip().splitlines()[1:]
+        assert all("-0.0" not in row.split(",") for row in rows)
 
 
 class TestNumericalFailureExit:

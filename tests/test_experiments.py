@@ -122,8 +122,6 @@ class TestThermalScan:
             initial=XState.excited(),
             sep_axis=GridAxis(0.5, 2.0, 3),
             temp_axis=GridAxis(0.01, 0.014, 2),
-            reduction="max_over_time",
-            measure="concurrence",
         )
         result = thermal_scan(config)
         for j, sep in enumerate(result.axis2):
@@ -136,8 +134,6 @@ class TestThermalScan:
             initial=XState.excited(),
             sep_axis=GridAxis(0.2, 4.0, 6),
             temp_axis=GridAxis(0.5, 1.0, 2),
-            reduction="max_over_time",
-            measure="concurrence",
         )
         result = thermal_scan(config)
         assert result.concurrence.max() < 1e-3
@@ -151,8 +147,6 @@ class TestThermalScan:
                 initial=XState.excited(),
                 sep_axis=GridAxis(1.0, 3.0, 3),
                 temp_axis=temp_axis,
-                reduction="max_over_time",
-                measure="concurrence",
             )
         )
         massless = thermal_scan(
@@ -161,8 +155,6 @@ class TestThermalScan:
                 initial=XState.excited(),
                 sep_axis=GridAxis(gray, 3.0 * gray, 3),
                 temp_axis=temp_axis,
-                reduction="max_over_time",
-                measure="concurrence",
             )
         )
         assert np.max(np.abs(massive.concurrence - massless.concurrence)) < 1e-6

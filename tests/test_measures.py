@@ -9,6 +9,7 @@ from massbath import (
     FrozenDynamicsError,
     GklsCoefficients,
     LambdaSingularError,
+    NotAStateError,
     XState,
     build_rate_matrix,
     closed_form_concurrence,
@@ -29,6 +30,8 @@ from massbath import (
     vacuum_coefficients,
     FieldBathConfig,
 )
+from massbath.measures import RADICAND_TOL, _safe_sqrt
+from massbath.xstate import POP_TOL, PSD_TOL
 
 
 def random_ge_coherent_state(rng):
@@ -66,6 +69,29 @@ class TestConcurrence:
                 abs(concurrence(state) - wootters_concurrence(to_product_basis(state))),
             )
         assert worst < 1e-10
+
+
+class TestValidatedStateEdges:
+    """States that XState accepts with roundoff-negative radicands."""
+
+    def test_negative_population_within_tolerance(self):
+        state = XState(-5e-11, 0.0, 0.5, 0.5 + 5e-11)
+        value = entanglement(state)
+        assert concurrence(state) == value.concurrence == 0.5
+        assert negativity(state) == value.negativity
+
+    def test_coherence_at_the_positivity_bound(self):
+        # |coh_as|^2 just under pop_a*pop_s + PSD_TOL makes the k2 radicand
+        # (a+s)^2 - 4 re(coh_as)^2 about -4e-10.
+        state = XState(0.0, 0.5, 0.5, 0.0, coh_as=math.sqrt(0.25 + 0.99 * PSD_TOL))
+        assert concurrence(state) == 0.0
+        assert negativity(state) >= 0.0
+
+    def test_radicand_beyond_the_bound_raises(self):
+        assert RADICAND_TOL >= 4.0 * PSD_TOL + POP_TOL
+        with pytest.raises(NotAStateError):
+            _safe_sqrt(-1.01 * RADICAND_TOL)
+        assert _safe_sqrt(-0.99 * RADICAND_TOL) == 0.0
 
 
 class TestNegativity:

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import check_block_positivity, off_x_magnitude, state_distance
+from conftest import (
+    check_block_positivity,
+    mp_reference_state,
+    off_x_magnitude,
+    state_distance,
+)
 from massbath import (
     FieldBathConfig,
     GklsCoefficients,
-    LambdaSingularError,
     NonXFormError,
     NotAStateError,
     XState,
@@ -23,7 +27,15 @@ from massbath import (
     to_product_basis,
     vacuum_coefficients,
 )
-from massbath.xstate import EigenPropagator, RateMatrix, Trajectory
+from massbath.xstate import (
+    CLOSED_FORM,
+    EIGEN,
+    EXPM,
+    FROZEN,
+    EigenPropagator,
+    RateMatrix,
+    Trajectory,
+)
 
 
 def vacuum_like(lam: float) -> GklsCoefficients:
@@ -170,11 +182,19 @@ class TestClosedForm:
         out = closed_form_state(bell, 0.2, 0.5)
         assert out.coh_ge == pytest.approx(0.25)
 
-    def test_singular_band_rejected(self):
-        with pytest.raises(LambdaSingularError):
-            closed_form_state(XState.excited(), 1.0 - 1e-8, 0.5)
-        with pytest.raises(LambdaSingularError):
-            closed_form_state(XState.excited(), -1.0, 0.5)
+    def test_accurate_at_the_band_edge(self, rng):
+        # |lam| -> 1 and |lam| = 1, where one decay channel stops: the
+        # cascade form stays exact against a 40-digit matrix exponential.
+        for lam in (1.0 - 1.5e-6, 1.0 - 1e-8, 1.0, -1.0 + 1e-8, -1.0):
+            rates = build_rate_matrix(vacuum_like(lam))
+            for tau in (0.3, 5.0, 40.0):
+                state = random_xstate(rng)
+                got = closed_form_state(state, lam, decay_factor(tau, 1.0, 1.0))
+                assert state_distance(got, mp_reference_state(rates, state, tau)) < 1e-12
+
+    def test_lambda_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError):
+            closed_form_state(XState.excited(), 1.0 + 1e-9, 0.5)
 
     def test_bad_xi_rejected(self):
         with pytest.raises(ValueError):
@@ -217,16 +237,21 @@ class TestEigenPropagator:
         assert propagate_eigen(bell, rates, 1e3) is bell
 
     def test_defective_generator_falls_back(self):
-        # lam = 1 merges two decay channels into a Jordan block
-        rates = build_rate_matrix(vacuum_like(1.0))
+        # A thermal bath at small omega*L is nearly defective: its
+        # eigendecomposition fails the residual check and expm takes over.
+        rates = build_rate_matrix(
+            thermal_coefficients(FieldBathConfig.from_ratios(0.9, 0.07, 0.028))
+        )
         prop = EigenPropagator(rates)
+        assert prop.routes[0] == EXPM
         out = prop.state(XState.excited(), 1.0)
         oracle = integrate_ode(XState.excited(), rates, 1.0, tol=1e-12).states[-1]
         assert state_distance(out, oracle) < 1e-9
 
     def test_stack_matches_single_propagators(self, rng):
-        # Frozen, defective (lam = 1: expm fallback) and diagonalizable
-        # generators in one stack, on a shared grid and on per-generator rows.
+        # One stack mixing every route: frozen, the cascade (vacuum, lam = 1
+        # and 0.3), eigen (thermal) and expm (thermal slow corner), on a
+        # shared grid and on per-generator rows.
         stack = [
             build_rate_matrix(GklsCoefficients(0.0, 0.0, 0.0, 0.0)),
             build_rate_matrix(vacuum_like(1.0)),
@@ -234,14 +259,17 @@ class TestEigenPropagator:
             build_rate_matrix(
                 thermal_coefficients(FieldBathConfig.from_ratios(0.5, 2.0, 0.2))
             ),
+            build_rate_matrix(
+                thermal_coefficients(FieldBathConfig.from_ratios(0.9, 0.07, 0.028))
+            ),
         ]
         prop = EigenPropagator(stack)
-        assert list(prop._use_expm) == [False, True, False, False]
+        assert list(prop.routes) == [FROZEN, CLOSED_FORM, CLOSED_FORM, EIGEN, EXPM]
         pops0 = random_xstate(rng).populations()
         taus = np.linspace(0.0, 8.0, 33)
         shared = prop.populations(pops0, taus)
         rows = prop.populations(pops0, np.stack([[taus / 2, taus]] * len(stack)))
-        assert shared.shape == (4, 33, 4) and rows.shape == (4, 2, 33, 4)
+        assert shared.shape == (5, 33, 4) and rows.shape == (5, 2, 33, 4)
         for n, rates in enumerate(stack):
             alone = EigenPropagator(rates).populations(pops0, taus)
             assert np.max(np.abs(shared[n] - alone)) < 1e-14
