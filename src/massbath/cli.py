@@ -8,8 +8,8 @@ Subcommands:
 
 All quantities on the CLI are dimensionless: --mass-ratio is m/omega,
 --temp-ratio is T/omega, --sep is omega*L, and times are Gamma0*tau.
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-failure.
+Exit codes: 0 success, 1 verification failure, 2 usage error (bad input or
+an output file that cannot be written), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .errors import MassbathError, NotAStateError, SweepCellError
 from .field_bath import FieldBathConfig, coefficients, gray_factor, spatial_factor
-from .measures import concurrence, negativity
+from .measures import _measures_arrays, _state_arrays
 from .experiments import (
     GridAxis,
     SweepConfig,
@@ -49,11 +49,6 @@ _NAMED_STATES = {
     "S": XState.symmetric,
     "bell-GE": XState.bell_ge,
 }
-
-
-def _fmt(value: float) -> str:
-    """Shortest decimal that round-trips to the same float."""
-    return repr(float(value))
 
 
 def parse_initial(text: str) -> XState:
@@ -147,6 +142,26 @@ def _write_manifest(command: str, params: dict, outputs: list[Path]) -> Path:
     return manifest_path
 
 
+_CSV_BLOCK = 1024
+
+
+def _csv(header: str, columns) -> str:
+    """CSV text: the header, then row k from element k of every column.
+
+    Floats print as the shortest decimal that round-trips (str of a Python
+    float is its repr); other values, such as route names, as they are.
+    Rows are formatted _CSV_BLOCK at a time, so the Python floats of one
+    block are freed and their memory reused by the next instead of all
+    columns being held as lists at once.
+    """
+    columns = [np.asarray(column) for column in columns]
+    lines = [header]
+    for start in range(0, len(columns[0]), _CSV_BLOCK):
+        cells = [map(str, column[start:start + _CSV_BLOCK].tolist()) for column in columns]
+        lines.extend(map(",".join, zip(*cells)))
+    return "\n".join(lines) + "\n"
+
+
 def _emit(text: str, out: str | None) -> list[Path]:
     if out is None:
         sys.stdout.write(text)
@@ -178,29 +193,17 @@ def cmd_coeffs(args) -> int:
 def cmd_evolve(args) -> int:
     initial = parse_initial(args.initial)
     config = FieldBathConfig.from_ratios(args.mass_ratio, args.sep, args.temp_ratio)
+    if not np.isfinite(args.tmax):
+        raise ValueError(f"--tmax must be finite, got {args.tmax}")
     taus = np.linspace(0.0, args.tmax, args.steps)
     trajectory = eigen_trajectory(initial, build_rate_matrix(coefficients(config)), taus)
-    lines = [EVOLVE_HEADER]
-    for tau, state in trajectory:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    tau,
-                    state.pop_g,
-                    state.pop_a,
-                    state.pop_s,
-                    state.pop_e,
-                    state.coh_ge.real,
-                    state.coh_ge.imag,
-                    state.coh_as.real,
-                    state.coh_as.imag,
-                    concurrence(state),
-                    negativity(state),
-                )
-            )
-        )
-    outputs = _emit("\n".join(lines) + "\n", args.out)
+    pop_g, pop_a, pop_s, pop_e, coh_ge, coh_as = _state_arrays(trajectory.states)
+    columns = (
+        trajectory.taus, pop_g, pop_a, pop_s, pop_e,
+        coh_ge.real, coh_ge.imag, coh_as.real, coh_as.imag,
+        *_measures_arrays(pop_g, pop_a, pop_s, pop_e, coh_ge, coh_as),
+    )
+    outputs = _emit(_csv(EVOLVE_HEADER, columns), args.out)
     if outputs:
         params = {
             "initial": args.initial,
@@ -225,21 +228,15 @@ def _axis_from_args(args, prefix: str) -> GridAxis:
 
 
 def _write_map(result, command: str, params: dict, out: str) -> int:
-    lines = [MAP_HEADER]
-    for i, v1 in enumerate(result.axis1):
-        for j, v2 in enumerate(result.axis2):
-            lines.append(
-                ",".join(
-                    (
-                        _fmt(v1),
-                        _fmt(v2),
-                        _fmt(result.concurrence[i, j]),
-                        _fmt(result.negativity[i, j]),
-                        str(result.method[i, j]),
-                    )
-                )
-            )
-    outputs = _emit("\n".join(lines) + "\n", out)
+    rows, cols = result.concurrence.shape
+    columns = (
+        np.repeat(result.axis1, cols),
+        np.tile(result.axis2, rows),
+        result.concurrence.ravel(),
+        result.negativity.ravel(),
+        result.method.ravel(),
+    )
+    outputs = _emit(_csv(MAP_HEADER, columns), out)
     if outputs:
         _write_manifest(command, params, outputs)
     return 0
@@ -402,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
     except MassbathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -78,6 +78,8 @@ class GridAxis:
     def __post_init__(self):
         if self.count < 2:
             raise ValueError(f"axis count must be >= 2, got {self.count}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"axis ends must be finite, got {self.start}, {self.stop}")
         if not self.start < self.stop:
             raise ValueError(f"axis needs start < stop, got {self.start}, {self.stop}")
         if self.scale not in ("linear", "log"):
@@ -108,8 +110,8 @@ class SweepConfig:
     temp_ratio: float | None = None
 
     def __post_init__(self):
-        if self.mass_ratio < 0.0:
-            raise ValueError(f"mass_ratio must be >= 0, got {self.mass_ratio}")
+        # Rejects a bath that no cell could take before any cell runs.
+        FieldBathConfig.from_ratios(self.mass_ratio, 0.0, self.temp_ratio)
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,13 @@ class SweepResult:
     concurrence: np.ndarray
     negativity: np.ndarray
     method: np.ndarray
+
+
+def _separations(config: SweepConfig) -> np.ndarray:
+    seps = config.sep_axis.values()
+    if seps[0] < 0.0:
+        raise ValueError(f"omega*L must be >= 0, got {seps[0]}")
+    return seps
 
 
 def _column_measures(
@@ -149,7 +158,9 @@ def evolve_scan(config: SweepConfig) -> SweepResult:
     if config.tau_axis is None:
         raise ValueError("evolve_scan requires a tau_axis")
     taus = config.tau_axis.values()
-    seps = config.sep_axis.values()
+    seps = _separations(config)
+    if taus[0] < 0.0:
+        raise ValueError(f"Gamma0*tau must be >= 0, got {taus[0]}")
     conc = np.zeros((taus.size, seps.size))
     neg = np.zeros_like(conc)
     method = np.empty((taus.size, seps.size), dtype=object)
@@ -309,16 +320,16 @@ def _cell_maxima(
 def thermal_scan(config: SweepConfig) -> SweepResult:
     """Max-over-time measure values over a (T/omega, omega*L) grid.
 
-    Both measures are always computed. Raises ValueError for T/omega <= 0
-    before any cell runs; a failing cell raises SweepCellError or
+    Both measures are always computed. Raises ValueError for T/omega <= 0 or
+    omega*L < 0 before any cell runs; a failing cell raises SweepCellError or
     NonConvergedMaxError carrying its (T/omega, omega*L).
     """
     if config.temp_axis is None:
         raise ValueError("thermal_scan requires a temp_axis")
     temps = config.temp_axis.values()
+    seps = _separations(config)
     if not temps[0] > 0.0:
         raise ValueError(f"T/omega must be > 0, got {temps[0]}")
-    seps = config.sep_axis.values()
     gray = gray_factor(config.mass_ratio, 1.0)
     cells = [(float(temp), float(sep)) for temp in temps for sep in seps]
     rates = []

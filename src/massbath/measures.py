@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -74,44 +73,60 @@ def _safe_sqrt(value: float) -> float:
     return math.sqrt(value)
 
 
-def _concurrence_terms(state: XState) -> tuple[float, float]:
-    diff = state.pop_a - state.pop_s
-    k1 = math.hypot(diff, 2.0 * state.coh_as.imag) - 2.0 * _safe_sqrt(
-        state.pop_g * state.pop_e
+def _clipped_sqrt(values):
+    return np.sqrt(np.maximum(values, 0.0))
+
+
+def _branches(pop_g, pop_a, pop_s, pop_e, coh_ge, coh_as, root):
+    """Branch values (k1, k2, n1, n2) of scalars or of arrays of X states.
+
+    Concurrence is max(0, k1, k2) (Wootters); negativity is -2 times the sum
+    of the negative ones of n1, n2, the smaller eigenvalues of the two blocks
+    of the partial transpose (Vidal & Werner). `root` takes the square root
+    of the radicands that roundoff can push below zero.
+    """
+    im_as = np.imag(coh_as)
+    re_as = np.real(coh_as)
+    abs_ge = np.abs(coh_ge)
+    diff = pop_a - pop_s
+    total = pop_a + pop_s
+    gap = pop_g - pop_e
+    k1 = np.hypot(diff, 2.0 * im_as) - 2.0 * root(pop_g * pop_e)
+    k2 = 2.0 * abs_ge - root(total * total - 4.0 * re_as * re_as)
+    n1 = 0.5 * (pop_g + pop_e - np.sqrt(diff * diff + 4.0 * im_as * im_as + gap * gap))
+    n2 = 0.5 * (total - 2.0 * np.hypot(abs_ge, re_as))
+    return k1, k2, n1, n2
+
+
+def _clip(k1, k2, n1, n2):
+    """(concurrence, negativity) from the branch values."""
+    # 0.0 - x, not -x: a zero comes out +0.0, never -0.0.
+    neg = 0.0 - 2.0 * (np.minimum(n1, 0.0) + np.minimum(n2, 0.0))
+    return np.maximum(0.0, np.maximum(k1, k2)), neg
+
+
+def _state_branches(state: XState):
+    return _branches(
+        state.pop_g, state.pop_a, state.pop_s, state.pop_e,
+        state.coh_ge, state.coh_as, _safe_sqrt,
     )
-    total = state.pop_a + state.pop_s
-    re_as = state.coh_as.real
-    k2 = 2.0 * abs(state.coh_ge) - _safe_sqrt(total * total - 4.0 * re_as * re_as)
-    return k1, k2
-
-
-def _negativity_terms(state: XState) -> tuple[float, float]:
-    diff = state.pop_a - state.pop_s
-    gap = state.pop_g - state.pop_e
-    root1 = math.sqrt(diff * diff + 4.0 * state.coh_as.imag ** 2 + gap * gap)
-    n1 = 0.5 * (state.pop_g + state.pop_e - root1)
-    root2 = 2.0 * math.hypot(abs(state.coh_ge), state.coh_as.real)
-    n2 = 0.5 * (state.pop_a + state.pop_s - root2)
-    return n1, n2
 
 
 def entanglement(state: XState) -> EntanglementValue:
-    """Concurrence and negativity of an X state with their branch values."""
-    k1, k2 = _concurrence_terms(state)
-    n1, n2 = _negativity_terms(state)
-    conc = max(0.0, k1, k2)
-    neg = max(0.0, -2.0 * n1) + max(0.0, -2.0 * n2)
-    return EntanglementValue(conc, neg, k1, k2, n1, n2)
+    """Concurrence and negativity of an X state with their branch values.
+
+    Raises NotAStateError for a radicand below -RADICAND_TOL.
+    """
+    branches = _state_branches(state)
+    return EntanglementValue(*map(float, _clip(*branches) + branches))
 
 
 def concurrence(state: XState) -> float:
-    k1, k2 = _concurrence_terms(state)
-    return max(0.0, k1, k2)
+    return float(_clip(*_state_branches(state))[0])
 
 
 def negativity(state: XState) -> float:
-    n1, n2 = _negativity_terms(state)
-    return max(0.0, -2.0 * n1) + max(0.0, -2.0 * n2)
+    return float(_clip(*_state_branches(state))[1])
 
 
 def _measures_arrays(pop_g, pop_a, pop_s, pop_e, coh_ge, coh_as):
@@ -120,22 +135,17 @@ def _measures_arrays(pop_g, pop_a, pop_s, pop_e, coh_ge, coh_as):
     Roundoff-negative radicands are clipped; inputs are trusted to come from
     a propagator.
     """
-    im_as = np.imag(coh_as)
-    re_as = np.real(coh_as)
-    abs_ge = np.abs(coh_ge)
-    diff = pop_a - pop_s
-    total = pop_a + pop_s
-    k1 = np.hypot(diff, 2.0 * im_as) - 2.0 * np.sqrt(
-        np.maximum(pop_g * pop_e, 0.0)
-    )
-    k2 = 2.0 * abs_ge - np.sqrt(np.maximum(total * total - 4.0 * re_as * re_as, 0.0))
-    conc = np.maximum(0.0, np.maximum(k1, k2))
-    gap = pop_g - pop_e
-    n1 = 0.5 * (pop_g + pop_e - np.sqrt(diff * diff + 4.0 * im_as * im_as + gap * gap))
-    n2 = 0.5 * (total - 2.0 * np.hypot(abs_ge, re_as))
-    # 0.0 - x, not -x: a zero comes out +0.0, never -0.0.
-    neg = 0.0 - 2.0 * (np.minimum(n1, 0.0) + np.minimum(n2, 0.0))
-    return conc, neg
+    return _clip(*_branches(pop_g, pop_a, pop_s, pop_e, coh_ge, coh_as, _clipped_sqrt))
+
+
+def _state_arrays(states) -> tuple[np.ndarray, ...]:
+    """(pop_g, pop_a, pop_s, pop_e, coh_ge, coh_as) arrays of a state sequence.
+
+    Built field by field: a tuple per state would fill the garbage
+    collector's generations and set off full collections.
+    """
+    fields = ("pop_g", "pop_a", "pop_s", "pop_e", "coh_ge", "coh_as")
+    return tuple(np.array([getattr(s, name) for s in states]) for name in fields)
 
 
 def _closed_form_helpers(initial: XState, lam: float, xi):
@@ -256,14 +266,6 @@ class EntanglementEvents:
     final_value: float
 
 
-def _measure_fn(measure: str) -> Callable[[XState], float]:
-    if measure == "concurrence":
-        return concurrence
-    if measure == "negativity":
-        return negativity
-    raise ValueError(f"unknown measure {measure!r}")
-
-
 def detect_events(
     trajectory: Trajectory,
     measure: str = "concurrence",
@@ -271,15 +273,20 @@ def detect_events(
 ) -> EntanglementEvents:
     """Locate births (measure rising through threshold) and deaths (falling).
 
-    Crossings are bracketed on the trajectory samples and refined by bisection
-    on the trajectory's exact point-evaluator; without an evaluator the
-    bracket midpoint sets the resolution.
+    The samples are measured in one array call. Crossings are bracketed on
+    them and refined by bisection on the trajectory's exact point-evaluator;
+    without an evaluator the bracket midpoint sets the resolution.
     """
     if threshold < 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    fn = _measure_fn(measure)
-    values = [fn(state) for state in trajectory.states]
-    alive = [v > threshold for v in values]
+    if measure == "concurrence":
+        fn, which = concurrence, 0
+    elif measure == "negativity":
+        fn, which = negativity, 1
+    else:
+        raise ValueError(f"unknown measure {measure!r}")
+    values = _measures_arrays(*_state_arrays(trajectory.states))[which]
+    alive = (values > threshold).tolist()
 
     def refine(t_lo: float, t_hi: float) -> float:
         if trajectory.evaluate is None:
@@ -306,5 +313,5 @@ def detect_events(
     return EntanglementEvents(
         birth_times=tuple(births),
         death_times=tuple(deaths),
-        final_value=values[-1],
+        final_value=float(values[-1]),
     )

@@ -124,16 +124,6 @@ class XState:
     def populations(self) -> np.ndarray:
         return np.array([self.pop_g, self.pop_a, self.pop_s, self.pop_e])
 
-    def is_close(self, other: "XState", tol: float = 1e-12) -> bool:
-        return (
-            abs(self.pop_g - other.pop_g) <= tol
-            and abs(self.pop_a - other.pop_a) <= tol
-            and abs(self.pop_s - other.pop_s) <= tol
-            and abs(self.pop_e - other.pop_e) <= tol
-            and abs(self.coh_ge - other.coh_ge) <= tol
-            and abs(self.coh_as - other.coh_as) <= tol
-        )
-
 
 def from_product_basis(rho) -> XState:
     """Convert an X-form density matrix in the product basis {00,01,10,11}.
@@ -391,8 +381,8 @@ class EigenPropagator:
         single RateMatrix (taus of shape (K,)), else (N, ..., K, 4).
         """
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        if (taus < 0.0).any():
-            raise ValueError("tau must be >= 0")
+        if not np.all((taus >= 0.0) & (taus < math.inf)):
+            raise ValueError("tau must be finite and >= 0")
         pops0 = np.asarray(pops0, dtype=float)
         shared = taus.ndim == 1
         rows = taus.reshape(1 if shared else taus.shape[0], -1, taus.shape[-1])
@@ -603,20 +593,11 @@ def integrate_ode(
         )
 
     rate_scale = max(float(np.max(np.abs(gen))), rates.decay_as, rates.decay_ge)
-    if rate_scale == 0.0:
-        # Frozen dynamics: constant trajectory with two samples.
-        evaluator = EigenPropagator(rates)
-        return Trajectory(
-            taus=(0.0, tau_end),
-            states=(initial, initial),
-            method=ODE,
-            evaluate=lambda t, _p=evaluator, _s=initial: _p.state(_s, t),
-        )
-
     taus = [0.0]
     states = [initial]
     t = 0.0
-    h = min(tau_end, 0.1 / rate_scale)
+    # Frozen dynamics (all rates zero) take one exact step of tau_end.
+    h = min(tau_end, 0.1 / rate_scale) if rate_scale > 0.0 else tau_end
     stages = np.empty((6, 8))
     while t < tau_end:
         remaining = tau_end - t

@@ -10,11 +10,17 @@ import pytest
 from conftest import mp_reference_state
 from massbath import (
     FieldBathConfig,
+    GridAxis,
+    SweepConfig,
+    XState,
     build_rate_matrix,
     coefficients,
     concurrence,
+    eigen_trajectory,
+    evolve_scan,
     negativity,
 )
+from massbath import cli
 from massbath.cli import EVOLVE_HEADER, MAP_HEADER, main, parse_initial
 
 
@@ -149,6 +155,29 @@ class TestEvolve:
             for token in line.split(","):
                 assert repr(float(token)) == token
 
+    def test_rows_match_a_per_state_loop(self, capsys):
+        initial = "0.3,0.2,0.1,0.4,0.1,0.05,0.02,-0.03"
+        code, out, _ = run_cli(
+            ["evolve", "--initial", initial, "--mass-ratio", "0.5", "--sep", "0.7",
+             "--temp-ratio", "0.3", "--tmax", "6", "--steps", "40"],
+            capsys,
+        )
+        assert code == 0
+        config = FieldBathConfig.from_ratios(0.5, 0.7, 0.3)
+        trajectory = eigen_trajectory(
+            parse_initial(initial), build_rate_matrix(coefficients(config)),
+            np.linspace(0.0, 6.0, 40),
+        )
+        expected = [EVOLVE_HEADER] + [
+            ",".join(repr(float(v)) for v in (
+                tau, state.pop_g, state.pop_a, state.pop_s, state.pop_e,
+                state.coh_ge.real, state.coh_ge.imag, state.coh_as.real,
+                state.coh_as.imag, concurrence(state), negativity(state),
+            ))
+            for tau, state in trajectory
+        ]
+        assert out == "\n".join(expected) + "\n"
+
     def test_manifest_written(self, capsys, tmp_path):
         out_path = tmp_path / "traj.csv"
         code, _, _ = run_cli(
@@ -202,6 +231,28 @@ class TestMap:
         assert lines[0] == MAP_HEADER
         assert len(lines) == 5
         assert all(len(line.split(",")) == 5 for line in lines[1:])
+
+    def test_rows_match_a_per_cell_loop(self, capsys, tmp_path):
+        out_path = tmp_path / "map.csv"
+        code, _, _ = run_cli(
+            ["map", "time-sep", "--mass-ratio", "0.4", "--initial", "bell-GE",
+             "--temp-ratio", "0.3", "--tau-count", "3", "--sep-count", "2",
+             "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 0
+        result = evolve_scan(SweepConfig(
+            mass_ratio=0.4, initial=XState.bell_ge(), temp_ratio=0.3,
+            tau_axis=GridAxis(0.05, 20.0, 3), sep_axis=GridAxis(0.05, 20.0, 2),
+        ))
+        expected = [MAP_HEADER] + [
+            ",".join((repr(float(tau)), repr(float(sep)),
+                      repr(float(result.concurrence[i, j])),
+                      repr(float(result.negativity[i, j])), result.method[i, j]))
+            for i, tau in enumerate(result.axis1)
+            for j, sep in enumerate(result.axis2)
+        ]
+        assert out_path.read_text() == "\n".join(expected) + "\n"
 
     def test_massive_map_shows_long_range_generation(self, capsys, tmp_path):
         out_path = tmp_path / "massive.csv"
@@ -305,6 +356,18 @@ class TestNearUnitSpatialFactor:
             assert float(conc) > 0.998
 
 
+class TestCsvBlocks:
+    @pytest.mark.parametrize("block", [1, 3, 7, 10, 1024])
+    def test_block_size_does_not_change_the_text(self, monkeypatch, block):
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        rng = np.random.default_rng(5)
+        columns = (rng.random(10), -rng.random(10), np.array(["eigen"] * 10, dtype=object))
+        expected = "h\n" + "".join(
+            f"{a!r},{b!r},eigen\n" for a, b in zip(columns[0].tolist(), columns[1].tolist())
+        )
+        assert cli._csv("h", columns) == expected
+
+
 class TestNoNegativeZero:
     @pytest.mark.parametrize(
         "argv",
@@ -376,6 +439,45 @@ class TestNumericalFailureExit:
         )
         assert code == 3
         assert "error" in err
+
+
+class TestUsageErrors:
+    """Inputs no cell can take exit 2 with one line on stderr and no output."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "time-sep", "--mass-ratio", "0", "--tau-min", "-1"],
+            ["map", "time-sep", "--mass-ratio", "0", "--sep-min", "-1"],
+            ["map", "temp-sep", "--mass-ratio", "0", "--sep-min", "-1"],
+            ["map", "temp-sep", "--mass-ratio", "0", "--sep-max", "inf"],
+            ["map", "time-sep", "--mass-ratio", "0.5", "--tau-max", "inf",
+             "--tau-count", "2", "--sep-count", "2"],
+            ["map", "time-sep", "--mass-ratio", "nan", "--tau-count", "2", "--sep-count", "2"],
+            ["evolve", "--initial", "E", "--mass-ratio", "0", "--tmax", "nan"],
+            ["evolve", "--initial", "E", "--mass-ratio", "0", "--tmax", "inf"],
+        ],
+    )
+    def test_exits_2_without_output(self, capsys, tmp_path, argv):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(argv + ["--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--initial", "E", "--mass-ratio", "0", "--steps", "3"],
+            ["map", "time-sep", "--mass-ratio", "0", "--tau-count", "2", "--sep-count", "2"],
+        ],
+    )
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, argv):
+        out = tmp_path / "missing" / "x.csv"
+        code, _, err = run_cli(argv + ["--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert str(out) in err
 
 
 class TestVerify:

@@ -40,6 +40,11 @@ class TestGridAxis:
         with pytest.raises(ValueError):
             GridAxis(0.0, 1.0, 5, scale="cubic")
 
+    @pytest.mark.parametrize("start, stop", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)])
+    def test_rejects_non_finite_ends(self, start, stop):
+        with pytest.raises(ValueError, match="finite"):
+            GridAxis(start, stop, 5)
+
 
 class TestEvolveScan:
     def make_config(self, mass_ratio, initial=None, temp_ratio=None, seps=None):

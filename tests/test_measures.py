@@ -30,7 +30,7 @@ from massbath import (
     vacuum_coefficients,
     FieldBathConfig,
 )
-from massbath.measures import RADICAND_TOL, _safe_sqrt
+from massbath.measures import RADICAND_TOL, _measures_arrays, _safe_sqrt, _state_arrays
 from massbath.xstate import POP_TOL, PSD_TOL
 
 
@@ -92,6 +92,19 @@ class TestValidatedStateEdges:
         with pytest.raises(NotAStateError):
             _safe_sqrt(-1.01 * RADICAND_TOL)
         assert _safe_sqrt(-0.99 * RADICAND_TOL) == 0.0
+
+
+class TestScalarMatchesArrays:
+    def test_bit_for_bit(self, rng):
+        states = [random_xstate(rng) for _ in range(3000)] + [
+            XState(-5e-11, 0.0, 0.5, 0.5 + 5e-11),
+            XState(0.0, 0.5, 0.5, 0.0, coh_as=math.sqrt(0.25 + 0.99 * PSD_TOL)),
+        ]
+        conc, neg = _measures_arrays(*_state_arrays(states))
+        for state, c, n in zip(states, conc.tolist(), neg.tolist()):
+            value = entanglement(state)
+            assert concurrence(state) == value.concurrence == c
+            assert negativity(state) == value.negativity == n
 
 
 class TestNegativity:

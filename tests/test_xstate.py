@@ -236,6 +236,13 @@ class TestEigenPropagator:
         bell = XState.bell_ge()
         assert propagate_eigen(bell, rates, 1e3) is bell
 
+    @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
+    def test_populations_reject_bad_times(self, tau):
+        rates = build_rate_matrix(vacuum_coefficients(FieldBathConfig.from_ratios(0.0, 1.0)))
+        prop = EigenPropagator(rates)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            prop.populations(XState.excited().populations(), np.array([0.0, tau]))
+
     def test_defective_generator_falls_back(self):
         # A thermal bath at small omega*L is nearly defective: its
         # eigendecomposition fails the residual check and expm takes over.
@@ -305,6 +312,7 @@ class TestIntegrateOde:
         rates = build_rate_matrix(GklsCoefficients(0.0, 0.0, 0.0, 0.0))
         bell = XState.bell_ge()
         traj = integrate_ode(bell, rates, 5.0)
+        assert traj.taus == (0.0, 5.0)
         assert all(state_distance(state, bell) == 0.0 for _, state in traj)
 
     def test_matches_closed_form(self):
