@@ -42,6 +42,7 @@ from .xstate import (
     eigen_trajectory,
     from_product_basis,
     integrate_ode,
+    integrate_ode_many,
     propagate_eigen,
     random_xstate,
     to_product_basis,

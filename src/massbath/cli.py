@@ -195,6 +195,8 @@ def cmd_evolve(args) -> int:
     config = FieldBathConfig.from_ratios(args.mass_ratio, args.sep, args.temp_ratio)
     if not np.isfinite(args.tmax):
         raise ValueError(f"--tmax must be finite, got {args.tmax}")
+    if args.steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {args.steps}")
     taus = np.linspace(0.0, args.tmax, args.steps)
     trajectory = eigen_trajectory(initial, build_rate_matrix(coefficients(config)), taus)
     pop_g, pop_a, pop_s, pop_e, coh_ge, coh_as = _state_arrays(trajectory.states)

@@ -46,6 +46,7 @@ __all__ = [
     "closed_form_state",
     "propagate_eigen",
     "integrate_ode",
+    "integrate_ode_many",
     "closed_form_trajectory",
     "eigen_trajectory",
     "random_xstate",
@@ -526,20 +527,100 @@ class Trajectory:
         return iter(zip(self.taus, self.states))
 
 
-# Runge-Kutta-Fehlberg 4(5) tableau.
-_RKF_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
-_RKF_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
-)
-_RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-_RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+# Runge-Kutta-Fehlberg 4(5) tableau: stages, then fifth- and fourth-order weights.
+_RKF_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 4, 0.0, 0.0, 0.0, 0.0],
+    [3 / 32, 9 / 32, 0.0, 0.0, 0.0],
+    [1932 / 2197, -7200 / 2197, 7296 / 2197, 0.0, 0.0],
+    [439 / 216, -8.0, 3680 / 513, -845 / 4104, 0.0],
+    [-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40],
+])
+_RKF_B = np.array([
+    [16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55],
+    [25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0],
+])
 
 MIN_STEP = 1e-14
+
+
+def _rkf45(gen: np.ndarray, y0: np.ndarray, tau_end: np.ndarray, tol: float):
+    """Adaptive RKF45 for N linear systems dy/dtau = gen[n] @ y, in lockstep.
+
+    gen is (N, 8, 8), y0 (N, 8), tau_end (N,). In each pass every system
+    still running attempts one step of its own size h and keeps it if
+    max|y5 - y4| <= tol; h then grows at most 5x, or shrinks at most 5x.
+    A system leaves once it lands on its tau_end. Yields (rows, taus, ys)
+    of the steps accepted in each pass.
+    """
+    rows, t = np.arange(len(y0)), np.zeros(len(y0))
+    y = np.array(y0, dtype=float)
+    scale = np.abs(gen).max(axis=(1, 2), initial=0.0)
+    # Frozen dynamics (all rates zero) take one exact step of tau_end.
+    inf = np.full(len(y0), math.inf)
+    h = np.minimum(tau_end, np.divide(0.1, scale, out=inf, where=scale > 0.0))
+    while rows.size:
+        remaining = tau_end - t
+        # Stretch the step onto tau_end rather than leave a sliver below
+        # MIN_STEP; landing by t += h could miss through roundoff.
+        h = np.where(remaining - h < MIN_STEP, remaining, h)
+        short = np.flatnonzero(h < MIN_STEP)
+        if short.size:
+            n = short[0]
+            raise StepUnderflowError(
+                f"step {h[n]} below {MIN_STEP} at tau={t[n]} (system {rows[n]})"
+            )
+        stages = np.empty((6,) + y.shape)
+        flat = stages.reshape(6, -1)
+        stages[0] = np.einsum("nij,nj->ni", gen, y)
+        for i in range(1, 6):
+            incr = (_RKF_A[i, :i] @ flat[:i]).reshape(y.shape)
+            stages[i] = np.einsum("nij,nj->ni", gen, y + h[:, None] * incr)
+        y5, y4 = y + h[:, None] * (_RKF_B @ flat).reshape((2,) + y.shape)
+        err = np.abs(y5 - y4).max(axis=1)
+        ok = err <= tol
+        with np.errstate(divide="ignore"):
+            factor = np.clip(0.9 * (tol / err) ** 0.2, np.where(ok, 1.0, 0.2), 5.0)
+        t = np.where(ok, np.where(h == remaining, tau_end, t + h), t)
+        y = np.where(ok[:, None], y5, y)
+        h = h * factor
+        yield rows[ok], t[ok], y[ok]
+        live = t < tau_end
+        if not live.all():
+            rows, gen, y, t, h, tau_end = (a[live] for a in (rows, gen, y, t, h, tau_end))
+
+
+def _ode_system(initials: Sequence[XState], rates: Sequence[RateMatrix]):
+    """Generators (N, 8, 8) and initial vectors (N, 8) of the real ODE systems.
+
+    A state's vector holds the four populations, then coh_ge and coh_as as
+    (real, imag) pairs; its generator is block-diagonal: the population
+    generator, then minus each coherence's decay rate.
+    """
+    gen = np.zeros((len(initials), 8, 8))
+    y0 = np.zeros((len(initials), 8))
+    for n, (state, rate) in enumerate(zip(initials, rates, strict=True)):
+        gen[n, :4, :4] = rate.generator
+        gen[n, range(4, 8), range(4, 8)] = np.repeat([-rate.decay_ge, -rate.decay_as], 2)
+        y0[n, :4] = state.populations()
+        y0[n, 4:] = np.array([state.coh_ge, state.coh_as]).view(float)
+    return gen, y0
+
+
+def _ode_states(ys: np.ndarray) -> tuple[XState, ...]:
+    coh = ys[:, 4:].view(complex)
+    return _xstates(ys[:, :4], coh[:, 0], coh[:, 1])
+
+
+def _ode_times(tau_ends: Sequence[float], tol: float) -> np.ndarray:
+    """tau_ends as an array, once they and tol are checked."""
+    tau_ends = np.asarray(tau_ends, dtype=float)
+    bad = np.flatnonzero(~(tau_ends > 0.0))
+    if bad.size:
+        raise ValueError(f"tau_end must be > 0, got {tau_ends[bad[0]]} (system {bad[0]})")
+    if not 1e-13 <= tol <= 1e-6:
+        raise ValueError(f"tol must lie in [1e-13, 1e-6], got {tol}")
+    return tau_ends
 
 
 def integrate_ode(
@@ -555,82 +636,36 @@ def integrate_ode(
     Samples are the accepted steps. Raises StepUnderflowError if the required
     step drops below 1e-14.
     """
-    if not tau_end > 0.0:
-        raise ValueError(f"tau_end must be > 0, got {tau_end}")
-    if not 1e-13 <= tol <= 1e-6:
-        raise ValueError(f"tol must lie in [1e-13, 1e-6], got {tol}")
-
-    gen = rates.generator
-    decay = np.array([rates.decay_ge, rates.decay_ge, rates.decay_as, rates.decay_as])
-
-    def rhs(y: np.ndarray) -> np.ndarray:
-        out = np.empty(8)
-        out[:4] = gen @ y[:4]
-        out[4:] = -decay * y[4:]
-        return out
-
-    y = np.array(
-        [
-            initial.pop_g,
-            initial.pop_a,
-            initial.pop_s,
-            initial.pop_e,
-            initial.coh_ge.real,
-            initial.coh_ge.imag,
-            initial.coh_as.real,
-            initial.coh_as.imag,
-        ]
-    )
-
-    def snapshot(vec: np.ndarray) -> XState:
-        return XState(
-            vec[0],
-            vec[1],
-            vec[2],
-            vec[3],
-            coh_ge=complex(vec[4], vec[5]),
-            coh_as=complex(vec[6], vec[7]),
-        )
-
-    rate_scale = max(float(np.max(np.abs(gen))), rates.decay_as, rates.decay_ge)
-    taus = [0.0]
-    states = [initial]
-    t = 0.0
-    # Frozen dynamics (all rates zero) take one exact step of tau_end.
-    h = min(tau_end, 0.1 / rate_scale) if rate_scale > 0.0 else tau_end
-    stages = np.empty((6, 8))
-    while t < tau_end:
-        remaining = tau_end - t
-        if remaining - h < MIN_STEP:
-            # Stretch the step onto tau_end rather than leave a sliver
-            # below MIN_STEP; landing by t += h could miss through roundoff.
-            h = remaining
-        if h < MIN_STEP:
-            raise StepUnderflowError(f"step {h} below {MIN_STEP} at tau={t}")
-        stages[0] = rhs(y)
-        for i in range(1, 6):
-            incr = sum(a * stages[j] for j, a in enumerate(_RKF_A[i]))
-            stages[i] = rhs(y + h * incr)
-        y5 = y + h * sum(b * k for b, k in zip(_RKF_B5, stages))
-        y4 = y + h * sum(b * k for b, k in zip(_RKF_B4, stages))
-        err = float(np.max(np.abs(y5 - y4)))
-        if err <= tol:
-            t = tau_end if h == remaining else t + h
-            y = y5
-            taus.append(t)
-            states.append(snapshot(y))
-            grow = 5.0 if err == 0.0 else min(5.0, 0.9 * (tol / err) ** 0.2)
-            h *= max(grow, 1.0)
-        else:
-            h *= max(0.2, 0.9 * (tol / err) ** 0.2)
-
+    tau_end = _ode_times([tau_end], tol)
+    passes = list(_rkf45(*_ode_system([initial], [rates]), tau_end, tol))
+    taus = np.concatenate([[0.0]] + [t for _, t, _ in passes])
     evaluator = EigenPropagator(rates)
     return Trajectory(
-        taus=tuple(taus),
-        states=tuple(states),
+        taus=tuple(taus.tolist()),
+        states=(initial,) + _ode_states(np.concatenate([y for _, _, y in passes])),
         method=ODE,
         evaluate=lambda tt, _p=evaluator, _s=initial: _p.state(_s, tt),
     )
+
+
+def integrate_ode_many(
+    initials: Sequence[XState],
+    rates: Sequence[RateMatrix],
+    tau_ends: Sequence[float],
+    tol: float = 1e-10,
+) -> tuple[XState, ...]:
+    """Final states of integrate_ode for many systems, integrated in lockstep.
+
+    System n keeps its own step control, as in integrate_ode(initials[n],
+    rates[n], tau_ends[n], tol); all systems advance in the same array passes.
+    """
+    tau_ends = _ode_times(tau_ends, tol)
+    if tau_ends.shape != (len(initials),):
+        raise ValueError(f"need one tau_end per system, got shape {tau_ends.shape}")
+    finals = np.empty((len(initials), 8))
+    for rows, _, ys in _rkf45(*_ode_system(initials, rates), tau_ends, tol):
+        finals[rows] = ys
+    return _ode_states(finals)
 
 
 def closed_form_trajectory(

@@ -117,6 +117,13 @@ class TestEvolve:
         assert first[-2] == 1.0  # concurrence
         assert first[-1] == 1.0  # negativity
 
+    def test_single_step_is_the_initial_row(self, capsys):
+        code, out, _ = run_cli(
+            ["evolve", "--initial", "E", "--mass-ratio", "0", "--steps", "1"], capsys
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == ["0.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,0.0,0.0,0.0"]
+
     def test_frozen_rows_constant(self, capsys):
         code, out, _ = run_cli(
             ["evolve", "--initial", "E", "--mass-ratio", "1.2", "--steps", "4"],
@@ -456,6 +463,8 @@ class TestUsageErrors:
             ["map", "time-sep", "--mass-ratio", "nan", "--tau-count", "2", "--sep-count", "2"],
             ["evolve", "--initial", "E", "--mass-ratio", "0", "--tmax", "nan"],
             ["evolve", "--initial", "E", "--mass-ratio", "0", "--tmax", "inf"],
+            ["evolve", "--initial", "E", "--mass-ratio", "0", "--steps", "0"],
+            ["evolve", "--initial", "E", "--mass-ratio", "0", "--steps", "-3"],
         ],
     )
     def test_exits_2_without_output(self, capsys, tmp_path, argv):

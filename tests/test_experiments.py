@@ -16,6 +16,7 @@ from massbath import (
     gray_factor,
     run_verification,
     scaling_check,
+    thermal_generation_threshold,
     thermal_scan,
     vacuum_coefficients,
     verify_coefficients,
@@ -230,6 +231,12 @@ class TestGenerationReach:
     def test_unreachable_cutoff(self):
         with pytest.raises(NoGenerationError):
             generation_reach(0.0, XState.excited(), cutoff=0.9)
+
+    def test_results_are_python_floats(self):
+        assert type(generation_reach(0.0)) is float
+        assert type(enlargement_factor(0.8)) is float
+        threshold = thermal_generation_threshold(cutoff=1e-3, bracket=(0.15, 0.3), tol=0.2)
+        assert type(threshold) is float
 
     def test_frozen_mass_rejected(self):
         with pytest.raises(ValueError):

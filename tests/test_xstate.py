@@ -14,6 +14,7 @@ from massbath import (
     GklsCoefficients,
     NonXFormError,
     NotAStateError,
+    StepUnderflowError,
     XState,
     build_rate_matrix,
     closed_form_state,
@@ -21,6 +22,7 @@ from massbath import (
     eigen_trajectory,
     from_product_basis,
     integrate_ode,
+    integrate_ode_many,
     propagate_eigen,
     random_xstate,
     thermal_coefficients,
@@ -35,11 +37,57 @@ from massbath.xstate import (
     EigenPropagator,
     RateMatrix,
     Trajectory,
+    _ode_system,
+    _rkf45,
 )
 
 
 def vacuum_like(lam: float) -> GklsCoefficients:
     return GklsCoefficients(a1=0.25, b1=0.25, a2=0.25 * lam, b2=0.25 * lam)
+
+
+RKF_A = (
+    (),
+    (1 / 4,),
+    (3 / 32, 9 / 32),
+    (1932 / 2197, -7200 / 2197, 7296 / 2197),
+    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
+    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
+)
+RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
+RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+
+
+def scalar_rkf45(gen, y, tau_end, tol=1e-10):
+    """(accepted steps, final y) of one system by a plain per-step RKF45 loop,
+    with the step control of integrate_ode."""
+    scale = np.abs(gen).max()
+    h = min(tau_end, 0.1 / scale) if scale > 0.0 else tau_end
+    t, steps = 0.0, 0
+    while t < tau_end:
+        remaining = tau_end - t
+        if remaining - h < 1e-14:
+            h = remaining
+        stages = []
+        for coeffs in RKF_A:
+            stages.append(gen @ (y + h * sum(a * k for a, k in zip(coeffs, stages))))
+        y5 = y + h * sum(b * k for b, k in zip(RKF_B5, stages))
+        y4 = y + h * sum(b * k for b, k in zip(RKF_B4, stages))
+        err = float(np.max(np.abs(y5 - y4)))
+        if err <= tol:
+            t = tau_end if h == remaining else t + h
+            y, steps = y5, steps + 1
+            h *= 5.0 if err == 0.0 else min(5.0, max(1.0, 0.9 * (tol / err) ** 0.2))
+        else:
+            h *= max(0.2, 0.9 * (tol / err) ** 0.2)
+    return steps, y
+
+
+def entries(state: XState) -> np.ndarray:
+    return np.array(
+        [state.pop_g, state.pop_a, state.pop_s, state.pop_e,
+         state.coh_ge.real, state.coh_ge.imag, state.coh_as.real, state.coh_as.imag]
+    )
 
 
 class TestXState:
@@ -356,6 +404,54 @@ class TestIntegrateOde:
         assert traj.taus[-1] == tau_end
         eig = propagate_eigen(XState.antisymmetric(), rates, tau_end)
         assert state_distance(traj.states[-1], eig) < 1e-8
+
+    def test_lockstep_batch_takes_each_systems_own_steps(self, rng):
+        systems = [
+            (random_xstate(rng), build_rate_matrix(vacuum_like(lam)), tau)
+            for lam, tau in ((-0.9, 0.3), (0.9, 7.5), (0.0, 2.0))
+        ]
+        for tau in (0.7, 4.0, 9.0):
+            config = FieldBathConfig.from_ratios(
+                rng.uniform(0.0, 0.95), rng.uniform(0.0, 10.0), rng.uniform(0.05, 2.0)
+            )
+            systems.append((random_xstate(rng), build_rate_matrix(thermal_coefficients(config)), tau))
+        zero = build_rate_matrix(GklsCoefficients(0.0, 0.0, 0.0, 0.0))
+        systems.append((XState.bell_ge(), zero, 3.0))
+        # The last step of this one is stretched onto tau_end.
+        config = FieldBathConfig.from_ratios(0.14411830230318454, 0.0022667353159141093)
+        systems.append(
+            (XState.antisymmetric(), build_rate_matrix(vacuum_coefficients(config)), 25.154398385150618)
+        )
+        initials, rates, taus = zip(*systems)
+
+        gen, y0 = _ode_system(initials, rates)
+        steps = np.zeros(len(systems), dtype=int)
+        for rows, _, _ in _rkf45(gen, y0, np.array(taus), 1e-10):
+            steps[rows] += 1
+        finals = integrate_ode_many(initials, rates, taus)
+        for n, (initial, rate, tau) in enumerate(systems):
+            single = integrate_ode(initial, rate, tau)
+            reference_steps, reference = scalar_rkf45(gen[n], y0[n], tau)
+            assert steps[n] == len(single) - 1 == reference_steps
+            assert np.abs(entries(finals[n]) - entries(single.states[-1])).max() <= 1e-14
+            assert np.abs(entries(single.states[-1]) - reference).max() <= 1e-14
+        assert steps[-2] == 1
+
+    def test_lockstep_batch_underflow_names_the_system(self):
+        stiff = build_rate_matrix(GklsCoefficients(a1=2.5e14, b1=2.5e14, a2=0.0, b2=0.0))
+        rates = [build_rate_matrix(vacuum_like(0.0)), stiff]
+        with pytest.raises(StepUnderflowError, match=r"tau=0\.0 \(system 1\)"):
+            integrate_ode_many([XState.excited()] * 2, rates, [1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "tau_ends, tol",
+        [([1.0, 0.0], 1e-10), ([-1.0, 1.0], 1e-10), ([1.0, math.nan], 1e-10),
+         ([1.0], 1e-10), ([1.0, 1.0], 1e-14), ([1.0, 1.0], 1e-5)],
+    )
+    def test_lockstep_batch_rejects_bad_arguments(self, tau_ends, tol):
+        rates = build_rate_matrix(vacuum_like(0.0))
+        with pytest.raises(ValueError):
+            integrate_ode_many([XState.excited()] * 2, [rates] * 2, tau_ends, tol=tol)
 
     def test_tolerance_bounds(self):
         rates = build_rate_matrix(vacuum_like(0.0))
