@@ -8,9 +8,7 @@ and negativity, and provides a sweep/verification harness plus a CLI.
 __version__ = "0.1.0"
 
 from .errors import (
-    AssumptionViolatedError,
     FrozenDynamicsError,
-    LambdaSingularError,
     MassbathError,
     NoGenerationError,
     NonConvergedMaxError,
@@ -52,8 +50,6 @@ from .measures import (
     NEGATIVITY_CUTOFF,
     EntanglementEvents,
     EntanglementValue,
-    closed_form_concurrence,
-    closed_form_negativity,
     concurrence,
     detect_events,
     entanglement,

@@ -199,11 +199,13 @@ def cmd_evolve(args) -> int:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
     taus = np.linspace(0.0, args.tmax, args.steps)
     trajectory = eigen_trajectory(initial, build_rate_matrix(coefficients(config)), taus)
-    pop_g, pop_a, pop_s, pop_e, coh_ge, coh_as = _state_arrays(trajectory.states)
+    entries = _state_arrays(trajectory.states)
+    pop_g, pop_a, pop_s, pop_e, _, re_as, im_as = entries
+    coh_ge = np.array([s.coh_ge for s in trajectory.states])
     columns = (
         trajectory.taus, pop_g, pop_a, pop_s, pop_e,
-        coh_ge.real, coh_ge.imag, coh_as.real, coh_as.imag,
-        *_measures_arrays(pop_g, pop_a, pop_s, pop_e, coh_ge, coh_as),
+        coh_ge.real, coh_ge.imag, re_as, im_as,
+        *_measures_arrays(*entries),
     )
     outputs = _emit(_csv(EVOLVE_HEADER, columns), args.out)
     if outputs:

@@ -13,19 +13,6 @@ class NonXFormError(NotAStateError):
     """Density matrix has entries outside the diagonal/anti-diagonal pattern."""
 
 
-class LambdaSingularError(MassbathError, ValueError):
-    """Closed-form measure branch formulas requested at |spatial factor| ~ 1.
-
-    closed_form_concurrence and closed_form_negativity carry 1/(1 - lambda^2)
-    factors whose removable singularity is numerically unstable near
-    |lambda| = 1; propagate the state and measure it instead.
-    """
-
-
-class AssumptionViolatedError(MassbathError, ValueError):
-    """Closed-form shortcut used outside its validity assumptions."""
-
-
 class FrozenDynamicsError(MassbathError):
     """Operation is undefined because all transition rates vanish."""
 
@@ -35,13 +22,22 @@ class StepUnderflowError(MassbathError):
 
 
 class NonConvergedMaxError(MassbathError):
-    """Max-over-time search failed to stabilize; carries the cell's coordinates
-    (axis1 = T/omega, or None in the vacuum; axis2 = omega*L) when known."""
+    """Max-over-time search failed to stabilize; carries, when known, the
+    cell's coordinates (axis1 = T/omega, or None in the vacuum; axis2 =
+    omega*L), its horizon doublings and its last two maxima, {measure:
+    (previous pass, last pass)}; nan stands for a pass that never ran."""
 
-    def __init__(self, message, axis1=None, axis2=None):
+    def __init__(self, message, axis1=None, axis2=None, doublings=None, maxima=None):
+        if doublings is not None:
+            message += f" after {doublings} horizon doublings"
+        if maxima:
+            pairs = (f"{name} {a!r} -> {b!r}" for name, (a, b) in maxima.items())
+            message += "; last two maxima: " + ", ".join(pairs)
         super().__init__(message)
         self.axis1 = axis1
         self.axis2 = axis2
+        self.doublings = doublings
+        self.maxima = maxima
 
 
 class NoGenerationError(MassbathError):

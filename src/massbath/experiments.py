@@ -26,7 +26,14 @@ from .field_bath import (
     spectral_density,
     thermal_coefficients,
 )
-from .measures import CONCURRENCE_CUTOFF, _measures_arrays, entanglement
+from .measures import (
+    BOTH,
+    CONCURRENCE_CUTOFF,
+    _coherence_parts,
+    _measures_arrays,
+    _selector,
+    entanglement,
+)
 from .xstate import (
     FROZEN,
     EigenPropagator,
@@ -56,11 +63,12 @@ __all__ = [
     "run_verification",
 ]
 
-# Max-over-time kernel: cells per array pass, horizon doublings per cell,
-# zoom levels and points per level (in time; in log-separation for the
-# thermal threshold's search over separations).
+# Max-over-time kernels: cells per array pass, horizon doublings per cell
+# (thermal; vacuum closed form), zoom levels and points per level (in time;
+# in log-separation for the thermal threshold's search over separations).
 CELL_BLOCK = 8
 MAX_DOUBLINGS = 40
+VACUUM_DOUBLINGS = 20
 ZOOM_LEVELS = 3
 ZOOM_POINTS = 129
 SEP_ZOOM_POINTS = CELL_BLOCK
@@ -147,8 +155,10 @@ def _column_measures(
     pops = prop.populations(initial.populations(), taus)
     conc, neg = _measures_arrays(
         *pops.T,
-        initial.coh_ge * np.exp(-rates.decay_ge * taus),
-        initial.coh_as * np.exp(-rates.decay_as * taus),
+        *_coherence_parts(
+            initial.coh_ge * np.exp(-rates.decay_ge * taus),
+            initial.coh_as * np.exp(-rates.decay_as * taus),
+        ),
     )
     return conc, neg, prop.routes[0]
 
@@ -211,26 +221,38 @@ def _zoom(evaluate, lo: np.ndarray, hi: np.ndarray, points: int = ZOOM_POINTS) -
 _golden_max = _zoom
 
 
-def _stack_measures(initial: XState, prop: EigenPropagator):
-    """measures(taus) -> (2, N, S, K) concurrence and negativity of the N
-    cells of prop at per-cell times taus of shape (N, S, K), from one
-    propagation call."""
+def _faded_coherences(initial: XState, decay_ge, decay_as, taus):
+    """(|coh_ge|, re coh_as, im coh_as) at taus, in real arithmetic. A
+    coherence that starts at zero stays a scalar zero, with no exponential."""
+    abs_ge, re_as, im_as = _coherence_parts(initial.coh_ge, initial.coh_as)
+    if abs_ge:
+        abs_ge = abs_ge * np.exp(-decay_ge * taus)
+    if re_as or im_as:
+        fade = np.exp(-decay_as * taus)
+        re_as, im_as = re_as * fade, im_as * fade
+    return abs_ge, re_as, im_as
+
+
+def _stack_measures(initial: XState, prop: EigenPropagator, select: tuple[str, ...]):
+    """measures(taus) -> (M, N, K): the M measures of `select` of the N cells
+    of prop at per-cell times taus of shape (N, S, K), from one propagation
+    call. One row (S = 1) is measured for every selected measure; otherwise
+    (S = M, a zoom's brackets) row s is measured for select[s] only."""
     pops0 = initial.populations()
-    decay_ge = np.array([r.decay_ge for r in prop.rates])[:, None, None]
-    decay_as = np.array([r.decay_as for r in prop.rates])[:, None, None]
+    decay_ge = np.array([r.decay_ge for r in prop.rates])[:, None]
+    decay_as = np.array([r.decay_as for r in prop.rates])[:, None]
 
     def measures(taus: np.ndarray) -> np.ndarray:
         pops = prop.populations(pops0, taus)
-        return np.stack(
+        rows = [select] if taus.shape[1] == 1 else [(name,) for name in select]
+        return np.concatenate([
             _measures_arrays(
-                pops[..., 0],
-                pops[..., 1],
-                pops[..., 2],
-                pops[..., 3],
-                initial.coh_ge * np.exp(-decay_ge * taus),
-                initial.coh_as * np.exp(-decay_as * taus),
+                *np.moveaxis(pops[:, s], -1, 0),
+                *_faded_coherences(initial, decay_ge, decay_as, taus[:, s]),
+                select=names,
             )
-        )
+            for s, names in enumerate(rows)
+        ])
 
     return measures
 
@@ -243,8 +265,10 @@ def _max_over_time(
     tau_points: int = 1201,
     tol: float = 1e-6,
     prop: EigenPropagator | None = None,
+    select: tuple[str, ...] = BOTH,
 ) -> np.ndarray:
-    """Max over Gamma0*tau of (concurrence, negativity) for a stack of cells.
+    """Max over Gamma0*tau of the measures named by `select` for a stack of
+    cells.
 
     `rates` holds N non-frozen rate matrices and `cells` their grid
     coordinates (T/omega, omega*L), used to name a cell that fails; `prop`,
@@ -254,65 +278,70 @@ def _max_over_time(
     doubles tau_max for the cells whose maxima moved by tol or more since the
     last pass. Each step is one array operation over the cells still active;
     a cell leaves the stack on the pass on which it became stable. Returns
-    (2, N).
+    (len(select), N).
     """
-    peaks = np.empty((2, len(rates)))
+    peaks = np.empty((len(select), len(rates)))
     active = np.arange(len(rates))
-    best = np.full((2, active.size), -np.inf)
+    best = np.full((len(select), active.size), -np.inf)
+    previous = last = np.full_like(best, np.nan)
     prop = EigenPropagator(rates) if prop is None else prop
-    measures = _stack_measures(initial, prop)
+    measures = _stack_measures(initial, prop, select)
     tau_max = 20.0 / gray if gray > 0.0 else 20.0
     for _ in range(MAX_DOUBLINGS):
         if len(prop.routes) != active.size:
             prop = EigenPropagator([rates[k] for k in active])
-            measures = _stack_measures(initial, prop)
-
-        def zoomed(grid: np.ndarray) -> np.ndarray:
-            # Both measures' brackets go through one propagation call.
-            values = measures(np.swapaxes(grid, 0, 1))
-            return np.stack((values[0, :, 0], values[1, :, 1]))
-
+            measures = _stack_measures(initial, prop, select)
         taus = np.linspace(0.0, tau_max, tau_points)
-        grid = np.broadcast_to(taus, (2, active.size, tau_points))
-        on_grid, lo, hi, _ = _grid_peaks(measures(grid[0, :, None])[:, :, 0], grid)
-        new = np.maximum(on_grid, _zoom(zoomed, lo, hi))
+        grid = np.broadcast_to(taus, (len(select), active.size, tau_points))
+        on_grid, lo, hi, _ = _grid_peaks(measures(grid[0, :, None]), grid)
+        # Each measure's bracket is one row of one propagation call.
+        new = np.maximum(on_grid, _zoom(lambda g: measures(np.swapaxes(g, 0, 1)), lo, hi))
         stable = np.all(np.abs(new - best) < tol, axis=0)
         best = np.maximum(best, new)
         peaks[:, active[stable]] = np.maximum(best[:, stable], 0.0)
+        previous, last = last[:, ~stable], new[:, ~stable]
         active, best = active[~stable], best[:, ~stable]
         if not active.size:
             return peaks
         tau_max *= 2.0
     axis1, axis2 = cells[int(active[0])]
     raise NonConvergedMaxError(
-        f"max-over-time did not stabilize below {tol} within {MAX_DOUBLINGS} "
-        f"horizon doublings at (T/omega={axis1}, omega*L={axis2})",
+        f"max-over-time did not stabilize below {tol} "
+        f"at (T/omega={axis1}, omega*L={axis2})",
         axis1=axis1,
         axis2=axis2,
+        doublings=MAX_DOUBLINGS,
+        maxima={
+            name: (float(previous[i, 0]), float(last[i, 0])) for i, name in enumerate(select)
+        },
     )
 
 
 def _cell_maxima(
-    initial: XState, rates: list[RateMatrix], gray: float, cells: list[tuple]
+    initial: XState,
+    rates: list[RateMatrix],
+    gray: float,
+    cells: list[tuple],
+    select: tuple[str, ...] = BOTH,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(2, N) max-over-time measures of N cells and the N propagation routes,
-    CELL_BLOCK cells per kernel call.
+    """(len(select), N) max-over-time measures of N cells and the N
+    propagation routes, CELL_BLOCK cells per kernel call.
 
     Frozen cells keep the initial values; `cells` holds each cell's
     coordinates for errors.
     """
-    peaks = np.empty((2, len(rates)))
+    peaks = np.empty((len(select), len(rates)))
     routes = np.full(len(rates), FROZEN, dtype=object)
     frozen = np.array([r.is_frozen for r in rates], dtype=bool)
     value = entanglement(initial)
-    peaks[:, frozen] = [[value.concurrence], [value.negativity]]
+    peaks[:, frozen] = [[getattr(value, name)] for name in select]
     live = np.flatnonzero(~frozen)
     for start in range(0, live.size, CELL_BLOCK):
         block = live[start : start + CELL_BLOCK]
         prop = EigenPropagator([rates[k] for k in block])
         routes[block] = prop.routes
         peaks[:, block] = _max_over_time(
-            initial, prop.rates, gray, [cells[k] for k in block], prop=prop
+            initial, prop.rates, gray, [cells[k] for k in block], prop=prop, select=select
         )
     return peaks, routes
 
@@ -394,45 +423,43 @@ def _vacuum_max_over_time(
     Works in the decay exponent u = gray*Gamma0*tau on the closed form,
     CELL_BLOCK separations per array pass; a separation whose maximum sits at
     the right edge of [0, u_max] (late-time delayed birth) gets u_max doubled.
-    Frozen dynamics (gray = 0) keeps the initial value. Returns a float for a
-    scalar sep, else an array shaped like seps.
+    Needs gray > 0 and a measure name that generation_reach has checked.
+    Returns a float for a scalar sep, else an array shaped like seps.
     """
     flat = np.atleast_1d(np.asarray(seps, dtype=float)).ravel()
-    which = 0 if measure == "concurrence" else 1
     gray = gray_factor(mass_ratio, 1.0)
-    if gray == 0.0:
-        value = entanglement(initial)
-        out = np.full(flat.size, (value.concurrence, value.negativity)[which])
-    else:
-        lams = np.array([spatial_factor(1.0, sep, gray) for sep in flat])
-        out = np.empty(flat.size)
-        for start in range(0, flat.size, CELL_BLOCK):
-            block = slice(start, start + CELL_BLOCK)
-            out[block] = _closed_form_maxima(initial, lams[block], which, u_points, flat[block])
+    lams = np.array([spatial_factor(1.0, sep, gray) for sep in flat])
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, CELL_BLOCK):
+        block = slice(start, start + CELL_BLOCK)
+        out[block] = _closed_form_maxima(initial, lams[block], (measure,), u_points, flat[block])
     return float(out[0]) if np.ndim(seps) == 0 else out.reshape(np.shape(seps))
 
 
 def _closed_form_maxima(
-    initial: XState, lams: np.ndarray, which: int, u_points: int, seps: np.ndarray
+    initial: XState, lams: np.ndarray, select: tuple[str], u_points: int, seps: np.ndarray
 ) -> np.ndarray:
-    """Max over u of measure `which` on the vacuum closed form, one per lam."""
+    """Max over u of the one measure of `select` on the vacuum closed form,
+    one per lam."""
     pops0 = initial.populations()
 
     def values(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
         pops = _cascade(pops0, 1.0 - lam[:, None], 1.0 + lam[:, None], u)
-        fade = np.exp(-u)
-        return _measures_arrays(*pops, initial.coh_ge * fade, initial.coh_as * fade)[which]
+        cohs = _faded_coherences(initial, 1.0, 1.0, u)
+        return _measures_arrays(*pops, *cohs, select=select)[0]
 
     peaks = np.empty(lams.size)
     pending = np.arange(lams.size)
+    previous = last = np.full(lams.size, np.nan)
     u_max = 40.0
-    for _ in range(20):
+    for _ in range(VACUUM_DOUBLINGS):
         lam = lams[pending]
         grid = np.broadcast_to(np.linspace(0.0, u_max, u_points), (lam.size, u_points))
         on_grid, lo, hi, i = _grid_peaks(values(grid, lam), grid)
         done = i < u_points - 2
         refined = _zoom(lambda u: values(u, lam[done]), lo[done], hi[done])
         peaks[pending[done]] = np.maximum(on_grid[done], refined)
+        previous, last = last[~done], on_grid[~done]
         pending = pending[~done]
         if not pending.size:
             return peaks
@@ -441,6 +468,8 @@ def _closed_form_maxima(
     raise NonConvergedMaxError(
         f"vacuum max-over-time kept peaking at the horizon at omega*L={sep}",
         axis2=sep,
+        doublings=VACUUM_DOUBLINGS,
+        maxima={select[0]: (float(previous[0]), float(last[0]))},
     )
 
 
@@ -456,6 +485,7 @@ def generation_reach(
     cross-qubit coupling is far too weak for any practical cutoff) and refines
     the last crossing by bisection to 1e-4 relative.
     """
+    _selector(measure)  # an unknown name fails before any search
     initial = XState.excited() if initial is None else initial
     if cutoff <= 0.0:
         raise ValueError(f"cutoff must be > 0, got {cutoff}")
@@ -594,7 +624,8 @@ def thermal_generation_threshold(
                 for sep in flat
             ]
             cells = [(temp, float(sep)) for sep in flat]
-            return _cell_maxima(initial, rates, gray, cells)[0][0].reshape(seps.shape)
+            conc = _cell_maxima(initial, rates, gray, cells, ("concurrence",))[0][0]
+            return conc.reshape(seps.shape)
 
         values = peaks(sep_values)
         _, lo, hi, _ = _grid_peaks(values, np.log(sep_values))

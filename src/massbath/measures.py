@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AssumptionViolatedError,
-    FrozenDynamicsError,
-    LambdaSingularError,
-    NotAStateError,
-)
+from .errors import FrozenDynamicsError, NotAStateError
 from .xstate import POP_TOL, PSD_TOL, Trajectory, XState
 
 # Cutoffs below which a measure counts as "no entanglement" when locating
@@ -33,18 +28,12 @@ NEGATIVITY_CUTOFF = 1e-5
 # (a+s)^2 - 4 re(coh_as)^2 >= (a-s)^2 - 4*PSD_TOL.
 RADICAND_TOL = 4.0 * PSD_TOL + 2.0 * POP_TOL
 
-# The branch formulas below carry 1/(1 - lam^2) and are evaluated only where
-# |lam| stays this far from 1.
-_LAMBDA_BAND = 1e-6
-
 __all__ = [
     "EntanglementValue",
     "EntanglementEvents",
     "entanglement",
     "concurrence",
     "negativity",
-    "closed_form_concurrence",
-    "closed_form_negativity",
     "sudden_death_condition",
     "lifetime",
     "detect_events",
@@ -77,38 +66,63 @@ def _clipped_sqrt(values):
     return np.sqrt(np.maximum(values, 0.0))
 
 
-def _branches(pop_g, pop_a, pop_s, pop_e, coh_ge, coh_as, root):
-    """Branch values (k1, k2, n1, n2) of scalars or of arrays of X states.
-
-    Concurrence is max(0, k1, k2) (Wootters); negativity is -2 times the sum
-    of the negative ones of n1, n2, the smaller eigenvalues of the two blocks
-    of the partial transpose (Vidal & Werner). `root` takes the square root
-    of the radicands that roundoff can push below zero.
+def _concurrence_pair(pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as, root):
+    """Concurrence branch values (k1, k2); concurrence is max(0, k1, k2)
+    (Wootters). `root` takes the square root of the radicands that roundoff
+    can push below zero.
     """
-    im_as = np.imag(coh_as)
-    re_as = np.real(coh_as)
-    abs_ge = np.abs(coh_ge)
-    diff = pop_a - pop_s
     total = pop_a + pop_s
-    gap = pop_g - pop_e
-    k1 = np.hypot(diff, 2.0 * im_as) - 2.0 * root(pop_g * pop_e)
+    k1 = np.hypot(pop_a - pop_s, 2.0 * im_as) - 2.0 * root(pop_g * pop_e)
     k2 = 2.0 * abs_ge - root(total * total - 4.0 * re_as * re_as)
+    return k1, k2
+
+
+def _negativity_pair(pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as):
+    """Negativity branch values (n1, n2), the smaller eigenvalues of the two
+    blocks of the partial transpose; negativity is -2 times the sum of the
+    negative ones (Vidal & Werner).
+    """
+    diff = pop_a - pop_s
+    gap = pop_g - pop_e
     n1 = 0.5 * (pop_g + pop_e - np.sqrt(diff * diff + 4.0 * im_as * im_as + gap * gap))
-    n2 = 0.5 * (total - 2.0 * np.hypot(abs_ge, re_as))
-    return k1, k2, n1, n2
+    n2 = 0.5 * (pop_a + pop_s - 2.0 * np.hypot(abs_ge, re_as))
+    return n1, n2
 
 
-def _clip(k1, k2, n1, n2):
-    """(concurrence, negativity) from the branch values."""
+def _concurrence_of(k1, k2):
+    return np.maximum(0.0, np.maximum(k1, k2))
+
+
+def _negativity_of(n1, n2):
     # 0.0 - x, not -x: a zero comes out +0.0, never -0.0.
-    neg = 0.0 - 2.0 * (np.minimum(n1, 0.0) + np.minimum(n2, 0.0))
-    return np.maximum(0.0, np.maximum(k1, k2)), neg
+    return 0.0 - 2.0 * (np.minimum(n1, 0.0) + np.minimum(n2, 0.0))
 
 
-def _state_branches(state: XState):
-    return _branches(
+# Every measure by name, as a function of the entries (pop_g, pop_a, pop_s,
+# pop_e, |coh_ge|, re coh_as, im coh_as). A selector is a tuple of names.
+_MEASURES = {
+    "concurrence": lambda *x: _concurrence_of(*_concurrence_pair(*x, _clipped_sqrt)),
+    "negativity": lambda *x: _negativity_of(*_negativity_pair(*x)),
+}
+BOTH = tuple(_MEASURES)
+
+
+def _selector(measure: str) -> tuple[str]:
+    """The selector of one measure; ValueError for an unknown name."""
+    if measure not in _MEASURES:
+        raise ValueError(f"unknown measure {measure!r}, expected one of {BOTH}")
+    return (measure,)
+
+
+def _coherence_parts(coh_ge, coh_as):
+    """(|coh_ge|, re coh_as, im coh_as): all the measures read of the coherences."""
+    return np.abs(coh_ge), np.real(coh_as), np.imag(coh_as)
+
+
+def _state_entries(state: XState):
+    return (
         state.pop_g, state.pop_a, state.pop_s, state.pop_e,
-        state.coh_ge, state.coh_as, _safe_sqrt,
+        *_coherence_parts(state.coh_ge, state.coh_as),
     )
 
 
@@ -117,96 +131,42 @@ def entanglement(state: XState) -> EntanglementValue:
 
     Raises NotAStateError for a radicand below -RADICAND_TOL.
     """
-    branches = _state_branches(state)
-    return EntanglementValue(*map(float, _clip(*branches) + branches))
+    entries = _state_entries(state)
+    k1, k2 = _concurrence_pair(*entries, _safe_sqrt)
+    n1, n2 = _negativity_pair(*entries)
+    values = (_concurrence_of(k1, k2), _negativity_of(n1, n2), k1, k2, n1, n2)
+    return EntanglementValue(*map(float, values))
 
 
 def concurrence(state: XState) -> float:
-    return float(_clip(*_state_branches(state))[0])
+    return float(_concurrence_of(*_concurrence_pair(*_state_entries(state), _safe_sqrt)))
 
 
 def negativity(state: XState) -> float:
-    return float(_clip(*_state_branches(state))[1])
+    return float(_negativity_of(*_negativity_pair(*_state_entries(state))))
 
 
-def _measures_arrays(pop_g, pop_a, pop_s, pop_e, coh_ge, coh_as):
-    """Vectorized (concurrence, negativity) over population/coherence arrays.
+def _measures_arrays(pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as, select=BOTH):
+    """Vectorized measures named by `select`, one array each, from population
+    and coherence-part arrays (see _coherence_parts); scalars broadcast.
 
     Roundoff-negative radicands are clipped; inputs are trusted to come from
     a propagator.
     """
-    return _clip(*_branches(pop_g, pop_a, pop_s, pop_e, coh_ge, coh_as, _clipped_sqrt))
+    entries = (pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as)
+    return tuple(_MEASURES[name](*entries) for name in select)
 
 
 def _state_arrays(states) -> tuple[np.ndarray, ...]:
-    """(pop_g, pop_a, pop_s, pop_e, coh_ge, coh_as) arrays of a state sequence.
+    """The _measures_arrays entries (pop_g, pop_a, pop_s, pop_e, |coh_ge|,
+    re coh_as, im coh_as) of a state sequence.
 
     Built field by field: a tuple per state would fill the garbage
     collector's generations and set off full collections.
     """
     fields = ("pop_g", "pop_a", "pop_s", "pop_e", "coh_ge", "coh_as")
-    return tuple(np.array([getattr(s, name) for s in states]) for name in fields)
-
-
-def _closed_form_helpers(initial: XState, lam: float, xi):
-    e0 = initial.pop_e
-    f_a = ((1.0 - lam) / (1.0 + lam) * e0 + initial.pop_a) * xi ** (-lam)
-    f_s = ((1.0 + lam) / (1.0 - lam) * e0 + initial.pop_s) * xi ** (lam)
-    return f_a - f_s, f_a + f_s
-
-
-def _check_closed_form_args(initial: XState, lam: float) -> None:
-    if abs(initial.coh_as) > 1e-12:
-        raise AssumptionViolatedError(
-            "closed-form measure terms require a vanishing A-S coherence"
-        )
-    if abs(lam) > 1.0 - _LAMBDA_BAND:
-        raise LambdaSingularError(f"|lam| = {abs(lam)} is within {_LAMBDA_BAND} of 1")
-
-
-def closed_form_concurrence(initial: XState, lam: float, xi) -> tuple:
-    """Concurrence branch values (k1, k2) at decay scale xi, without
-    propagating the state. Requires coh_as(0) = 0; xi may be an array.
-    """
-    _check_closed_form_args(initial, lam)
-    e0 = initial.pop_e
-    one = 1.0 - lam * lam
-    g_fn, h_fn = _closed_form_helpers(initial, lam, xi)
-    radicand = xi * xi * (1.0 + 3.0 * lam * lam) / one * e0 * e0 + (
-        1.0 - xi * h_fn
-    ) * e0
-    k1 = xi * np.abs(xi * 4.0 * lam / one * e0 + g_fn) - 2.0 * xi * np.sqrt(
-        np.maximum(radicand, 0.0)
-    )
-    k2 = xi * (
-        2.0 * abs(initial.coh_ge) + 2.0 * xi * (1.0 + lam * lam) / one * e0 - h_fn
-    )
-    return k1, k2
-
-
-def closed_form_negativity(initial: XState, lam: float, xi) -> tuple:
-    """Negativity branch values (n1, n2) at decay scale xi; coh_as(0) = 0."""
-    _check_closed_form_args(initial, lam)
-    e0 = initial.pop_e
-    one = 1.0 - lam * lam
-    g_fn, h_fn = _closed_form_helpers(initial, lam, xi)
-    xi2 = xi * xi
-    residue = 1.0 - xi * h_fn
-    n1 = (
-        xi2 * (1.0 + lam * lam) / one * e0
-        + 0.5 * residue
-        - 0.5
-        * np.sqrt(
-            (xi2 * 4.0 * lam / one * e0 + xi * g_fn) ** 2
-            + (xi2 * 4.0 * lam * lam / one * e0 + residue) ** 2
-        )
-    )
-    n2 = (
-        0.5
-        * xi
-        * (h_fn - 2.0 * xi * (1.0 + lam * lam) / one * e0 - 2.0 * abs(initial.coh_ge))
-    )
-    return n1, n2
+    columns = [np.array([getattr(s, name) for s in states]) for name in fields]
+    return (*columns[:4], *_coherence_parts(*columns[4:]))
 
 
 def _check_diagonal_weights(e: float, g: float, a: float, s: float) -> None:
@@ -279,13 +239,9 @@ def detect_events(
     """
     if threshold < 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    if measure == "concurrence":
-        fn, which = concurrence, 0
-    elif measure == "negativity":
-        fn, which = negativity, 1
-    else:
-        raise ValueError(f"unknown measure {measure!r}")
-    values = _measures_arrays(*_state_arrays(trajectory.states))[which]
+    select = _selector(measure)
+    fn = concurrence if measure == "concurrence" else negativity
+    (values,) = _measures_arrays(*_state_arrays(trajectory.states), select=select)
     alive = (values > threshold).tolist()
 
     def refine(t_lo: float, t_hi: float) -> float:

@@ -1,0 +1,85 @@
+"""The paper's closed-form measure branch formulas, kept as a test reference.
+
+For the vacuum bath and an initial state with coh_as = 0, these give the
+concurrence branches (k1, k2) and negativity branches (n1, n2) at decay scale
+xi = exp(-gray*Gamma0*tau) directly from the initial state, without
+propagating it. They carry 1/(1 - lam^2), so they are evaluated only where
+|lam| stays _LAMBDA_BAND away from 1. The library propagates and then
+measures instead; tests/test_measures.py checks the two routes agree.
+"""
+
+import numpy as np
+
+from massbath import XState
+
+_LAMBDA_BAND = 1e-6
+
+
+class LambdaSingularError(ValueError):
+    """Branch formulas requested at |spatial factor| ~ 1, where their
+    removable 1/(1 - lambda^2) singularity is numerically unstable."""
+
+
+class AssumptionViolatedError(ValueError):
+    """Branch formulas used with a nonzero A-S coherence."""
+
+
+def _closed_form_helpers(initial: XState, lam: float, xi):
+    e0 = initial.pop_e
+    f_a = ((1.0 - lam) / (1.0 + lam) * e0 + initial.pop_a) * xi ** (-lam)
+    f_s = ((1.0 + lam) / (1.0 - lam) * e0 + initial.pop_s) * xi ** (lam)
+    return f_a - f_s, f_a + f_s
+
+
+def _check_closed_form_args(initial: XState, lam: float) -> None:
+    if abs(initial.coh_as) > 1e-12:
+        raise AssumptionViolatedError(
+            "closed-form measure terms require a vanishing A-S coherence"
+        )
+    if abs(lam) > 1.0 - _LAMBDA_BAND:
+        raise LambdaSingularError(f"|lam| = {abs(lam)} is within {_LAMBDA_BAND} of 1")
+
+
+def closed_form_concurrence(initial: XState, lam: float, xi) -> tuple:
+    """Concurrence branch values (k1, k2) at decay scale xi, without
+    propagating the state. Requires coh_as(0) = 0; xi may be an array.
+    """
+    _check_closed_form_args(initial, lam)
+    e0 = initial.pop_e
+    one = 1.0 - lam * lam
+    g_fn, h_fn = _closed_form_helpers(initial, lam, xi)
+    radicand = xi * xi * (1.0 + 3.0 * lam * lam) / one * e0 * e0 + (
+        1.0 - xi * h_fn
+    ) * e0
+    k1 = xi * np.abs(xi * 4.0 * lam / one * e0 + g_fn) - 2.0 * xi * np.sqrt(
+        np.maximum(radicand, 0.0)
+    )
+    k2 = xi * (
+        2.0 * abs(initial.coh_ge) + 2.0 * xi * (1.0 + lam * lam) / one * e0 - h_fn
+    )
+    return k1, k2
+
+
+def closed_form_negativity(initial: XState, lam: float, xi) -> tuple:
+    """Negativity branch values (n1, n2) at decay scale xi; coh_as(0) = 0."""
+    _check_closed_form_args(initial, lam)
+    e0 = initial.pop_e
+    one = 1.0 - lam * lam
+    g_fn, h_fn = _closed_form_helpers(initial, lam, xi)
+    xi2 = xi * xi
+    residue = 1.0 - xi * h_fn
+    n1 = (
+        xi2 * (1.0 + lam * lam) / one * e0
+        + 0.5 * residue
+        - 0.5
+        * np.sqrt(
+            (xi2 * 4.0 * lam / one * e0 + xi * g_fn) ** 2
+            + (xi2 * 4.0 * lam * lam / one * e0 + residue) ** 2
+        )
+    )
+    n2 = (
+        0.5
+        * xi
+        * (h_fn - 2.0 * xi * (1.0 + lam * lam) / one * e0 - 2.0 * abs(initial.coh_ge))
+    )
+    return n1, n2

@@ -21,6 +21,7 @@ from massbath import (
     vacuum_coefficients,
     verify_coefficients,
 )
+import massbath.experiments as experiments
 from massbath.experiments import _vacuum_max_over_time
 
 
@@ -237,6 +238,16 @@ class TestGenerationReach:
         assert type(enlargement_factor(0.8)) is float
         threshold = thermal_generation_threshold(cutoff=1e-3, bracket=(0.15, 0.3), tol=0.2)
         assert type(threshold) is float
+
+    def test_unknown_measure_rejected_before_any_search(self, monkeypatch):
+        def search(*args):
+            raise AssertionError("searched with an unknown measure")
+
+        monkeypatch.setattr(experiments, "_vacuum_max_over_time", search)
+        with pytest.raises(ValueError, match="unknown measure 'bogus'"):
+            generation_reach(0.5, measure="bogus", cutoff=1e-5)
+        with pytest.raises(ValueError, match="unknown measure 'Concurrence'"):
+            enlargement_factor(0.5, measure="Concurrence")
 
     def test_frozen_mass_rejected(self):
         with pytest.raises(ValueError):

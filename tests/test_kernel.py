@@ -26,9 +26,16 @@ from massbath import (
     entanglement,
     gray_factor,
     random_xstate,
+    spatial_factor,
     thermal_scan,
 )
-from massbath.experiments import _cell_maxima, _max_over_time, _vacuum_max_over_time
+from massbath.experiments import (
+    _cell_maxima,
+    _closed_form_maxima,
+    _max_over_time,
+    _vacuum_max_over_time,
+)
+from massbath.measures import BOTH, _coherence_parts
 from massbath.xstate import EXPM, EigenPropagator, RateMatrix
 
 KERNEL_TOL = 1e-6
@@ -161,16 +168,21 @@ def test_heavy_field_peaks_late():
     assert_matches_oracle(XState.excited(), 0.995, cells)
 
 
-def test_late_peak_forces_horizon_doubling():
-    # G -> A slowly, A -> S more slowly, S -> G fast: the A-S imbalance, and
-    # with it both measures, peaks at tau = ln(4)/0.003 ~ 462, past the
-    # first two horizons 20/gray and 40/gray for gray = 0.1.
+def _late_peak_rates():
+    # G -> A slowly, A -> S more slowly, S -> G fast.
     slow_in, slow_out = 0.004, 0.001
     gen = np.zeros((4, 4))
     gen[1, 0], gen[0, 0] = slow_in, -slow_in
     gen[2, 1], gen[1, 1] = slow_out, -slow_out
     gen[0, 2], gen[2, 2] = 1.0, -1.0
-    rates = RateMatrix(generator=gen, decay_as=0.0, decay_ge=0.0)
+    return RateMatrix(generator=gen, decay_as=0.0, decay_ge=0.0)
+
+
+def test_late_peak_forces_horizon_doubling():
+    # From G, the A-S imbalance, and with it both measures, peaks at
+    # tau = ln(4)/0.003 ~ 462, past the first two horizons 20/gray and
+    # 40/gray for gray = 0.1.
+    rates = _late_peak_rates()
     conc, neg, where = oracle_max(rates, XState.ground())
     assert where > 40.0 / 0.1
     got = _max_over_time(XState.ground(), [rates], 0.1, [(None, None)])
@@ -261,6 +273,13 @@ def test_non_converged_cell_is_named():
         _max_over_time(XState.excited(), rates, gray_factor(0.3, 1.0), [(0.1, 2.0)], tol=0.0)
     assert (info.value.axis1, info.value.axis2) == (0.1, 2.0)
     assert "T/omega=0.1" in str(info.value)
+    # At tol = 0 no pass is ever stable, however close its maxima come.
+    assert info.value.doublings == experiments.MAX_DOUBLINGS
+    assert set(info.value.maxima) == set(BOTH)
+    for previous, last in info.value.maxima.values():
+        assert math.isfinite(previous) and abs(last - previous) <= 1e-12
+    assert f"after {experiments.MAX_DOUBLINGS} horizon doublings" in str(info.value)
+    assert "last two maxima: concurrence" in str(info.value)
 
 
 def test_thermal_scan_names_non_converged_cell(monkeypatch):
@@ -285,3 +304,139 @@ def test_thermal_scan_rejects_non_positive_temperature():
     )
     with pytest.raises(ValueError, match="T/omega"):
         thermal_scan(config)
+
+
+# One initial state of each kind for the measure-selector tests: no
+# coherence, a real G-E coherence at its maximum, and complex coherences in
+# both blocks (unentangled at tau = 0, entangled later).
+SELECTOR_STATES = {
+    "E": XState.excited(),
+    "bell-GE": XState.bell_ge(),
+    "random": random_xstate(np.random.default_rng(18)),
+}
+VACUUM_SEPS = np.array([1e-4, 0.3, 1.5, 4.0])
+# Vacuum maxima at m/omega = 0.8 and VACUUM_SEPS as the kernel gave them
+# when it measured both quantities from complex coherences and kept one.
+VACUUM_MAXIMA = {
+    ("E", "concurrence"): [
+        3.000000168383042e-10, 0.0025213884178687724, 0.026959317081901732, 0.0018514752999671718
+    ],
+    ("E", "negativity"): [
+        0.0, 3.295744547382462e-06, 0.0005712492439852168, 1.1185084414000457e-05
+    ],
+    ("bell-GE", "concurrence"): [1.0, 1.0, 1.0, 1.0],
+    ("bell-GE", "negativity"): [1.0, 1.0, 1.0, 1.0],
+    ("random", "concurrence"): [
+        0.43129557181509715, 0.4169708414716486, 0.2698666004029562, 0.020298097905125913
+    ],
+    ("random", "negativity"): [
+        0.14504664885246765, 0.13863132216243046, 0.07785874195402831, 0.0015761814216872505
+    ],
+}
+SELECTOR_CELLS = [(0.03, 0.2), (0.08, 1.5), (0.15, 0.6), (0.3, 3.0)]
+
+
+@pytest.mark.parametrize("measure", BOTH)
+@pytest.mark.parametrize("name", list(SELECTOR_STATES))
+def test_vacuum_one_measure_is_bit_identical(name, measure):
+    initial = SELECTOR_STATES[name]
+    expected = VACUUM_MAXIMA[name, measure]
+    assert _vacuum_max_over_time(initial, 0.8, VACUUM_SEPS, measure).tolist() == expected
+    gray = gray_factor(0.8, 1.0)
+    lams = np.array([spatial_factor(1.0, sep, gray) for sep in VACUUM_SEPS])
+    got = _closed_form_maxima(initial, lams, (measure,), 1600, VACUUM_SEPS)
+    assert got.tolist() == expected
+
+
+def _counted_max_over_time(monkeypatch, initial, rates, gray, cell, select):
+    """(maxima, passes) of one cell; a pass is one grid and ZOOM_LEVELS
+    zoom propagations."""
+    calls = []
+    populations = EigenPropagator.populations
+
+    def counted(self, pops0, taus):
+        calls.append(taus.shape)
+        return populations(self, pops0, taus)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(EigenPropagator, "populations", counted)
+        got = _max_over_time(initial, [rates], gray, [cell], select=select)
+    assert len(calls) % (1 + experiments.ZOOM_LEVELS) == 0
+    return got[:, 0], len(calls) // (1 + experiments.ZOOM_LEVELS)
+
+
+@pytest.mark.parametrize("name", list(SELECTOR_STATES))
+def test_thermal_one_measure_matches_its_row_of_both(name, monkeypatch):
+    initial = SELECTOR_STATES[name]
+    mass = 0.6
+    gray = gray_factor(mass, 1.0)
+    rates = [thermal_rates(mass, sep, temp) for temp, sep in SELECTOR_CELLS]
+    both, _ = _cell_maxima(initial, rates, gray, SELECTOR_CELLS)
+    for row, measure in enumerate(BOTH):
+        one, _ = _cell_maxima(initial, rates, gray, SELECTOR_CELLS, (measure,))
+        assert one.shape == (1, len(SELECTOR_CELLS))
+        assert np.max(np.abs(one[0] - both[row])) <= KERNEL_TOL
+    for k, cell in enumerate(SELECTOR_CELLS):
+        both_k, both_passes = _counted_max_over_time(
+            monkeypatch, initial, rates[k], gray, cell, BOTH
+        )
+        assert np.array_equal(both_k, both[:, k])
+        passes = []
+        for row, measure in enumerate(BOTH):
+            one_k, one_passes = _counted_max_over_time(
+                monkeypatch, initial, rates[k], gray, cell, (measure,)
+            )
+            passes.append(one_passes)
+            if one_passes == both_passes:
+                assert one_k[0] == both_k[row], (cell, measure)
+            else:
+                assert abs(one_k[0] - both_k[row]) <= KERNEL_TOL, (cell, measure)
+        # A both-measure cell runs until its slower measure is stable.
+        assert both_passes == max(passes)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a cell is stable once two horizons give the same maximum, so a "
+    "birth past the second horizon is missed",
+)
+@pytest.mark.parametrize(
+    "populations, select",
+    [
+        # Entangled at tau = 0, and again, higher, near tau ~ 6400. In a
+        # both-measure search the negativity's moving maximum keeps the cell
+        # going; the concurrence alone stops after two horizons.
+        pytest.param((0.0, 0.33, 0.3, 0.37), ("concurrence",), id="one-measure"),
+        # Unentangled until tau ~ 6000: both maxima read 0 on two horizons.
+        pytest.param((0.0, 0.3, 0.3, 0.4), BOTH, id="both-measures"),
+    ],
+)
+def test_search_reaches_a_late_birth(populations, select):
+    rates = _late_peak_rates()
+    initial = XState(*populations)
+    got = _max_over_time(initial, [rates], 0.1, [(None, None)], select=select)
+    conc, neg, _ = oracle_max(rates, initial)
+    expected = {"concurrence": conc, "negativity": neg}
+    for row, name in enumerate(select):
+        assert got[row, 0] == pytest.approx(expected[name], abs=KERNEL_TOL)
+
+
+@pytest.mark.parametrize("kind", ["excited", "ground", "antisymmetric", "symmetric"])
+def test_zero_coherence_shortcut_is_exact(kind, monkeypatch):
+    initial = getattr(XState, kind)()
+    assert experiments._faded_coherences(initial, 1.0, 1.0, np.ones(3)) == (0.0, 0.0, 0.0)
+    gray = gray_factor(0.6, 1.0)
+    rates = [thermal_rates(0.6, sep, temp) for temp, sep in SELECTOR_CELLS]
+    thermal = _cell_maxima(initial, rates, gray, SELECTOR_CELLS)[0]
+    vacuum = [_vacuum_max_over_time(initial, 0.8, VACUUM_SEPS, m) for m in BOTH]
+
+    def explicit(initial, decay_ge, decay_as, taus):
+        return _coherence_parts(
+            initial.coh_ge * np.exp(-decay_ge * taus),
+            initial.coh_as * np.exp(-decay_as * taus),
+        )
+
+    monkeypatch.setattr(experiments, "_faded_coherences", explicit)
+    assert np.array_equal(_cell_maxima(initial, rates, gray, SELECTOR_CELLS)[0], thermal)
+    for m, values in zip(BOTH, vacuum):
+        assert np.array_equal(_vacuum_max_over_time(initial, 0.8, VACUUM_SEPS, m), values)

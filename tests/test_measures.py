@@ -5,15 +5,11 @@ import pytest
 
 from conftest import partial_transpose_negativity, wootters_concurrence
 from massbath import (
-    AssumptionViolatedError,
     FrozenDynamicsError,
     GklsCoefficients,
-    LambdaSingularError,
     NotAStateError,
     XState,
     build_rate_matrix,
-    closed_form_concurrence,
-    closed_form_negativity,
     closed_form_state,
     closed_form_trajectory,
     concurrence,
@@ -32,6 +28,12 @@ from massbath import (
 )
 from massbath.measures import RADICAND_TOL, _measures_arrays, _safe_sqrt, _state_arrays
 from massbath.xstate import POP_TOL, PSD_TOL
+from paper_formulas import (
+    AssumptionViolatedError,
+    LambdaSingularError,
+    closed_form_concurrence,
+    closed_form_negativity,
+)
 
 
 def random_ge_coherent_state(rng):
