@@ -193,10 +193,12 @@ def cmd_coeffs(args) -> int:
 def cmd_evolve(args) -> int:
     initial = parse_initial(args.initial)
     config = FieldBathConfig.from_ratios(args.mass_ratio, args.sep, args.temp_ratio)
-    if not np.isfinite(args.tmax):
-        raise ValueError(f"--tmax must be finite, got {args.tmax}")
+    if not (np.isfinite(args.tmax) and args.tmax >= 0.0):
+        raise ValueError(f"--tmax must be finite and >= 0, got {args.tmax}")
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
+    if args.tmax == 0.0 and args.steps > 1:
+        raise ValueError(f"--tmax must be > 0 for --steps {args.steps}")
     taus = np.linspace(0.0, args.tmax, args.steps)
     trajectory = eigen_trajectory(initial, build_rate_matrix(coefficients(config)), taus)
     entries = _state_arrays(trajectory.states)

@@ -141,26 +141,39 @@ def _separations(config: SweepConfig) -> np.ndarray:
     return seps
 
 
-def _column_measures(
+def _cell_rates(mass_ratio: float, cells, temp_ratio: float | None = None) -> list[RateMatrix]:
+    """Rate matrices of grid cells (T/omega, omega*L). A cell whose T/omega
+    is None is a time-sep column, in the bath at temp_ratio. A failing cell
+    raises SweepCellError carrying its grid coordinates."""
+    rates = []
+    for temp, sep in cells:
+        try:
+            config = FieldBathConfig.from_ratios(
+                mass_ratio, sep, temp_ratio if temp is None else temp
+            )
+            rates.append(build_rate_matrix(coefficients(config)))
+        except Exception as exc:
+            where = f"separation {sep}" if temp is None else f"(T/omega={temp}, omega*L={sep})"
+            raise SweepCellError(
+                f"sweep failed at {where}: {exc}", axis1=temp, axis2=sep
+            ) from exc
+    return rates
+
+
+def _time_sep_measures(
     mass_ratio: float,
     temp_ratio: float | None,
     initial: XState,
-    sep: float,
+    seps: np.ndarray,
     taus: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, str]:
-    """Both measures along a time grid at one separation, plus the route used."""
-    config = FieldBathConfig.from_ratios(mass_ratio, sep, temp_ratio)
-    rates = build_rate_matrix(coefficients(config))
-    prop = EigenPropagator(rates)
-    pops = prop.populations(initial.populations(), taus)
-    conc, neg = _measures_arrays(
-        *pops.T,
-        *_coherence_parts(
-            initial.coh_ge * np.exp(-rates.decay_ge * taus),
-            initial.coh_as * np.exp(-rates.decay_as * taus),
-        ),
-    )
-    return conc, neg, prop.routes[0]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concurrence and negativity, each (len(taus), len(seps)), and the route
+    of every separation: one propagator and one measure call for them all."""
+    cells = [(None, float(sep)) for sep in seps]
+    prop = EigenPropagator(_cell_rates(mass_ratio, cells, temp_ratio))
+    rows = np.broadcast_to(taus, (seps.size, 1, taus.size))
+    conc, neg = _stack_measures(initial, prop, BOTH)(rows)
+    return conc.T, neg.T, prop.routes
 
 
 def evolve_scan(config: SweepConfig) -> SweepResult:
@@ -171,22 +184,10 @@ def evolve_scan(config: SweepConfig) -> SweepResult:
     seps = _separations(config)
     if taus[0] < 0.0:
         raise ValueError(f"Gamma0*tau must be >= 0, got {taus[0]}")
-    conc = np.zeros((taus.size, seps.size))
-    neg = np.zeros_like(conc)
-    method = np.empty((taus.size, seps.size), dtype=object)
-    for j, sep in enumerate(seps):
-        try:
-            col_c, col_n, col_method = _column_measures(
-                config.mass_ratio, config.temp_ratio, config.initial, sep, taus
-            )
-        except Exception as exc:
-            raise SweepCellError(
-                f"sweep failed at separation {sep}: {exc}", axis2=sep
-            ) from exc
-        conc[:, j] = col_c
-        neg[:, j] = col_n
-        method[:, j] = col_method
-    return SweepResult(config, taus, seps, conc, neg, method)
+    conc, neg, routes = _time_sep_measures(
+        config.mass_ratio, config.temp_ratio, config.initial, seps, taus
+    )
+    return SweepResult(config, taus, seps, conc, neg, np.tile(routes, (taus.size, 1)))
 
 
 def _grid_peaks(values: np.ndarray, grid: np.ndarray):
@@ -361,17 +362,7 @@ def thermal_scan(config: SweepConfig) -> SweepResult:
         raise ValueError(f"T/omega must be > 0, got {temps[0]}")
     gray = gray_factor(config.mass_ratio, 1.0)
     cells = [(float(temp), float(sep)) for temp in temps for sep in seps]
-    rates = []
-    for temp, sep in cells:
-        try:
-            cfg = FieldBathConfig.from_ratios(config.mass_ratio, sep, temp)
-            rates.append(build_rate_matrix(coefficients(cfg)))
-        except Exception as exc:
-            raise SweepCellError(
-                f"sweep failed at (T/omega={temp}, omega*L={sep}): {exc}",
-                axis1=temp,
-                axis2=sep,
-            ) from exc
+    rates = _cell_rates(config.mass_ratio, cells)
     peaks, routes = _cell_maxima(config.initial, rates, gray, cells)
     shape = (temps.size, seps.size)
     conc, neg = peaks.reshape((2,) + shape)
@@ -394,21 +385,12 @@ def scaling_check(
     if not 0.0 <= mass_ratio < 1.0:
         raise ValueError(f"mass_ratio must lie in [0, 1), got {mass_ratio}")
     gray = gray_factor(mass_ratio, 1.0)
-    taus = tau_axis.values()
-    deviation = 0.0
-    for sep in sep_axis.values():
-        massive_c, massive_n, _ = _column_measures(
-            mass_ratio, temp_ratio, initial, sep, taus
-        )
-        massless_c, massless_n, _ = _column_measures(
-            0.0, temp_ratio, initial, gray * sep, gray * taus
-        )
-        deviation = max(
-            deviation,
-            float(np.max(np.abs(massive_c - massless_c))),
-            float(np.max(np.abs(massive_n - massless_n))),
-        )
-    return deviation
+    # A sweep's own checks reject a bad bath or separation before any cell.
+    config = SweepConfig(mass_ratio, initial, sep_axis, tau_axis, temp_ratio=temp_ratio)
+    seps, taus = _separations(config), tau_axis.values()
+    massive = _time_sep_measures(mass_ratio, temp_ratio, initial, seps, taus)[:2]
+    massless = _time_sep_measures(0.0, temp_ratio, initial, gray * seps, gray * taus)[:2]
+    return float(np.max(np.abs(np.subtract(massive, massless))))
 
 
 def _vacuum_max_over_time(

@@ -179,7 +179,8 @@ class RateMatrix:
     """Generator of the coupled-basis rate equations.
 
     `generator` acts on the population vector (pop_g, pop_a, pop_s, pop_e);
-    both coherences decay at rates decay_as = decay_ge = 4*a1.
+    both coherences decay at rates decay_as = decay_ge = 4*a1. Rates that
+    would take a state out of the positive cone raise ValueError.
     """
 
     generator: np.ndarray
@@ -201,6 +202,15 @@ class RateMatrix:
             raise ValueError("off-diagonal rates must be non-negative")
         if self.decay_as < 0.0 or self.decay_ge < 0.0:
             raise ValueError("coherence decay rates must be non-negative")
+        # Positivity (GKLS): a coherence decays at least at the mean rate out
+        # of the two populations it couples; build_rate_matrix sits on it.
+        out = -np.diag(gen)
+        bound_ge, bound_as = 0.5 * (out[0] + out[3]), 0.5 * (out[1] + out[2])
+        if min(self.decay_ge - bound_ge, self.decay_as - bound_as) < -1e-12 * scale:
+            raise ValueError(
+                f"coherence decay rates (ge {self.decay_ge}, as {self.decay_as}) fall "
+                f"below the positivity bound (ge {bound_ge}, as {bound_as})"
+            )
         gen.setflags(write=False)
         object.__setattr__(self, "generator", gen)
 

@@ -5,15 +5,19 @@ from massbath import (
     FieldBathConfig,
     GridAxis,
     NoGenerationError,
+    SweepCellError,
     SweepConfig,
     XState,
     build_rate_matrix,
+    coefficients,
     detect_events,
     eigen_trajectory,
     enlargement_factor,
+    entanglement,
     evolve_scan,
     generation_reach,
     gray_factor,
+    random_xstate,
     run_verification,
     scaling_check,
     thermal_generation_threshold,
@@ -120,6 +124,71 @@ class TestEvolveScan:
                     sep_axis=GridAxis(0.1, 1.0, 3),
                 )
             )
+
+    @pytest.mark.parametrize(
+        "mass, temp, sep_min, routes",
+        [
+            (0.6, None, 0.2, {"closed_form"}),
+            # The first separation takes the expm route, the others eigen:
+            # both share one propagator stack.
+            (0.9, 0.028, 0.065, {"expm", "eigen"}),
+            (1.2, None, 0.2, {"frozen"}),
+        ],
+        ids=["vacuum", "thermal-expm-and-eigen", "frozen"],
+    )
+    @pytest.mark.parametrize("kind", ["excited", "bell_ge", "random"])
+    def test_cells_match_scalar_trajectories(self, mass, temp, sep_min, routes, kind):
+        if kind == "random":
+            initial = random_xstate(np.random.default_rng(11))
+        else:
+            initial = getattr(XState, kind)()
+        result = evolve_scan(self.make_config(
+            mass, initial, temp_ratio=temp, seps=GridAxis(sep_min, 3.0, 8)
+        ))
+        assert set(result.method.ravel()) == routes
+        for j, sep in enumerate(result.axis2):
+            config = FieldBathConfig.from_ratios(mass, sep, temp)
+            trajectory = eigen_trajectory(
+                initial, build_rate_matrix(coefficients(config)), result.axis1
+            )
+            assert np.all(result.method[:, j] == trajectory.method)
+            values = [entanglement(state) for state in trajectory.states]
+            conc = [value.concurrence for value in values]
+            neg = [value.negativity for value in values]
+            np.testing.assert_allclose(result.concurrence[:, j], conc, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(result.negativity[:, j], neg, rtol=0, atol=1e-15)
+
+
+class TestSweepCellErrors:
+    """A cell whose rates cannot be built names its grid coordinates."""
+
+    @pytest.fixture(autouse=True)
+    def fail_at_separation(self, monkeypatch):
+        real = experiments.coefficients
+
+        def coefficients(config):
+            if config.separation == 1.5:
+                raise FloatingPointError("injected")
+            return real(config)
+
+        monkeypatch.setattr(experiments, "coefficients", coefficients)
+
+    def config(self, **axis):
+        return SweepConfig(
+            mass_ratio=0.6, initial=XState.excited(), sep_axis=GridAxis(0.5, 2.0, 4), **axis
+        )
+
+    def test_time_sep_names_the_separation(self):
+        with pytest.raises(SweepCellError, match="separation 1.5: injected") as info:
+            evolve_scan(self.config(tau_axis=GridAxis(0.0, 5.0, 6), temp_ratio=0.2))
+        assert (info.value.axis1, info.value.axis2) == (None, 1.5)
+        assert isinstance(info.value.__cause__, FloatingPointError)
+
+    def test_temp_sep_names_the_cell(self):
+        with pytest.raises(SweepCellError, match=r"\(T/omega=0.1, omega\*L=1.5\)") as info:
+            thermal_scan(self.config(temp_axis=GridAxis(0.1, 0.2, 2)))
+        assert (info.value.axis1, info.value.axis2) == (0.1, 1.5)
+        assert isinstance(info.value.__cause__, FloatingPointError)
 
 
 class TestThermalScan:

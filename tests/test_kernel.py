@@ -169,13 +169,14 @@ def test_heavy_field_peaks_late():
 
 
 def _late_peak_rates():
-    # G -> A slowly, A -> S more slowly, S -> G fast.
+    # G -> A slowly, A -> S more slowly, S -> G fast; each coherence decays
+    # at the positivity bound, the mean rate out of the populations it couples.
     slow_in, slow_out = 0.004, 0.001
     gen = np.zeros((4, 4))
     gen[1, 0], gen[0, 0] = slow_in, -slow_in
     gen[2, 1], gen[1, 1] = slow_out, -slow_out
     gen[0, 2], gen[2, 2] = 1.0, -1.0
-    return RateMatrix(generator=gen, decay_as=0.0, decay_ge=0.0)
+    return RateMatrix(generator=gen, decay_as=0.5 * (slow_out + 1.0), decay_ge=0.5 * slow_in)
 
 
 def test_late_peak_forces_horizon_doubling():

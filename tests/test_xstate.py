@@ -193,6 +193,19 @@ class TestRateMatrix:
         with pytest.raises(ValueError, match="finite"):
             RateMatrix(generator=np.zeros((4, 4)), decay_as=math.inf, decay_ge=0.0)
 
+    def test_rejects_coherence_decay_below_positivity_bound(self):
+        # Populations leave G, A and S while the coherences never decay: no
+        # bath gives these rates, and a state with coherences would leave the
+        # positive cone, where concurrence can read below negativity.
+        gen = np.zeros((4, 4))
+        gen[1, 0], gen[0, 0] = 0.004, -0.004
+        gen[2, 1], gen[1, 1] = 0.001, -0.001
+        gen[0, 2], gen[2, 2] = 1.0, -1.0
+        for decay_as, decay_ge in [(0.0, 0.0), (0.5005, 0.0), (0.0, 0.002)]:
+            with pytest.raises(ValueError, match="positivity bound"):
+                RateMatrix(generator=gen, decay_as=decay_as, decay_ge=decay_ge)
+        RateMatrix(generator=gen, decay_as=0.5005, decay_ge=0.002)
+
 
 class TestDecayFactor:
     def test_values(self):
