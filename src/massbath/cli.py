@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .errors import MassbathError, NotAStateError, SweepCellError
 from .field_bath import FieldBathConfig, coefficients, gray_factor, spatial_factor
-from .measures import _measures_arrays, _state_arrays
+from .measures import _coherence_parts, _measures_arrays
 from .experiments import (
     GridAxis,
     SweepConfig,
@@ -35,7 +35,7 @@ from .experiments import (
     run_verification,
     thermal_scan,
 )
-from .xstate import XState, build_rate_matrix, eigen_trajectory
+from .xstate import EigenPropagator, XState, _check_states, build_rate_matrix
 
 EVOLVE_HEADER = (
     "tau,rho_G,rho_A,rho_S,rho_E,re_GE,im_GE,re_AS,im_AS,concurrence,negativity"
@@ -145,21 +145,25 @@ def _write_manifest(command: str, params: dict, outputs: list[Path]) -> Path:
 _CSV_BLOCK = 1024
 
 
-def _csv(header: str, columns) -> str:
-    """CSV text: the header, then row k from element k of every column.
+def _text(values: np.ndarray) -> list[str]:
+    """str of every element; floats format each distinct bit pattern once."""
+    if values.dtype != np.float64:
+        return list(map(str, values.tolist()))
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array(list(map(str, bits.view(np.float64).tolist())), dtype=object)
+    return text[where.ravel()].tolist()
 
-    Floats print as the shortest decimal that round-trips (str of a Python
-    float is its repr); other values, such as route names, as they are.
-    Rows are formatted _CSV_BLOCK at a time, so the Python floats of one
-    block are freed and their memory reused by the next instead of all
-    columns being held as lists at once.
-    """
+
+def _csv(header: str, columns) -> str:
+    """CSV text: the header, then row k from element k of every column, as
+    str (a float's shortest round-trip repr). Rows are formatted and joined
+    _CSV_BLOCK at a time, so one block's strings are freed before the next."""
     columns = [np.asarray(column) for column in columns]
-    lines = [header]
+    blocks = [header + "\n"]
     for start in range(0, len(columns[0]), _CSV_BLOCK):
-        cells = [map(str, column[start:start + _CSV_BLOCK].tolist()) for column in columns]
-        lines.extend(map(",".join, zip(*cells)))
-    return "\n".join(lines) + "\n"
+        cells = [_text(column[start:start + _CSV_BLOCK]) for column in columns]
+        blocks.append("\n".join(map(",".join, zip(*cells))) + "\n")
+    return "".join(blocks)
 
 
 def _emit(text: str, out: str | None) -> list[Path]:
@@ -197,17 +201,15 @@ def cmd_evolve(args) -> int:
         raise ValueError(f"--tmax must be finite and >= 0, got {args.tmax}")
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
-    if args.tmax == 0.0 and args.steps > 1:
-        raise ValueError(f"--tmax must be > 0 for --steps {args.steps}")
     taus = np.linspace(0.0, args.tmax, args.steps)
-    trajectory = eigen_trajectory(initial, build_rate_matrix(coefficients(config)), taus)
-    entries = _state_arrays(trajectory.states)
-    pop_g, pop_a, pop_s, pop_e, _, re_as, im_as = entries
-    coh_ge = np.array([s.coh_ge for s in trajectory.states])
+    if np.any(np.diff(taus) <= 0.0):
+        raise ValueError(f"--tmax must give {args.steps} increasing times, got {args.tmax}")
+    prop = EigenPropagator(build_rate_matrix(coefficients(config)))
+    pops, coh_ge, coh_as = prop._arrays(initial, taus)
+    _check_states(pops, coh_ge, coh_as)
     columns = (
-        trajectory.taus, pop_g, pop_a, pop_s, pop_e,
-        coh_ge.real, coh_ge.imag, re_as, im_as,
-        *_measures_arrays(*entries),
+        taus, *pops.T, coh_ge.real, coh_ge.imag, coh_as.real, coh_as.imag,
+        *_measures_arrays(*pops.T, *_coherence_parts(coh_ge, coh_as)),
     )
     outputs = _emit(_csv(EVOLVE_HEADER, columns), args.out)
     if outputs:
@@ -218,7 +220,7 @@ def cmd_evolve(args) -> int:
             "temp-ratio": args.temp_ratio,
             "tmax": args.tmax,
             "steps": args.steps,
-            "method": trajectory.method,
+            "method": prop.routes[0],
         }
         _write_manifest("evolve", params, outputs)
     return 0

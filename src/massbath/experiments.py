@@ -67,6 +67,7 @@ __all__ = [
 # (thermal; vacuum closed form), zoom levels and points per level (in time;
 # in log-separation for the thermal threshold's search over separations).
 CELL_BLOCK = 8
+MAP_BLOCK = 1 << 16  # time-sep maps: (tau, sep) cells per propagation call
 MAX_DOUBLINGS = 40
 VACUUM_DOUBLINGS = 20
 ZOOM_LEVELS = 3
@@ -168,12 +169,15 @@ def _time_sep_measures(
     taus: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Concurrence and negativity, each (len(taus), len(seps)), and the route
-    of every separation: one propagator and one measure call for them all."""
-    cells = [(None, float(sep)) for sep in seps]
-    prop = EigenPropagator(_cell_rates(mass_ratio, cells, temp_ratio))
-    rows = np.broadcast_to(taus, (seps.size, 1, taus.size))
-    conc, neg = _stack_measures(initial, prop, BOTH)(rows)
-    return conc.T, neg.T, prop.routes
+    of every separation: one propagator and one measure call per block of
+    separations, each block at most MAP_BLOCK (tau, sep) cells or one column."""
+    rates = _cell_rates(mass_ratio, [(None, float(sep)) for sep in seps], temp_ratio)
+    width = max(1, MAP_BLOCK // taus.size)
+    props = [EigenPropagator(rates[i:i + width]) for i in range(0, len(rates), width)]
+    rows = np.broadcast_to(taus, (width, 1, taus.size))
+    blocks = [_stack_measures(initial, p, BOTH)(rows[:len(p.routes)]) for p in props]
+    conc, neg = np.concatenate(blocks, axis=1)
+    return conc.T, neg.T, np.concatenate([p.routes for p in props])
 
 
 def evolve_scan(config: SweepConfig) -> SweepResult:

@@ -316,6 +316,17 @@ def _xstates(pops, coh_ge, coh_as) -> tuple[XState, ...]:
     )
 
 
+def _check_states(pops, coh_ge, coh_as) -> None:
+    """Raise what XState raises for the first row that is not a state. Only
+    rows a vectorised screen of XState's checks flags (nan and inf fail them;
+    |c|**2 is inflated by 1e-12 over numpy's last-bit error) are built."""
+    pop_g, pop_a, pop_s, pop_e = pops.T
+    ge2, as2 = (np.abs(c) ** 2 * (1.0 + 1e-12) for c in (coh_ge, coh_as))
+    ok = ((pops.min(axis=1) >= -POP_TOL) & (abs(pop_g + pop_a + pop_s + pop_e - 1.0) <= POP_TOL)
+          & (ge2 <= pop_g * pop_e + PSD_TOL) & (as2 <= pop_a * pop_s + PSD_TOL))
+    _xstates(pops[~ok], coh_ge[~ok], coh_as[~ok])
+
+
 def _vacuum_states(initial: XState, lam: float, u: np.ndarray) -> tuple[XState, ...]:
     """Vacuum states at decay exponents u = gray*Gamma0*tau (an array).
 
@@ -429,12 +440,12 @@ class EigenPropagator:
             raise ValueError(f"tau must be finite and >= 0, got {tau}")
         if self.routes[0] == FROZEN or tau == 0.0:
             return initial
-        return self._states(initial, np.array([tau]))[0]
+        return _xstates(*self._arrays(initial, np.array([tau])))[0]
 
-    def _states(self, initial: XState, taus: np.ndarray) -> tuple[XState, ...]:
-        pops = self.populations(initial.populations(), taus)
-        return _xstates(
-            pops,
+    def _arrays(self, initial: XState, taus: np.ndarray):
+        """(K, 4) populations and the coherences coh_ge, coh_as at taus."""
+        return (
+            self.populations(initial.populations(), taus),
             initial.coh_ge * np.exp(-self.rates.decay_ge * taus),
             initial.coh_as * np.exp(-self.rates.decay_as * taus),
         )
@@ -706,7 +717,7 @@ def eigen_trajectory(
     taus = np.asarray(taus, dtype=float)
     return Trajectory(
         taus=tuple(taus.tolist()),
-        states=prop._states(initial, taus),
+        states=_xstates(*prop._arrays(initial, taus)),
         method=prop.routes[0],
         evaluate=lambda t: prop.state(initial, t),
     )

@@ -22,6 +22,7 @@ from massbath import (
 )
 from massbath import cli
 from massbath.cli import EVOLVE_HEADER, MAP_HEADER, main, parse_initial
+from massbath.errors import NotAStateError
 
 
 def run_cli(args, capsys):
@@ -375,6 +376,39 @@ class TestCsvBlocks:
         assert cli._csv("h", columns) == expected
 
 
+def repr_csv(header, columns):
+    """Reference writer: every value through its own repr, row by row."""
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    return header + "\n" + "".join(
+        ",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n" for row in rows
+    )
+
+
+class TestCsvDistinctValues:
+    """The writer formats each distinct bit pattern once; its text must equal
+    a per-value repr, signed zeros, non-finite values and extremes included."""
+
+    SPECIAL = np.array([
+        -0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+        1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3,
+        np.array([0x7FF8000000000001]).view(np.float64)[0],  # a NaN payload
+    ])
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 1024])
+    def test_matches_a_per_value_repr(self, monkeypatch, block):
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        rng = np.random.default_rng(9)
+        n = 2500
+        columns = (
+            np.resize(self.SPECIAL, n),
+            np.repeat(self.SPECIAL, n // self.SPECIAL.size + 1)[:n],
+            np.where(rng.random(n) < 0.5, rng.choice(self.SPECIAL, n), rng.standard_normal(n)),
+            np.zeros(n),
+            np.resize(np.array(["eigen", "closed_form", "frozen"], dtype=object), n),
+        )
+        assert cli._csv("h", columns) == repr_csv("h", columns)
+
+
 class TestNoNegativeZero:
     @pytest.mark.parametrize(
         "argv",
@@ -457,12 +491,81 @@ class TestNumericalFailureExit:
         def boom(*args, **kwargs):
             raise StepUnderflowError("step 1e-15 below 1e-14 at tau=0.5")
 
-        monkeypatch.setattr(cli, "eigen_trajectory", boom)
+        monkeypatch.setattr(cli.EigenPropagator, "populations", boom)
         code, _, err = run_cli(
             ["evolve", "--initial", "E", "--mass-ratio", "1.2"], capsys
         )
         assert code == 3
         assert "error" in err
+
+
+def _trace_off(row, coh2):
+    return row + [3e-10, 0.0, 0.0, 0.0]
+
+
+def _negative_population(row, coh2):
+    return np.array([row[0], -2e-10, row[2], row[3]])
+
+
+def _coherence_above_bound(row, coh2):
+    return np.array([0.0, row[0] + row[1], row[2], row[3]])
+
+
+def _just_inside_bound(row, coh2):
+    # pop_g * pop_e + PSD_TOL exceeds |coh_ge|**2 by a relative 1e-14.
+    pop_e = (coh2 * (1.0 + 1e-14) - 1e-10) / row[0]
+    return np.array([row[0], 1.0 - row[0] - row[2] - pop_e, row[2], pop_e])
+
+
+class TestEvolveRowChecks:
+    """evolve rejects exactly the rows XState rejects, with XState's message:
+    the propagator is made to return an edited row K and, in the rejected
+    cases, a worse row after it; the first bad row is the one reported."""
+
+    K = 17
+    ARGV = ["evolve", "--initial", "bell-GE", "--mass-ratio", "0.5", "--sep", "0.7",
+            "--temp-ratio", "0.3", "--tmax", "6", "--steps", "40"]
+
+    def _patch(self, monkeypatch, edit, later_bad):
+        original = cli.EigenPropagator.populations
+        seen = {}
+
+        def populations(prop, pops0, taus):
+            pops = original(prop, pops0, taus).copy()
+            coh_ge = (XState.bell_ge().coh_ge * np.exp(-prop.rates.decay_ge * taus))[self.K]
+            pops[self.K] = edit(pops[self.K], abs(coh_ge) ** 2)
+            if later_bad:
+                pops[self.K + 3, 2] = -1.0
+            seen["row"] = (*pops[self.K], coh_ge)
+            return pops
+
+        monkeypatch.setattr(cli.EigenPropagator, "populations", populations)
+        return seen
+
+    @pytest.mark.parametrize(
+        "edit", [_trace_off, _negative_population, _coherence_above_bound]
+    )
+    def test_bad_row_exits_3_with_the_xstate_message(self, capsys, monkeypatch, edit):
+        seen = self._patch(monkeypatch, edit, later_bad=True)
+        code, out, err = run_cli(self.ARGV, capsys)
+        *pops, coh_ge = seen["row"]
+        with pytest.raises(NotAStateError) as rejected:
+            XState(*pops, coh_ge=coh_ge)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {rejected.value}\n"
+
+    def test_row_the_screen_flags_but_xstate_accepts_passes(self, capsys, monkeypatch):
+        import massbath.xstate as xstate
+
+        self._patch(monkeypatch, _just_inside_bound, later_bad=False)
+        built = []
+        original = xstate._xstates
+        monkeypatch.setattr(xstate, "_xstates", lambda p, *c: built.append(len(p)) or original(p, *c))
+        code, out, err = run_cli(self.ARGV, capsys)
+        assert code == 0, err
+        assert built == [1]
+        assert len(out.splitlines()) == 41
 
 
 class TestUsageErrors:
@@ -497,6 +600,17 @@ class TestUsageErrors:
         code, _, err = run_cli(
             ["evolve", "--initial", "E", "--mass-ratio", "0", "--tmax", tmax,
              "--steps", steps, "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("usage error: --tmax") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_tmax_too_small_for_its_steps_is_named(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            ["evolve", "--initial", "E", "--mass-ratio", "0", "--tmax", "5e-324",
+             "--steps", "3", "--out", str(out)],
             capsys,
         )
         assert code == 2

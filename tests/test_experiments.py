@@ -158,6 +158,19 @@ class TestEvolveScan:
             np.testing.assert_allclose(result.concurrence[:, j], conc, rtol=0, atol=1e-15)
             np.testing.assert_allclose(result.negativity[:, j], neg, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("block", [1, 36, 60])
+    def test_separation_blocks_give_the_one_block_map(self, monkeypatch, block):
+        """MAP_BLOCK // 12 taus separations per call (at least one), which
+        splits the thermal map's expm and eigen columns across calls."""
+        config = self.make_config(
+            0.9, XState.bell_ge(), temp_ratio=0.028, seps=GridAxis(0.065, 3.0, 8)
+        )
+        whole = evolve_scan(config)
+        monkeypatch.setattr(experiments, "MAP_BLOCK", block)
+        blocked = evolve_scan(config)
+        for name in ("concurrence", "negativity", "method"):
+            assert np.array_equal(getattr(blocked, name), getattr(whole, name))
+
 
 class TestSweepCellErrors:
     """A cell whose rates cannot be built names its grid coordinates."""
