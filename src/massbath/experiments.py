@@ -602,14 +602,8 @@ def thermal_generation_threshold(
 
     def best_over_seps(temp: float) -> float:
         def peaks(seps: np.ndarray) -> np.ndarray:
-            flat = seps.ravel()
-            rates = [
-                build_rate_matrix(
-                    thermal_coefficients(FieldBathConfig.from_ratios(mass_ratio, sep, temp))
-                )
-                for sep in flat
-            ]
-            cells = [(temp, float(sep)) for sep in flat]
+            cells = [(temp, float(sep)) for sep in seps.ravel()]
+            rates = _cell_rates(mass_ratio, cells)
             conc = _cell_maxima(initial, rates, gray, cells, ("concurrence",))[0][0]
             return conc.reshape(seps.shape)
 

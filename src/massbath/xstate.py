@@ -8,8 +8,8 @@ fully described by four populations and the two coherences G-E and A-S.
 One exact propagator, EigenPropagator, picks a route per generator: the
 identity for frozen dynamics, the closed-form cascade solution for generators
 without upward rates (the vacuum), an eigendecomposition in general, and
-matrix exponentials for generators that do not diagonalize cleanly. An
-adaptive Runge-Kutta integrator serves as an independent oracle.
+matrix exponentials by uniformization for generators that do not diagonalize
+cleanly. An adaptive Runge-Kutta integrator serves as an independent oracle.
 """
 
 from __future__ import annotations
@@ -362,8 +362,9 @@ class EigenPropagator:
     (up_a*down_s == up_s*down_a), so their spectrum is real. A generator whose
     eigenvalues are not all real, or whose eigendecomposition does not
     reconstruct it to 1e-12 (a nearly defective spectrum, as for a thermal
-    bath at |spatial factor| ~ 1), takes EXPM: scaling-and-squaring matrix
-    exponentials.
+    bath at |spatial factor| ~ 1), takes EXPM: matrix exponentials by
+    uniformization, a sum of nonnegative terms accurate entry by entry, for
+    every EXPM generator and time row in one batched call.
     """
 
     def __init__(self, rates: RateMatrix | Sequence[RateMatrix]):
@@ -407,8 +408,10 @@ class EigenPropagator:
             raise ValueError("tau must be finite and >= 0")
         pops0 = np.asarray(pops0, dtype=float)
         shared = taus.ndim == 1
-        rows = taus.reshape(1 if shared else taus.shape[0], -1, taus.shape[-1])
         count = len(self.routes)
+        if not shared and taus.shape[0] != count:
+            raise ValueError(f"need {count} per-generator grids, got {taus.shape[0]}")
+        rows = taus.reshape(1 if shared else count, -1, taus.shape[-1])
 
         def grid(index: np.ndarray) -> np.ndarray:
             return rows if shared or index.size == count else rows[index]
@@ -427,9 +430,10 @@ class EigenPropagator:
         if cascade.size:
             rates = self._d_a[cascade], self._d_s[cascade]
             out[cascade] = np.stack(_cascade(pops0, *rates, grid(cascade)), axis=-1)
-        for n in self._route[EXPM]:
-            for r, row in enumerate(rows[0 if shared else n]):
-                out[n, r] = _expm_populations(self._gens[n], pops0, row)
+        expm = self._route[EXPM]
+        if expm.size:
+            grids = np.broadcast_to(grid(expm), (expm.size,) + rows.shape[1:])
+            out[expm] = _uniformized_populations(self._gens[expm], pops0, grids)
         out = out.reshape((count,) + (taus.shape if shared else taus.shape[1:]) + (4,))
         return out[0] if self._single else out
 
@@ -481,34 +485,64 @@ def _inverse_or_nan(matrix: np.ndarray) -> np.ndarray:
         return np.full_like(matrix, np.nan)
 
 
-def _expm_populations(gen: np.ndarray, pops0: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Populations by matrix exponentials; shape (len(taus), 4).
+def _uniformized(gens: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """exp(gens[n] * h[n]) for generators (N, 4, 4) with nonnegative
+    off-diagonal rates and zero column sums, and times h >= 0 of shape (N,).
 
-    A uniform grid t0 + k*dt costs two exponentials, expm(G t0) @ pops0 and
-    expm(G dt), whose powers are applied by repeated squaring: the samples
-    filled so far are advanced by P = expm(G dt)^filled, then P is squared.
-    Any other grid takes one exponential per time.
+    Uniformization (Jensen 1953): with c = max|G_ii| and the stochastic
+    P = I + G/c, exp(G h) = e^(-x) sum_k x^k/k! P^k at x = c h / 2^s <= 1/2
+    (Horner, 16 terms), squared s times. No term is negative, so small
+    entries keep a small relative error. Each column is divided by its sum,
+    which G conserves, after the sum and after every squaring, lest rounding
+    compound over the squarings.
     """
-    from scipy.linalg import expm
+    rate = np.abs(np.diagonal(gens, axis1=1, axis2=2)).max(axis=1)
+    rate = np.where(rate > 0.0, rate, 1.0)
+    squarings = np.maximum(np.frexp(2.0 * rate * h)[1], 0)
+    x = np.ldexp(rate * h, -squarings)[:, None, None]
+    step = (np.eye(4) + gens / rate[:, None, None]) * x
+    out = np.eye(4) + step / 15.0
+    for k in range(14, 0, -1):
+        out = np.eye(4) + (step / k) @ out
+    out /= out.sum(axis=1, keepdims=True)
+    for level in range(squarings.max(initial=0)):
+        live = np.flatnonzero(squarings > level)
+        square = out[live] @ out[live]
+        out[live] = square / square.sum(axis=1, keepdims=True)
+    return out
 
-    count = taus.size
-    t0 = taus[0]
-    dt = (taus[-1] - t0) / max(count - 1, 1)
-    uniform = count > 2 and np.max(
-        np.abs(taus - (t0 + dt * np.arange(count)))
-    ) <= 4.0 * np.finfo(float).eps * max(taus[-1], 1.0)
-    if not uniform:
-        return np.stack([expm(gen * t) @ pops0 for t in taus])
-    out = np.empty((count, 4))
-    out[0] = expm(gen * t0) @ pops0
-    power = expm(gen * dt)
+
+def _uniformized_populations(gens: np.ndarray, pops0: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Populations (N, R, K, 4) of generators (N, 4, 4) on time rows (N, R, K).
+
+    One batched _uniformized call serves every row. A uniform row t0 + k*dt
+    takes exp(G t0) @ pops0 and exp(G dt), applied by repeated squaring: the
+    samples filled so far are advanced by exp(G dt)^filled, which is then
+    squared and renormalized. Any other row takes one exponential per time.
+    """
+    count = rows.shape[-1]
+    t0 = rows[..., 0]
+    dt = (rows[..., -1] - t0) / max(count - 1, 1)
+    spread = np.abs(rows - (t0[..., None] + dt[..., None] * np.arange(count))).max(axis=-1)
+    uniform = (count > 2) & (spread <= 4.0 * np.finfo(float).eps * np.maximum(rows[..., -1], 1.0))
+    cell = np.broadcast_to(np.arange(len(gens))[:, None], uniform.shape)
+    ends, points = cell[uniform], cell[~uniform].repeat(count)
+    times = np.concatenate([t0[uniform], dt[uniform], rows[~uniform].ravel()])
+    exps = _uniformized(gens[np.concatenate([ends, ends, points])], times)
+    out = np.empty(rows.shape + (4,))
+    out[~uniform] = (exps[2 * ends.size:] @ pops0).reshape(-1, count, 4)
+    run = np.empty((ends.size, count, 4))
+    run[:, 0] = exps[:ends.size] @ pops0
+    power = np.swapaxes(exps[ends.size:2 * ends.size], 1, 2)  # rows are columns
     filled = 1
     while filled < count:
         take = min(filled, count - filled)
-        out[filled : filled + take] = out[:take] @ power.T
+        run[:, filled:filled + take] = run[:, :take] @ power
         filled += take
         if filled < count:
             power = power @ power
+            power /= power.sum(axis=2, keepdims=True)
+    out[uniform] = run
     return out
 
 

@@ -46,14 +46,15 @@ def check_block_positivity(state: XState, tol: float = 1e-9) -> None:
 
 
 def mp_expm_populations(generator, pops0, tau: float, dps: int = 40) -> np.ndarray:
-    """Populations expm(generator*tau) @ pops0 from a dps-digit mpmath expm."""
+    """Populations expm(generator*tau) @ pops0 from a dps-digit mpmath expm;
+    pops0 is one population vector (4,) or several as columns (4, M)."""
     import mpmath
 
     with mpmath.workdps(dps):
         gen = mpmath.matrix([[mpmath.mpf(float(x)) for x in row] for row in generator])
-        vec = mpmath.matrix([mpmath.mpf(float(x)) for x in pops0])
+        vec = mpmath.matrix(np.asarray(pops0, dtype=float).tolist())
         out = mpmath.expm(gen * mpmath.mpf(float(tau))) * vec
-        return np.array([float(x) for x in out])
+        return np.array(out.tolist(), dtype=float).reshape(np.shape(pops0))
 
 
 def mp_reference_state(rates, initial: XState, tau: float) -> XState:

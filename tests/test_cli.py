@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -638,6 +639,43 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("usage error:") and err.count("\n") == 1
         assert str(out) in err
+
+
+# Runs the CLI with scipy unimportable: the package needs only numpy.
+WITHOUT_SCIPY = (
+    "import sys; sys.modules['scipy'] = None; "
+    "from massbath.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+class TestRuntimeWithoutScipy:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["map", "temp-sep", "--mass-ratio", "0.9", "--initial", "E",
+             "--temp-min", "0.027", "--temp-max", "0.03", "--temp-count", "2",
+             "--sep-min", "0.065", "--sep-max", "0.085", "--sep-count", "3"],
+            ["evolve", "--initial", "bell-GE", "--mass-ratio", "0.9", "--sep", "0.07",
+             "--temp-ratio", "0.028", "--tmax", "3000", "--steps", "1200"],
+        ],
+        ids=["slow-corner-map", "expm-evolve"],
+    )
+    def test_expm_route_exits_0(self, tmp_path, args):
+        out = tmp_path / "out.csv"
+        assert self.run(args + ["--out", str(out)]).returncode == 0
+        written = out.read_text() + (tmp_path / "out.csv.manifest.json").read_text()
+        assert "expm" in written
+
+    def test_verify_exits_0(self):
+        assert self.run(["verify", "--seed", "0"]).returncode == 0
+
+    @staticmethod
+    def run(args):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-c", WITHOUT_SCIPY, *args], env=dict(os.environ, PYTHONPATH=path)
+        )
 
 
 class TestVerify:

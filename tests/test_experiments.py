@@ -203,6 +203,13 @@ class TestSweepCellErrors:
         assert (info.value.axis1, info.value.axis2) == (0.1, 1.5)
         assert isinstance(info.value.__cause__, FloatingPointError)
 
+    def test_threshold_names_the_cell(self):
+        # The bisection starts at the bracket's low end, T/omega = 0.1.
+        with pytest.raises(SweepCellError, match=r"\(T/omega=0.1, omega\*L=1.5\)") as info:
+            thermal_generation_threshold(0.6, sep_values=np.array([0.5, 1.5, 2.0]))
+        assert (info.value.axis1, info.value.axis2) == (0.1, 1.5)
+        assert isinstance(info.value.__cause__, FloatingPointError)
+
 
 class TestThermalScan:
     def test_zero_temperature_limit_matches_vacuum(self):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     check_block_positivity,
+    mp_expm_populations,
     mp_reference_state,
     off_x_magnitude,
     state_distance,
@@ -39,6 +40,7 @@ from massbath.xstate import (
     Trajectory,
     _ode_system,
     _rkf45,
+    _uniformized,
 )
 
 
@@ -366,6 +368,104 @@ class TestEigenPropagator:
                 out = propagate_eigen(state, rates, tau)
                 check_block_positivity(out)
                 assert off_x_magnitude(out) == 0.0
+
+    def test_per_generator_grids_need_one_row_per_generator(self):
+        # A mixed eigen/cascade stack of three generators.
+        stack = [
+            build_rate_matrix(vacuum_like(0.3)),
+            build_rate_matrix(
+                thermal_coefficients(FieldBathConfig.from_ratios(0.5, 2.0, 0.2))
+            ),
+            build_rate_matrix(vacuum_like(-0.6)),
+        ]
+        prop = EigenPropagator(stack)
+        assert list(prop.routes) == [CLOSED_FORM, EIGEN, CLOSED_FORM]
+        pops0 = XState.excited().populations()
+        for lead in (4, 1):
+            with pytest.raises(ValueError, match=f"need 3 per-generator grids, got {lead}"):
+                prop.populations(pops0, np.zeros((lead, 1, 5)))
+        assert prop.populations(pops0, np.zeros((3, 1, 5))).shape == (3, 1, 5, 4)
+
+
+class TestUniformizedExponential:
+    """The expm route against a 40-digit mpmath expm, entry by entry."""
+
+    CELLS = [(0.027, 0.065), (0.028, 0.07), (0.029, 0.08), (0.03, 0.07)]
+
+    @pytest.fixture(scope="class")
+    def corner(self):
+        """Slow-corner propagator and initial populations as columns (4, 3):
+        E, bell-GE and a seeded diagonal state."""
+        stack = [
+            build_rate_matrix(thermal_coefficients(FieldBathConfig.from_ratios(0.9, sep, temp)))
+            for temp, sep in self.CELLS
+        ]
+        prop = EigenPropagator(stack)
+        assert set(prop.routes) == {EXPM}
+        diag = random_xstate(np.random.default_rng(11), diagonal=True)
+        states = (XState.excited(), XState.bell_ge(), diag)
+        return stack, prop, np.stack([s.populations() for s in states], axis=1)
+
+    @staticmethod
+    def assert_relative(got, generator, pops0, tau, tol=1e-12):
+        """got (4, M) within tol relative of the reference where it is > 0."""
+        ref = mp_expm_populations(generator, pops0, tau)
+        live = ref > 0.0
+        assert np.all(got[~live] == ref[~live])
+        assert np.max(np.abs(got[live] - ref[live]) / ref[live]) <= tol
+
+    def propagate(self, prop, pops0, taus):
+        """(N, ..., K, 4, M): populations from every column of pops0."""
+        return np.stack([prop.populations(p, taus) for p in pops0.T], axis=-1)
+
+    def test_uniform_rows(self, corner):
+        stack, prop, pops0 = corner
+        taus = np.linspace(0.0, 3000.0, 1201)
+        got = self.propagate(prop, pops0, taus)
+        assert np.max(np.abs(got.sum(axis=-2) - 1.0)) <= 4.0 * np.finfo(float).eps
+        for n, rates in enumerate(stack):
+            for k in range(0, taus.size, 60):
+                self.assert_relative(got[n, k], rates.generator, pops0, taus[k])
+
+    def test_per_cell_zoom_rows(self, corner):
+        # Shape (N, S, K): each cell zooms into its own two brackets.
+        stack, prop, pops0 = corner
+        lo = np.array([[3.0, 40.0], [17.0, 400.0], [0.5, 950.0], [120.0, 2.0]])
+        taus = lo[..., None] + np.linspace(0.0, 6.4, 129)
+        got = self.propagate(prop, pops0, taus)
+        assert got.shape == (4, 2, 129, 4, 3)
+        for n, rates in enumerate(stack):
+            for s in range(2):
+                for k in (0, 77, 128):
+                    self.assert_relative(got[n, s, k], rates.generator, pops0, taus[n, s, k])
+
+    def test_log_row_takes_one_exponential_per_point(self, corner):
+        stack, prop, pops0 = corner
+        taus = np.geomspace(1e-3, 3000.0, 50)
+        got = self.propagate(prop, pops0, taus)
+        for k in range(0, taus.size, 7):
+            self.assert_relative(got[0, k], stack[0].generator, pops0, taus[k])
+
+    def test_late_horizon_keeps_the_trace(self, corner):
+        stack, prop, pops0 = corner
+        got = self.propagate(prop, pops0, np.array([0.0, 8e15]))[:, 1]
+        assert np.max(np.abs(got.sum(axis=1) - 1.0)) <= 4.0 * np.finfo(float).eps
+        for n, rates in enumerate(stack):
+            self.assert_relative(got[n], rates.generator, pops0, 8e15)
+
+    def test_random_metzler_stack(self):
+        rng = np.random.default_rng(5)
+        count = 64
+        off = rng.exponential(size=(count, 4, 4)) * 10.0 ** rng.uniform(-18, 1, (count, 4, 4))
+        off[:, range(4), range(4)] = 0.0
+        off[rng.random((count, 4, 4)) < 0.3] = 0.0
+        gens = off - np.eye(4) * off.sum(axis=1)[:, None, :]
+        rate = np.abs(np.diagonal(gens, axis1=1, axis2=2)).max(axis=1)
+        scaled = np.concatenate([[0.0], 10.0 ** rng.uniform(-6, 4, count - 2), [1e4]])
+        out = _uniformized(gens, scaled / rate)
+        assert np.all(out >= 0.0)
+        assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 4.0 * np.finfo(float).eps
+        assert np.array_equal(out[0], np.eye(4))
 
 
 class TestIntegrateOde:
