@@ -63,13 +63,12 @@ __all__ = [
     "run_verification",
 ]
 
-# Max-over-time kernels: cells per array pass, horizon doublings per cell
-# (thermal; vacuum closed form), zoom levels and points per level (in time;
-# in log-separation for the thermal threshold's search over separations).
+# Max-over-time search: cells per array pass, passes per cell (the horizon
+# doubles after each), zoom levels and points per level (in time; in
+# log-separation for the thermal threshold's search over separations).
 CELL_BLOCK = 8
 MAP_BLOCK = 1 << 16  # time-sep maps: (tau, sep) cells per propagation call
 MAX_DOUBLINGS = 40
-VACUUM_DOUBLINGS = 20
 ZOOM_LEVELS = 3
 ZOOM_POINTS = 129
 SEP_ZOOM_POINTS = CELL_BLOCK
@@ -142,6 +141,14 @@ def _separations(config: SweepConfig) -> np.ndarray:
     return seps
 
 
+def _require_positive(**named) -> None:
+    """Raise ValueError unless every entry of each named value is finite and > 0."""
+    for name, values in named.items():
+        array = np.asarray(values, dtype=float)
+        if not (array.size and np.all(np.isfinite(array) & (array > 0.0))):
+            raise ValueError(f"{name} must be finite and > 0, got {values}")
+
+
 def _cell_rates(mass_ratio: float, cells, temp_ratio: float | None = None) -> list[RateMatrix]:
     """Rate matrices of grid cells (T/omega, omega*L). A cell whose T/omega
     is None is a time-sep column, in the bath at temp_ratio. A failing cell
@@ -175,7 +182,7 @@ def _time_sep_measures(
     width = max(1, MAP_BLOCK // taus.size)
     props = [EigenPropagator(rates[i:i + width]) for i in range(0, len(rates), width)]
     rows = np.broadcast_to(taus, (width, 1, taus.size))
-    blocks = [_stack_measures(initial, p, BOTH)(rows[:len(p.routes)]) for p in props]
+    blocks = [_propagated_measures(initial, p, BOTH)(rows[:len(p.routes)]) for p in props]
     conc, neg = np.concatenate(blocks, axis=1)
     return conc.T, neg.T, np.concatenate([p.routes for p in props])
 
@@ -238,21 +245,19 @@ def _faded_coherences(initial: XState, decay_ge, decay_as, taus):
     return abs_ge, re_as, im_as
 
 
-def _stack_measures(initial: XState, prop: EigenPropagator, select: tuple[str, ...]):
-    """measures(taus) -> (M, N, K): the M measures of `select` of the N cells
-    of prop at per-cell times taus of shape (N, S, K), from one propagation
-    call. One row (S = 1) is measured for every selected measure; otherwise
-    (S = M, a zoom's brackets) row s is measured for select[s] only."""
-    pops0 = initial.populations()
-    decay_ge = np.array([r.decay_ge for r in prop.rates])[:, None]
-    decay_as = np.array([r.decay_as for r in prop.rates])[:, None]
+def _stack_measures(initial: XState, select, populations, decay_ge=1.0, decay_as=1.0):
+    """measures(taus) -> (M, N, K): the M measures of `select` of N cells at
+    per-cell times taus of shape (N, S, K), from one populations(taus) call,
+    which gives the four populations (g, a, s, e), each of taus' shape. One
+    row (S = 1) is measured for every selected measure; otherwise (S = M, a
+    zoom's brackets) row s is measured for select[s] only."""
 
     def measures(taus: np.ndarray) -> np.ndarray:
-        pops = prop.populations(pops0, taus)
+        pops = populations(taus)
         rows = [select] if taus.shape[1] == 1 else [(name,) for name in select]
         return np.concatenate([
             _measures_arrays(
-                *np.moveaxis(pops[:, s], -1, 0),
+                *(pop[:, s] for pop in pops),
                 *_faded_coherences(initial, decay_ge, decay_as, taus[:, s]),
                 select=names,
             )
@@ -262,64 +267,93 @@ def _stack_measures(initial: XState, prop: EigenPropagator, select: tuple[str, .
     return measures
 
 
+def _propagated_measures(initial: XState, prop: EigenPropagator, select: tuple[str, ...]):
+    """_stack_measures of the cells of an EigenPropagator stack."""
+    pops0 = initial.populations()
+    return _stack_measures(
+        initial,
+        select,
+        lambda taus: np.moveaxis(prop.populations(pops0, taus), -1, 0),
+        np.array([r.decay_ge for r in prop.rates])[:, None],
+        np.array([r.decay_as for r in prop.rates])[:, None],
+    )
+
+
+def _search(stack, cells: list[tuple], horizon: float, points: int, select):
+    """The max-over-time search: (len(select), N) maxima over time of the
+    measures named by `select` for N cells.
+
+    stack(ks) returns measures(taus) of the cells ks (indices into cells), as
+    _stack_measures does; cells holds each cell's (T/omega, or None in the
+    vacuum, omega*L), used to name a cell that fails. Cells run CELL_BLOCK at
+    a time. The first pass samples [0, horizon] on `points` points; each
+    later pass doubles the horizon and samples only its new half, at the
+    doubled spacing. Every pass zooms in on the best sample of each measure.
+    A cell retires on the first pass that raised none of its maxima by tol
+    or more; each step is one array operation over the cells still active.
+    A cell still active after MAX_DOUBLINGS passes raises
+    NonConvergedMaxError.
+    """
+    tol = 1e-6
+    peaks = np.empty((len(select), len(cells)))
+    for start in range(0, len(cells), CELL_BLOCK):
+        active = np.arange(start, min(start + CELL_BLOCK, len(cells)))
+        best = np.full((len(select), active.size), -np.inf)
+        previous = last = np.full_like(best, np.nan)
+        measures = stack(active)
+        taus, tau_max = np.linspace(0.0, horizon, points), horizon
+        for _ in range(MAX_DOUBLINGS):
+            grid = np.broadcast_to(taus, (len(select), active.size, taus.size))
+            on_grid, lo, hi, _ = _grid_peaks(measures(grid[0, :, None]), grid)
+            # Each measure's bracket is one row of one propagation call.
+            new = np.maximum(on_grid, _zoom(lambda g: measures(np.swapaxes(g, 0, 1)), lo, hi))
+            stable = np.all(new - best < tol, axis=0)
+            best = np.maximum(best, new)
+            peaks[:, active[stable]] = np.maximum(best[:, stable], 0.0)
+            previous, last = last[:, ~stable], new[:, ~stable]
+            active, best = active[~stable], best[:, ~stable]
+            if not active.size:
+                break
+            if stable.any():
+                measures = stack(active)
+            taus = np.linspace(tau_max, 2.0 * tau_max, points // 2 + 1)
+            tau_max *= 2.0
+        else:
+            axis1, axis2 = cells[int(active[0])]
+            where = f"omega*L={axis2}" if axis1 is None else f"(T/omega={axis1}, omega*L={axis2})"
+            raise NonConvergedMaxError(
+                f"max-over-time did not stabilize below {tol} at {where}",
+                axis1=axis1,
+                axis2=axis2,
+                doublings=MAX_DOUBLINGS,
+                maxima={name: (float(previous[i, 0]), float(last[i, 0]))
+                        for i, name in enumerate(select)},
+            )
+    return peaks
+
+
 def _max_over_time(
     initial: XState,
     rates: list[RateMatrix],
     gray: float,
     cells: list[tuple],
-    tau_points: int = 1201,
-    tol: float = 1e-6,
-    prop: EigenPropagator | None = None,
     select: tuple[str, ...] = BOTH,
+    routes: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Max over Gamma0*tau of the measures named by `select` for a stack of
-    cells.
-
-    `rates` holds N non-frozen rate matrices and `cells` their grid
-    coordinates (T/omega, omega*L), used to name a cell that fails; `prop`,
-    if given, is the propagator of `rates`, reused for the first pass. Every
-    cell starts at Gamma0*tau_max = 20/gray; each pass samples [0, tau_max]
-    on tau_points points, zooms in on the best sample of each measure and
-    doubles tau_max for the cells whose maxima moved by tol or more since the
-    last pass. Each step is one array operation over the cells still active;
-    a cell leaves the stack on the pass on which it became stable. Returns
-    (len(select), N).
+    """Max over Gamma0*tau of the measures named by `select` for N non-frozen
+    rate matrices with grid coordinates `cells`: _search on EigenPropagator
+    blocks, 1201 points from Gamma0*tau = 20/gray. Returns (len(select), N);
+    `routes`, if given, receives each cell's propagation route.
     """
-    peaks = np.empty((len(select), len(rates)))
-    active = np.arange(len(rates))
-    best = np.full((len(select), active.size), -np.inf)
-    previous = last = np.full_like(best, np.nan)
-    prop = EigenPropagator(rates) if prop is None else prop
-    measures = _stack_measures(initial, prop, select)
-    tau_max = 20.0 / gray if gray > 0.0 else 20.0
-    for _ in range(MAX_DOUBLINGS):
-        if len(prop.routes) != active.size:
-            prop = EigenPropagator([rates[k] for k in active])
-            measures = _stack_measures(initial, prop, select)
-        taus = np.linspace(0.0, tau_max, tau_points)
-        grid = np.broadcast_to(taus, (len(select), active.size, tau_points))
-        on_grid, lo, hi, _ = _grid_peaks(measures(grid[0, :, None]), grid)
-        # Each measure's bracket is one row of one propagation call.
-        new = np.maximum(on_grid, _zoom(lambda g: measures(np.swapaxes(g, 0, 1)), lo, hi))
-        stable = np.all(np.abs(new - best) < tol, axis=0)
-        best = np.maximum(best, new)
-        peaks[:, active[stable]] = np.maximum(best[:, stable], 0.0)
-        previous, last = last[:, ~stable], new[:, ~stable]
-        active, best = active[~stable], best[:, ~stable]
-        if not active.size:
-            return peaks
-        tau_max *= 2.0
-    axis1, axis2 = cells[int(active[0])]
-    raise NonConvergedMaxError(
-        f"max-over-time did not stabilize below {tol} "
-        f"at (T/omega={axis1}, omega*L={axis2})",
-        axis1=axis1,
-        axis2=axis2,
-        doublings=MAX_DOUBLINGS,
-        maxima={
-            name: (float(previous[i, 0]), float(last[i, 0])) for i, name in enumerate(select)
-        },
-    )
+
+    def stack(ks: np.ndarray):
+        prop = EigenPropagator([rates[k] for k in ks])
+        if routes is not None:
+            routes[ks] = prop.routes
+        return _propagated_measures(initial, prop, select)
+
+    horizon = 20.0 / gray if gray > 0.0 else 20.0
+    return _search(stack, cells, horizon, 1201, select)
 
 
 def _cell_maxima(
@@ -330,7 +364,7 @@ def _cell_maxima(
     select: tuple[str, ...] = BOTH,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(len(select), N) max-over-time measures of N cells and the N
-    propagation routes, CELL_BLOCK cells per kernel call.
+    propagation routes.
 
     Frozen cells keep the initial values; `cells` holds each cell's
     coordinates for errors.
@@ -341,13 +375,11 @@ def _cell_maxima(
     value = entanglement(initial)
     peaks[:, frozen] = [[getattr(value, name)] for name in select]
     live = np.flatnonzero(~frozen)
-    for start in range(0, live.size, CELL_BLOCK):
-        block = live[start : start + CELL_BLOCK]
-        prop = EigenPropagator([rates[k] for k in block])
-        routes[block] = prop.routes
-        peaks[:, block] = _max_over_time(
-            initial, prop.rates, gray, [cells[k] for k in block], prop=prop, select=select
-        )
+    live_routes = routes[live]
+    peaks[:, live] = _max_over_time(
+        initial, [rates[k] for k in live], gray, [cells[k] for k in live], select, live_routes
+    )
+    routes[live] = live_routes
     return peaks, routes
 
 
@@ -397,66 +429,29 @@ def scaling_check(
     return float(np.max(np.abs(np.subtract(massive, massless))))
 
 
-def _vacuum_max_over_time(
-    initial: XState,
-    mass_ratio: float,
-    seps,
-    measure: str,
-    u_points: int = 1600,
-):
+def _vacuum_max_over_time(initial: XState, mass_ratio: float, seps, measure: str):
     """Max over time of one measure in the vacuum at each separation in seps.
 
-    Works in the decay exponent u = gray*Gamma0*tau on the closed form,
-    CELL_BLOCK separations per array pass; a separation whose maximum sits at
-    the right edge of [0, u_max] (late-time delayed birth) gets u_max doubled.
-    Needs gray > 0 and a measure name that generation_reach has checked.
-    Returns a float for a scalar sep, else an array shaped like seps.
+    _search on the closed form in the decay exponent u = gray*Gamma0*tau,
+    1600 points from u = 40: the cascade with d_a = 1 - lam and
+    d_s = 1 + lam, both coherences fading as exp(-u). Needs gray > 0 and a
+    measure name that generation_reach has checked. Returns a float for a
+    scalar sep, else an array shaped like seps.
     """
     flat = np.atleast_1d(np.asarray(seps, dtype=float)).ravel()
     gray = gray_factor(mass_ratio, 1.0)
-    lams = np.array([spatial_factor(1.0, sep, gray) for sep in flat])
-    out = np.empty(flat.size)
-    for start in range(0, flat.size, CELL_BLOCK):
-        block = slice(start, start + CELL_BLOCK)
-        out[block] = _closed_form_maxima(initial, lams[block], (measure,), u_points, flat[block])
-    return float(out[0]) if np.ndim(seps) == 0 else out.reshape(np.shape(seps))
-
-
-def _closed_form_maxima(
-    initial: XState, lams: np.ndarray, select: tuple[str], u_points: int, seps: np.ndarray
-) -> np.ndarray:
-    """Max over u of the one measure of `select` on the vacuum closed form,
-    one per lam."""
+    lams = np.array([spatial_factor(1.0, sep, gray) for sep in flat])[:, None, None]
     pops0 = initial.populations()
 
-    def values(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        pops = _cascade(pops0, 1.0 - lam[:, None], 1.0 + lam[:, None], u)
-        cohs = _faded_coherences(initial, 1.0, 1.0, u)
-        return _measures_arrays(*pops, *cohs, select=select)[0]
+    def stack(ks: np.ndarray):
+        lam = lams[ks]
+        return _stack_measures(
+            initial, (measure,), lambda u: _cascade(pops0, 1.0 - lam, 1.0 + lam, u)
+        )
 
-    peaks = np.empty(lams.size)
-    pending = np.arange(lams.size)
-    previous = last = np.full(lams.size, np.nan)
-    u_max = 40.0
-    for _ in range(VACUUM_DOUBLINGS):
-        lam = lams[pending]
-        grid = np.broadcast_to(np.linspace(0.0, u_max, u_points), (lam.size, u_points))
-        on_grid, lo, hi, i = _grid_peaks(values(grid, lam), grid)
-        done = i < u_points - 2
-        refined = _zoom(lambda u: values(u, lam[done]), lo[done], hi[done])
-        peaks[pending[done]] = np.maximum(on_grid[done], refined)
-        previous, last = last[~done], on_grid[~done]
-        pending = pending[~done]
-        if not pending.size:
-            return peaks
-        u_max *= 2.0
-    sep = float(seps[pending[0]])
-    raise NonConvergedMaxError(
-        f"vacuum max-over-time kept peaking at the horizon at omega*L={sep}",
-        axis2=sep,
-        doublings=VACUUM_DOUBLINGS,
-        maxima={select[0]: (float(previous[0]), float(last[0]))},
-    )
+    cells = [(None, float(sep)) for sep in flat]
+    out = _search(stack, cells, 40.0, 1600, (measure,))[0]
+    return float(out[0]) if np.ndim(seps) == 0 else out.reshape(np.shape(seps))
 
 
 def generation_reach(
@@ -473,8 +468,7 @@ def generation_reach(
     """
     _selector(measure)  # an unknown name fails before any search
     initial = XState.excited() if initial is None else initial
-    if cutoff <= 0.0:
-        raise ValueError(f"cutoff must be > 0, got {cutoff}")
+    _require_positive(cutoff=cutoff)
     gray = gray_factor(mass_ratio, 1.0)
     if gray == 0.0:
         raise NoGenerationError("frozen dynamics: no separation dependence at all")
@@ -487,9 +481,7 @@ def generation_reach(
     values = max_measure(x_grid / gray)
     above = np.nonzero(values > cutoff)[0]
     if above.size == 0:
-        raise NoGenerationError(
-            f"measure never exceeds cutoff {cutoff} at any separation"
-        )
+        raise NoGenerationError(f"measure never exceeds cutoff {cutoff} at any separation")
     last = int(above[-1])
     if last == x_grid.size - 1:
         raise NoGenerationError("generation region extends beyond the scan window")
@@ -509,12 +501,14 @@ def enlargement_factor(
     cutoff: float = CONCURRENCE_CUTOFF,
     measure: str = "concurrence",
 ) -> float:
-    """Ratio of the massive to massless generation reach (expected: 1/gray)."""
+    """Ratio of the massive to massless generation reach, 1/gray: by the
+    rescaling identity the vacuum depends on omega*L only through the
+    gray*omega*L that generation_reach scans, so one massless scan gives both.
+    """
     if not 0.0 < mass_ratio < 1.0:
         raise ValueError(f"mass_ratio must lie in (0, 1), got {mass_ratio}")
-    initial = XState.excited() if initial is None else initial
     massless = generation_reach(0.0, initial, cutoff, measure)
-    massive = generation_reach(mass_ratio, initial, cutoff, measure)
+    massive = massless / gray_factor(mass_ratio, 1.0)
     return massive / massless
 
 
@@ -591,14 +585,20 @@ def thermal_generation_threshold(
 
     Bisects on temperature; at each temperature the max-over-time concurrence
     is maximized over a separation grid (refined around the best point).
+    Raises ValueError before any cell runs unless cutoff, tol, both bracket
+    ends (lo < hi) and every sep_values entry are finite and > 0.
     """
     initial = XState.excited() if initial is None else initial
+    _require_positive(cutoff=cutoff, tol=tol, bracket=bracket)
+    if not bracket[0] < bracket[1]:
+        raise ValueError(f"bracket must have lo < hi, got {bracket}")
     gray = gray_factor(mass_ratio, 1.0)
     if gray == 0.0:
         raise NoGenerationError("frozen dynamics: nothing is ever generated")
     if sep_values is None:
         sep_values = np.geomspace(0.05, 6.0, 24) / gray
     sep_values = np.asarray(sep_values, dtype=float)
+    _require_positive(sep_values=sep_values)
 
     def best_over_seps(temp: float) -> float:
         def peaks(seps: np.ndarray) -> np.ndarray:
@@ -614,13 +614,9 @@ def thermal_generation_threshold(
 
     t_lo, t_hi = bracket
     if not best_over_seps(t_lo) > cutoff:
-        raise NoGenerationError(
-            f"no generation above cutoff even at T/omega = {t_lo}"
-        )
+        raise NoGenerationError(f"no generation above cutoff even at T/omega = {t_lo}")
     if best_over_seps(t_hi) > cutoff:
-        raise NonConvergedMaxError(
-            f"generation persists at T/omega = {t_hi}; widen the bracket"
-        )
+        raise NonConvergedMaxError(f"generation persists at T/omega = {t_hi}; widen the bracket")
     while t_hi - t_lo > tol:
         mid = 0.5 * (t_lo + t_hi)
         if best_over_seps(mid) > cutoff:

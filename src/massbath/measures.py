@@ -250,6 +250,8 @@ def detect_events(
         lo_alive = fn(trajectory.evaluate(t_lo)) > threshold
         while t_hi - t_lo > 1e-9:
             mid = 0.5 * (t_lo + t_hi)
+            if mid in (t_lo, t_hi):  # adjacent floats, farther apart than 1e-9
+                break
             if (fn(trajectory.evaluate(mid)) > threshold) == lo_alive:
                 t_lo = mid
             else:

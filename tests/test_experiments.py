@@ -344,6 +344,38 @@ class TestGenerationReach:
         with pytest.raises(NoGenerationError):
             generation_reach(1.2)
 
+    @pytest.mark.parametrize(
+        "search, kwargs",
+        [
+            (thermal_generation_threshold, dict(tol=0.0)),
+            (thermal_generation_threshold, dict(tol=-0.002)),
+            (thermal_generation_threshold, dict(tol=float("nan"))),
+            (thermal_generation_threshold, dict(bracket=(0.3, 0.2))),
+            (thermal_generation_threshold, dict(bracket=(0.2, 0.2))),
+            (thermal_generation_threshold, dict(bracket=(0.0, 0.4))),
+            (thermal_generation_threshold, dict(bracket=(0.1, float("inf")))),
+            (thermal_generation_threshold, dict(sep_values=[0.0, 1.0, 2.0])),
+            (thermal_generation_threshold, dict(sep_values=[0.5, -1.0])),
+            (thermal_generation_threshold, dict(sep_values=[0.5, float("nan")])),
+            (thermal_generation_threshold, dict(cutoff=0.0)),
+            (thermal_generation_threshold, dict(cutoff=float("nan"))),
+            (generation_reach, dict(mass_ratio=0.5, cutoff=0.0)),
+            (generation_reach, dict(mass_ratio=0.5, cutoff=float("nan"))),
+            (generation_reach, dict(mass_ratio=0.5, cutoff=float("inf"))),
+            (enlargement_factor, dict(mass_ratio=0.5, cutoff=float("nan"))),
+        ],
+        ids=lambda arg: getattr(arg, "__name__", None)
+        or ",".join(f"{key}={value}" for key, value in arg.items()),
+    )
+    def test_bad_arguments_fail_before_any_cell(self, search, kwargs, monkeypatch):
+        def cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "_cell_rates", cell)
+        monkeypatch.setattr(experiments, "_vacuum_max_over_time", cell)
+        with pytest.raises(ValueError, match="must be finite and > 0|lo < hi"):
+            search(**kwargs)
+
 
 class TestVerifyCoefficients:
     def test_vacuum_grid(self):

@@ -269,6 +269,17 @@ class TestDetectEvents:
             lifetime(0.5, 0.0, 0.5, 0.0, 1.0, 1.0), abs=1e-6
         )
 
+    def test_late_death_ends_on_adjacent_floats(self):
+        # Past tau = 2**23 adjacent floats are farther apart than the 1e-9
+        # bisection width; the refinement stops on them instead.
+        traj = closed_form_trajectory(
+            XState.diagonal(0.3, 0.05, 0.6, 0.05), 0.0, 1e-8, 1.0, np.linspace(0.0, 1e9, 50)
+        )
+        events = detect_events(traj, "concurrence")
+        expected = lifetime(0.3, 0.05, 0.6, 0.05, 1e-8, 1.0)
+        assert expected > 2.0**23
+        assert events.death_times == pytest.approx((expected,), rel=1e-12)
+
     def test_birth_at_subwavelength_separation(self):
         lam = spatial_factor(1.0, 0.5, 1.0)
         traj = closed_form_trajectory(
