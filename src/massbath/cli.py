@@ -70,14 +70,8 @@ def parse_initial(text: str) -> XState:
             raise ValueError(
                 "expected a named state, diag:e,g,a,s, or 8 comma-separated values"
             )
-        return XState(
-            pop_g=parts[0],
-            pop_a=parts[1],
-            pop_s=parts[2],
-            pop_e=parts[3],
-            coh_ge=complex(parts[4], parts[5]),
-            coh_as=complex(parts[6], parts[7]),
-        )
+        coh_ge, coh_as = complex(parts[4], parts[5]), complex(parts[6], parts[7])
+        return XState(*parts[:4], coh_ge=coh_ge, coh_as=coh_as)
     except NotAStateError as exc:
         raise ValueError(f"--initial does not describe a state: {exc}") from exc
     except ValueError as exc:

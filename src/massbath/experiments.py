@@ -20,6 +20,8 @@ from .errors import (
 )
 from .field_bath import (
     FieldBathConfig,
+    GklsCoefficients,
+    _weights,
     coefficients,
     gray_factor,
     spatial_factor,
@@ -37,9 +39,11 @@ from .measures import (
 from .xstate import (
     FROZEN,
     EigenPropagator,
-    RateMatrix,
+    RateStack,
     XState,
     _cascade,
+    _generators,
+    _rate_fault,
     build_rate_matrix,
     closed_form_state,
     decay_factor,
@@ -63,15 +67,15 @@ __all__ = [
     "run_verification",
 ]
 
-# Max-over-time search: cells per array pass, passes per cell (the horizon
+# Samples per array pass ((tau, sep) cells of a time-sep map, cells x points
+# of a max-over-time search); max-over-time passes per cell (the horizon
 # doubles after each), zoom levels and points per level (in time; in
 # log-separation for the thermal threshold's search over separations).
-CELL_BLOCK = 8
-MAP_BLOCK = 1 << 16  # time-sep maps: (tau, sep) cells per propagation call
+MAP_BLOCK = 1 << 16
 MAX_DOUBLINGS = 40
 ZOOM_LEVELS = 3
 ZOOM_POINTS = 129
-SEP_ZOOM_POINTS = CELL_BLOCK
+SEP_ZOOM_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -149,38 +153,56 @@ def _require_positive(**named) -> None:
             raise ValueError(f"{name} must be finite and > 0, got {values}")
 
 
-def _cell_rates(mass_ratio: float, cells, temp_ratio: float | None = None) -> list[RateMatrix]:
-    """Rate matrices of grid cells (T/omega, omega*L). A cell whose T/omega
-    is None is a time-sep column, in the bath at temp_ratio. A failing cell
-    raises SweepCellError carrying its grid coordinates."""
-    rates = []
-    for temp, sep in cells:
+def _per_value(fn, values: np.ndarray):
+    """fn at each distinct entry of values, spread back over values, and the
+    exception each entry raised (None where fn returned; the value is nan)."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    out, errors = np.full(distinct.size, np.nan), np.full(distinct.size, None)
+    for i, value in enumerate(distinct.tolist()):
         try:
-            config = FieldBathConfig.from_ratios(
-                mass_ratio, sep, temp_ratio if temp is None else temp
-            )
-            rates.append(build_rate_matrix(coefficients(config)))
+            out[i] = fn(value)
         except Exception as exc:
-            where = f"separation {sep}" if temp is None else f"(T/omega={temp}, omega*L={sep})"
-            raise SweepCellError(
-                f"sweep failed at {where}: {exc}", axis1=temp, axis2=sep
-            ) from exc
+            errors[i] = exc
+    return out[inverse], errors[inverse]
+
+
+def _cell_rates(mass_ratio: float, seps: np.ndarray, temps=None) -> RateStack:
+    """Rates of the grid cells at omega*L = seps (N,), as arrays. temps holds
+    each cell's T/omega (N,), or is the bath of time-sep columns: one T/omega,
+    or None for the vacuum. coth(omega/2T) and lam are computed once per
+    distinct value, as thermal_coefficients computes them, and the rest goes
+    through the weights, generator assembly and rule checks of
+    thermal_coefficients and build_rate_matrix. The first failing cell in grid
+    order raises SweepCellError carrying its grid coordinates."""
+    gray = gray_factor(mass_ratio, 1.0)
+    same = 0.25 * gray * FieldBathConfig.from_ratios(mass_ratio, 0.0).gamma0
+    lam, *errors = _per_value(lambda sep: spatial_factor(1.0, sep, gray), seps)
+    coth = 1.0  # the vacuum's a1 = b1
+    if temps is not None:
+        cell_temps = np.broadcast_to(temps, seps.shape)
+        coth, temp_errors = _per_value(lambda temp: 1.0 / math.tanh(0.5 / temp), cell_temps)
+        errors.append(temp_errors)
+    with np.errstate(invalid="ignore", over="ignore"):
+        gens, rate = _generators(*_weights(same, lam, coth))
+    rates = RateStack(gens, *np.broadcast_arrays(rate, rate, lam)[:2])
+    fault = _rate_fault(*rates)
+    if fault is not None:
+        k, message = fault
+        cause = next((e[k] for e in errors if e[k] is not None), ValueError(message))
+        temp, sep = None if np.ndim(temps) == 0 else float(temps[k]), float(seps[k])
+        where = f"separation {sep}" if temp is None else f"(T/omega={temp}, omega*L={sep})"
+        raise SweepCellError(f"sweep failed at {where}: {cause}", axis1=temp, axis2=sep) from cause
     return rates
 
 
-def _time_sep_measures(
-    mass_ratio: float,
-    temp_ratio: float | None,
-    initial: XState,
-    seps: np.ndarray,
-    taus: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _time_sep_measures(mass_ratio: float, temp_ratio: float | None, initial: XState,
+                       seps: np.ndarray, taus: np.ndarray):
     """Concurrence and negativity, each (len(taus), len(seps)), and the route
     of every separation: one propagator and one measure call per block of
     separations, each block at most MAP_BLOCK (tau, sep) cells or one column."""
-    rates = _cell_rates(mass_ratio, [(None, float(sep)) for sep in seps], temp_ratio)
+    rates = _cell_rates(mass_ratio, seps, temp_ratio)
     width = max(1, MAP_BLOCK // taus.size)
-    props = [EigenPropagator(rates[i:i + width]) for i in range(0, len(rates), width)]
+    props = [EigenPropagator(rates.take(slice(i, i + width))) for i in range(0, seps.size, width)]
     rows = np.broadcast_to(taus, (width, 1, taus.size))
     blocks = [_propagated_measures(initial, p, BOTH)(rows[:len(p.routes)]) for p in props]
     conc, neg = np.concatenate(blocks, axis=1)
@@ -268,14 +290,11 @@ def _stack_measures(initial: XState, select, populations, decay_ge=1.0, decay_as
 
 
 def _propagated_measures(initial: XState, prop: EigenPropagator, select: tuple[str, ...]):
-    """_stack_measures of the cells of an EigenPropagator stack."""
-    pops0 = initial.populations()
+    """_stack_measures of the cells of an EigenPropagator on a RateStack."""
+    pops0, rates = initial.populations(), prop.rates
     return _stack_measures(
-        initial,
-        select,
-        lambda taus: np.moveaxis(prop.populations(pops0, taus), -1, 0),
-        np.array([r.decay_ge for r in prop.rates])[:, None],
-        np.array([r.decay_as for r in prop.rates])[:, None],
+        initial, select, lambda taus: np.moveaxis(prop.populations(pops0, taus), -1, 0),
+        rates.decay_ge[:, None], rates.decay_as[:, None],
     )
 
 
@@ -285,19 +304,20 @@ def _search(stack, cells: list[tuple], horizon: float, points: int, select):
 
     stack(ks) returns measures(taus) of the cells ks (indices into cells), as
     _stack_measures does; cells holds each cell's (T/omega, or None in the
-    vacuum, omega*L), used to name a cell that fails. Cells run CELL_BLOCK at
-    a time. The first pass samples [0, horizon] on `points` points; each
-    later pass doubles the horizon and samples only its new half, at the
-    doubled spacing. Every pass zooms in on the best sample of each measure.
-    A cell retires on the first pass that raised none of its maxima by tol
-    or more; each step is one array operation over the cells still active.
-    A cell still active after MAX_DOUBLINGS passes raises
-    NonConvergedMaxError.
+    vacuum, omega*L), used to name a cell that fails. Cells run in blocks of
+    MAP_BLOCK // points, which bounds the samples of a pass. The first pass
+    samples [0, horizon] on `points` points; each later pass doubles the
+    horizon and samples only its new half, at the doubled spacing. Every
+    pass zooms in on the best sample of each measure. A cell retires on the
+    first pass that raised none of its maxima by tol or more; each step is
+    one array operation over the cells still active. A cell still active
+    after MAX_DOUBLINGS passes raises NonConvergedMaxError.
     """
     tol = 1e-6
     peaks = np.empty((len(select), len(cells)))
-    for start in range(0, len(cells), CELL_BLOCK):
-        active = np.arange(start, min(start + CELL_BLOCK, len(cells)))
+    width = max(1, MAP_BLOCK // points)
+    for start in range(0, len(cells), width):
+        active = np.arange(start, min(start + width, len(cells)))
         best = np.full((len(select), active.size), -np.inf)
         previous = last = np.full_like(best, np.nan)
         measures = stack(active)
@@ -332,22 +352,16 @@ def _search(stack, cells: list[tuple], horizon: float, points: int, select):
     return peaks
 
 
-def _max_over_time(
-    initial: XState,
-    rates: list[RateMatrix],
-    gray: float,
-    cells: list[tuple],
-    select: tuple[str, ...] = BOTH,
-    routes: np.ndarray | None = None,
-) -> np.ndarray:
+def _max_over_time(initial: XState, rates: RateStack, gray: float, cells: list[tuple],
+                   select: tuple[str, ...] = BOTH, routes: np.ndarray | None = None):
     """Max over Gamma0*tau of the measures named by `select` for N non-frozen
-    rate matrices with grid coordinates `cells`: _search on EigenPropagator
+    cells of a RateStack, with grid coordinates `cells`: _search on EigenPropagator
     blocks, 1201 points from Gamma0*tau = 20/gray. Returns (len(select), N);
     `routes`, if given, receives each cell's propagation route.
     """
 
     def stack(ks: np.ndarray):
-        prop = EigenPropagator([rates[k] for k in ks])
+        prop = EigenPropagator(rates.take(ks))
         if routes is not None:
             routes[ks] = prop.routes
         return _propagated_measures(initial, prop, select)
@@ -356,28 +370,23 @@ def _max_over_time(
     return _search(stack, cells, horizon, 1201, select)
 
 
-def _cell_maxima(
-    initial: XState,
-    rates: list[RateMatrix],
-    gray: float,
-    cells: list[tuple],
-    select: tuple[str, ...] = BOTH,
-) -> tuple[np.ndarray, np.ndarray]:
+def _cell_maxima(initial: XState, rates: RateStack, gray: float, cells: list[tuple],
+                 select: tuple[str, ...] = BOTH) -> tuple[np.ndarray, np.ndarray]:
     """(len(select), N) max-over-time measures of N cells and the N
     propagation routes.
 
     Frozen cells keep the initial values; `cells` holds each cell's
     coordinates for errors.
     """
-    peaks = np.empty((len(select), len(rates)))
-    routes = np.full(len(rates), FROZEN, dtype=object)
-    frozen = np.array([r.is_frozen for r in rates], dtype=bool)
+    peaks = np.empty((len(select), len(cells)))
+    routes = np.full(len(cells), FROZEN, dtype=object)
+    frozen = rates.frozen
     value = entanglement(initial)
     peaks[:, frozen] = [[getattr(value, name)] for name in select]
     live = np.flatnonzero(~frozen)
     live_routes = routes[live]
     peaks[:, live] = _max_over_time(
-        initial, [rates[k] for k in live], gray, [cells[k] for k in live], select, live_routes
+        initial, rates.take(live), gray, [cells[k] for k in live], select, live_routes
     )
     routes[live] = live_routes
     return peaks, routes
@@ -397,8 +406,9 @@ def thermal_scan(config: SweepConfig) -> SweepResult:
     if not temps[0] > 0.0:
         raise ValueError(f"T/omega must be > 0, got {temps[0]}")
     gray = gray_factor(config.mass_ratio, 1.0)
-    cells = [(float(temp), float(sep)) for temp in temps for sep in seps]
-    rates = _cell_rates(config.mass_ratio, cells)
+    cell_temps, cell_seps = np.repeat(temps, seps.size), np.tile(seps, temps.size)
+    cells = list(zip(cell_temps.tolist(), cell_seps.tolist()))
+    rates = _cell_rates(config.mass_ratio, cell_seps, cell_temps)
     peaks, routes = _cell_maxima(config.initial, rates, gray, cells)
     shape = (temps.size, seps.size)
     conc, neg = peaks.reshape((2,) + shape)
@@ -546,20 +556,10 @@ def verify_coefficients(
     oracle_b1 = mu2_4 * (gs_pos - gs_neg)
     oracle_b2 = mu2_4 * (gc_pos - gc_neg)
     if not config.is_thermal:
-        oracle = (
-            mu2_4 * (gs_pos + gs_neg),
-            oracle_b1,
-            mu2_4 * (gc_pos + gc_neg),
-            oracle_b2,
-        )
-        routes = zip(
-            (direct.a1 * factor, direct.b1 * factor, direct.a2 * factor, direct.b2 * factor),
-            oracle,
-        )
-        return CoefficientCheck(
-            max_relative_deviation=max(_relative(x, y) for x, y in routes),
-            kms_deviation=None,
-        )
+        oracle = (mu2_4 * (gs_pos + gs_neg), oracle_b1, mu2_4 * (gc_pos + gc_neg), oracle_b2)
+        direct = (direct.a1, direct.b1, direct.a2, direct.b2)
+        dev = max(_relative(x * factor, y) for x, y in zip(direct, oracle))
+        return CoefficientCheck(max_relative_deviation=dev, kms_deviation=None)
     coth = 1.0 / math.tanh(0.5 * config.omega / config.temperature)
     dev = max(
         _relative(direct.b1 * factor, oracle_b1),
@@ -602,8 +602,9 @@ def thermal_generation_threshold(
 
     def best_over_seps(temp: float) -> float:
         def peaks(seps: np.ndarray) -> np.ndarray:
-            cells = [(temp, float(sep)) for sep in seps.ravel()]
-            rates = _cell_rates(mass_ratio, cells)
+            flat = seps.ravel()
+            cells = [(temp, sep) for sep in flat.tolist()]
+            rates = _cell_rates(mass_ratio, flat, np.full(flat.size, temp))
             conc = _cell_maxima(initial, rates, gray, cells, ("concurrence",))[0][0]
             return conc.reshape(seps.shape)
 
@@ -626,9 +627,7 @@ def thermal_generation_threshold(
     return float(0.5 * (t_lo + t_hi))
 
 
-def lifetime_by_bisection(
-    e: float, g: float, a: float, s: float, gray: float, g0: float
-) -> float:
+def lifetime_by_bisection(e: float, g: float, a: float, s: float, gray: float, g0: float) -> float:
     """Disentanglement time found as the root of the closed-form concurrence.
 
     Independent of the closed-form lifetime expression: bisects the sign of
@@ -674,20 +673,12 @@ class SuiteResult:
 
 def _vacuum_like_coefficients(lam: float):
     """Vacuum-structure coefficients with gray*Gamma0 = 1 and the given lam."""
-    from .field_bath import GklsCoefficients
-
     return GklsCoefficients(a1=0.25, b1=0.25, a2=0.25 * lam, b2=0.25 * lam)
 
 
 def _state_distance(x: XState, y: XState) -> float:
-    return max(
-        abs(x.pop_g - y.pop_g),
-        abs(x.pop_a - y.pop_a),
-        abs(x.pop_s - y.pop_s),
-        abs(x.pop_e - y.pop_e),
-        abs(x.coh_ge - y.coh_ge),
-        abs(x.coh_as - y.coh_as),
-    )
+    fields = ("pop_g", "pop_a", "pop_s", "pop_e", "coh_ge", "coh_as")
+    return max(abs(getattr(x, name) - getattr(y, name)) for name in fields)
 
 
 def run_verification(seed: int = 0, perturb: float = 0.0) -> list[SuiteResult]:
@@ -755,20 +746,12 @@ def run_verification(seed: int = 0, perturb: float = 0.0) -> list[SuiteResult]:
     dev = max(dev, *map(_state_distance, eigens, odes))
     results.append(SuiteResult("method-agreement", dev, 1e-8))
 
-    dev = 0.0
-    kms = 0.0
-    for mass in (0.0, 0.3, 0.6, 0.9, 0.995):
-        for sep in (0.1, 1.0, 5.0, 20.0):
-            check = verify_coefficients(
-                FieldBathConfig.from_ratios(mass, sep), perturb=perturb
-            )
-            dev = max(dev, check.max_relative_deviation)
-            for temp in (2.0, 0.5, 0.1):
-                check = verify_coefficients(
-                    FieldBathConfig.from_ratios(mass, sep, temp), perturb=perturb
-                )
-                dev = max(dev, check.max_relative_deviation)
-                if check.kms_deviation is not None:
-                    kms = max(kms, check.kms_deviation)
-    results.append(SuiteResult("coefficient-oracle", max(dev, kms), 1e-12))
+    checks = [
+        verify_coefficients(FieldBathConfig.from_ratios(mass, sep, temp), perturb=perturb)
+        for mass in (0.0, 0.3, 0.6, 0.9, 0.995)
+        for sep in (0.1, 1.0, 5.0, 20.0)
+        for temp in (None, 2.0, 0.5, 0.1)
+    ]
+    dev = max(max(c.max_relative_deviation, c.kms_deviation or 0.0) for c in checks)
+    results.append(SuiteResult("coefficient-oracle", dev, 1e-12))
     return results

@@ -181,6 +181,18 @@ def gamma0(mu: float, omega: float) -> float:
     return mu * mu * omega / TWO_PI
 
 
+def _weights(same, lam, coth):
+    """(a1, b1, a2, b2) from the same-qubit weight gray*Gamma0/4, the spatial
+    factor lam and coth(w/(2T)), floats or arrays; coth = 1.0 is the vacuum."""
+    return same * coth, same, lam * same * coth, lam * same
+
+
+def _bath_coefficients(config: FieldBathConfig, coth: float) -> GklsCoefficients:
+    gray = gray_factor(config.mass, config.omega)
+    lam = spatial_factor(config.omega, config.separation, gray)
+    return GklsCoefficients(*_weights(0.25 * gray * config.gamma0, lam, coth))
+
+
 def vacuum_coefficients(config: FieldBathConfig) -> GklsCoefficients:
     """Rate coefficients for the bath in its vacuum state.
 
@@ -189,11 +201,7 @@ def vacuum_coefficients(config: FieldBathConfig) -> GklsCoefficients:
     """
     if config.is_thermal:
         raise ValueError("vacuum_coefficients requires a vacuum config")
-    gray = gray_factor(config.mass, config.omega)
-    lam = spatial_factor(config.omega, config.separation, gray)
-    same = 0.25 * gray * config.gamma0
-    cross = lam * same
-    return GklsCoefficients(a1=same, b1=same, a2=cross, b2=cross)
+    return _bath_coefficients(config, 1.0)
 
 
 def thermal_coefficients(config: FieldBathConfig) -> GklsCoefficients:
@@ -205,11 +213,7 @@ def thermal_coefficients(config: FieldBathConfig) -> GklsCoefficients:
     """
     if not config.is_thermal:
         raise ValueError("thermal_coefficients requires a thermal config")
-    gray = gray_factor(config.mass, config.omega)
-    lam = spatial_factor(config.omega, config.separation, gray)
-    same = 0.25 * gray * config.gamma0
-    coth = 1.0 / math.tanh(0.5 * config.omega / config.temperature)
-    return GklsCoefficients(a1=same * coth, b1=same, a2=lam * same * coth, b2=lam * same)
+    return _bath_coefficients(config, 1.0 / math.tanh(0.5 * config.omega / config.temperature))
 
 
 def coefficients(config: FieldBathConfig) -> GklsCoefficients:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ FROZEN = "frozen"
 __all__ = [
     "XState",
     "RateMatrix",
+    "RateStack",
     "Trajectory",
     "EigenPropagator",
     "from_product_basis",
@@ -141,10 +142,7 @@ def from_product_basis(rho) -> XState:
         raise NotAStateError(f"trace {np.trace(rho)} differs from 1")
     if np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) < -POP_TOL:
         raise NotAStateError("matrix is not positive semidefinite")
-    x_mask = np.zeros((4, 4), dtype=bool)
-    for i in range(4):
-        x_mask[i, i] = True
-        x_mask[i, 3 - i] = True
+    x_mask = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
     off = np.max(np.abs(rho[~x_mask]))
     if off > OFF_X_TOL:
         raise NonXFormError(f"off-X entry of magnitude {off} exceeds {OFF_X_TOL}")
@@ -191,60 +189,91 @@ class RateMatrix:
         gen = np.array(self.generator, dtype=float)
         if gen.shape != (4, 4):
             raise ValueError(f"generator must be 4x4, got {gen.shape}")
-        if not (np.all(np.isfinite(gen)) and math.isfinite(self.decay_as + self.decay_ge)):
-            raise ValueError("rates must be finite")
-        scale = max(1.0, float(np.max(np.abs(gen))))
-        col_sums = gen.sum(axis=0)
-        if np.max(np.abs(col_sums)) > 1e-12 * scale:
-            raise ValueError(f"generator columns must sum to zero, got {col_sums}")
-        off = gen[~np.eye(4, dtype=bool)]
-        if np.min(off) < -1e-12 * scale:
-            raise ValueError("off-diagonal rates must be non-negative")
-        if self.decay_as < 0.0 or self.decay_ge < 0.0:
-            raise ValueError("coherence decay rates must be non-negative")
-        # Positivity (GKLS): a coherence decays at least at the mean rate out
-        # of the two populations it couples; build_rate_matrix sits on it.
-        out = -np.diag(gen)
-        bound_ge, bound_as = 0.5 * (out[0] + out[3]), 0.5 * (out[1] + out[2])
-        if min(self.decay_ge - bound_ge, self.decay_as - bound_as) < -1e-12 * scale:
-            raise ValueError(
-                f"coherence decay rates (ge {self.decay_ge}, as {self.decay_as}) fall "
-                f"below the positivity bound (ge {bound_ge}, as {bound_as})"
-            )
+        fault = _rate_fault(gen[None], np.array([self.decay_as]), np.array([self.decay_ge]))
+        if fault is not None:
+            raise ValueError(fault[1])
         gen.setflags(write=False)
         object.__setattr__(self, "generator", gen)
 
     @property
     def is_frozen(self) -> bool:
-        return (
-            not self.generator.any()
-            and self.decay_as == 0.0
-            and self.decay_ge == 0.0
-        )
+        return bool(RateStack.of([self]).frozen[0])
 
 
-def build_rate_matrix(coeffs: GklsCoefficients) -> RateMatrix:
-    """Assemble the population generator and coherence decay rates.
+class RateStack(NamedTuple):
+    """The rates of N cells as arrays, each cell within RateMatrix's rules:
+    generators (N, 4, 4) and coherence decay rates decay_as, decay_ge (N,)."""
+
+    generator: np.ndarray
+    decay_as: np.ndarray
+    decay_ge: np.ndarray
+
+    @classmethod
+    def of(cls, rates: Sequence[RateMatrix]) -> "RateStack":
+        return cls(*(np.array([getattr(r, name) for r in rates]) for name in cls._fields))
+
+    def take(self, index) -> "RateStack":
+        return RateStack(*(rates[index] for rates in self))
+
+    @property
+    def frozen(self) -> np.ndarray:
+        return ~self.generator.any(axis=(1, 2)) & (self.decay_as == 0.0) & (self.decay_ge == 0.0)
+
+
+def _rate_fault(gens: np.ndarray, decay_as: np.ndarray, decay_ge: np.ndarray):
+    """(index, message) of the first cell of a RateStack's arrays that breaks
+    a rule of RateMatrix, or None. Each rule is one array test over the cells."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        scale = 1e-12 * np.maximum(1.0, np.abs(gens).max(axis=(1, 2)))
+        col_sums = gens.sum(axis=1)
+        out = -np.diagonal(gens, axis1=1, axis2=2)
+        bound_ge, bound_as = 0.5 * (out[:, 0] + out[:, 3]), 0.5 * (out[:, 1] + out[:, 2])
+        # The last is positivity (GKLS): a coherence decays at least at the mean
+        # rate out of the two populations it couples; build_rate_matrix sits on it.
+        rules = {
+            "rates must be finite":
+                ~(np.isfinite(gens).all(axis=(1, 2)) & np.isfinite(decay_as + decay_ge)),
+            "generator columns must sum to zero, got {0}": np.abs(col_sums).max(axis=1) > scale,
+            "off-diagonal rates must be non-negative":
+                gens[:, ~np.eye(4, dtype=bool)].min(axis=1) < -scale,
+            "coherence decay rates must be non-negative": (decay_as < 0.0) | (decay_ge < 0.0),
+            "coherence decay rates (ge {1}, as {2}) fall below the positivity bound "
+            "(ge {3}, as {4})": np.minimum(decay_ge - bound_ge, decay_as - bound_as) < -scale,
+        }
+    failing = np.logical_or.reduce(list(rules.values()))
+    if not failing.any():
+        return None
+    k = int(np.argmax(failing))
+    rule = next(rule for rule, mask in rules.items() if mask[k])
+    return k, rule.format(*(a[k] for a in (col_sums, decay_ge, decay_as, bound_ge, bound_as)))
+
+
+def _generators(a1, b1, a2, b2):
+    """Population generators (..., 4, 4) and coherence decay rates 4*a1 of
+    coefficients a1, b1, a2, b2 that broadcast (floats or arrays).
 
     The four channels are the cascades through the symmetric/antisymmetric
     states: downward rates 2(a1+b1 +- (a2+b2)) and upward (absorption) rates
     2(a1-b1 +- (a2-b2)); the diagonal is minus the column sum, so probability
     is conserved exactly.
     """
-    a1, b1, a2, b2 = coeffs.a1, coeffs.b1, coeffs.a2, coeffs.b2
     down_a = 2.0 * (a1 + b1 - a2 - b2)  # E -> A and A -> G
     down_s = 2.0 * (a1 + b1 + a2 + b2)  # E -> S and S -> G
     up_a = 2.0 * (a1 - b1 - a2 + b2)  # G -> A and A -> E
     up_s = 2.0 * (a1 - b1 + a2 - b2)  # G -> S and S -> E
-    gen = np.array(
-        [
-            [-(up_a + up_s), down_a, down_s, 0.0],
-            [up_a, -(down_a + up_a), 0.0, down_a],
-            [up_s, 0.0, -(down_s + up_s), down_s],
-            [0.0, up_a, up_s, -(down_a + down_s)],
-        ]
-    )
-    rate = 4.0 * a1
+    zero = np.zeros_like(down_a)
+    gen = np.array([
+        [-(up_a + up_s), down_a, down_s, zero],
+        [up_a, -(down_a + up_a), zero, down_a],
+        [up_s, zero, -(down_s + up_s), down_s],
+        [zero, up_a, up_s, -(down_a + down_s)],
+    ])
+    return np.moveaxis(gen, (0, 1), (-2, -1)), 4.0 * a1
+
+
+def build_rate_matrix(coeffs: GklsCoefficients) -> RateMatrix:
+    """The population generator and coherence decay rates of one cell (see _generators)."""
+    gen, rate = _generators(coeffs.a1, coeffs.b1, coeffs.a2, coeffs.b2)
     return RateMatrix(generator=gen, decay_as=rate, decay_ge=rate)
 
 
@@ -353,7 +382,8 @@ def closed_form_state(initial: XState, lam: float, xi: float) -> XState:
 
 
 class EigenPropagator:
-    """Exact propagator for one RateMatrix or a stack of them.
+    """Exact propagator for one RateMatrix or a stack: a RateStack, or a
+    sequence of RateMatrix.
 
     Picks one route per generator, reported in `routes`: FROZEN (all rates
     zero; the identity), CLOSED_FORM (no upward rates, as in the vacuum: the
@@ -367,13 +397,13 @@ class EigenPropagator:
     every EXPM generator and time row in one batched call.
     """
 
-    def __init__(self, rates: RateMatrix | Sequence[RateMatrix]):
+    def __init__(self, rates: RateMatrix | Sequence[RateMatrix] | RateStack):
         self.rates = rates
         self._single = isinstance(rates, RateMatrix)
-        stack = [rates] if self._single else list(rates)
-        gens = np.stack([r.generator for r in stack])
-        self._gens = gens
-        frozen = np.array([r.is_frozen for r in stack])
+        if not isinstance(rates, RateStack):
+            rates = RateStack.of([rates] if self._single else rates)
+        gens = self._gens = rates.generator
+        frozen = rates.frozen
         # d_a and d_s of the cascade are the G <- A and G <- S rates.
         self._d_a, self._d_s = gens[:, 0, 1, None, None], gens[:, 0, 2, None, None]
         pattern = self._d_a * _CASCADE_A + self._d_s * _CASCADE_S
@@ -391,7 +421,7 @@ class EigenPropagator:
             EIGEN: rest[ok],
             EXPM: rest[~ok],
         }
-        self.routes = np.empty(len(stack), dtype=object)
+        self.routes = np.empty(len(gens), dtype=object)
         for route, index in self._route.items():
             self.routes[index] = route
 
@@ -773,22 +803,10 @@ def random_xstate(
         amps /= np.linalg.norm(amps)
         alpha, beta = amps
         if rng.random() < 0.5:
-            return XState(
-                pop_g=abs(alpha) ** 2,
-                pop_a=0.0,
-                pop_s=0.0,
-                pop_e=abs(beta) ** 2,
-                coh_ge=alpha * np.conj(beta),
-            )
+            return XState(abs(alpha) ** 2, 0.0, 0.0, abs(beta) ** 2, coh_ge=alpha * np.conj(beta))
         sym = (alpha + beta) / math.sqrt(2.0)
         anti = (beta - alpha) / math.sqrt(2.0)
-        return XState(
-            pop_g=0.0,
-            pop_a=abs(anti) ** 2,
-            pop_s=abs(sym) ** 2,
-            pop_e=0.0,
-            coh_as=anti * np.conj(sym),
-        )
+        return XState(0.0, abs(anti) ** 2, abs(sym) ** 2, 0.0, coh_as=anti * np.conj(sym))
     if diagonal:
         g, a, s, e = rng.dirichlet(np.ones(4))
         return XState(pop_g=g, pop_a=a, pop_s=s, pop_e=e)

@@ -455,6 +455,18 @@ class TestNumericalFailureExit:
         assert "T/omega" in err
         assert not out.exists()
 
+    def test_overflowing_temperature_exits_3_with_coordinates(self, capsys, tmp_path):
+        # coth(omega/2T) overflows near T/omega = 1e308: a cell fails for real.
+        out = tmp_path / "t.csv"
+        code, _, err = run_cli(
+            ["map", "temp-sep", "--mass-ratio", "0.5", "--temp-max", "1e308",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 3
+        assert "(T/omega=5.263157894736843e+307, omega*L=0.05)" in err
+        assert not out.exists()
+
     def test_non_converged_cell_exits_3_with_coordinates(self, capsys, monkeypatch, tmp_path):
         import massbath.experiments as experiments
 

@@ -27,6 +27,7 @@ from massbath import (
 )
 import massbath.experiments as experiments
 from massbath.experiments import _vacuum_max_over_time
+from massbath.xstate import RateStack
 
 
 class TestGridAxis:
@@ -177,14 +178,14 @@ class TestSweepCellErrors:
 
     @pytest.fixture(autouse=True)
     def fail_at_separation(self, monkeypatch):
-        real = experiments.coefficients
+        real = experiments.spatial_factor
 
-        def coefficients(config):
-            if config.separation == 1.5:
+        def spatial_factor(omega, separation, gray):
+            if separation == 1.5:
                 raise FloatingPointError("injected")
-            return real(config)
+            return real(omega, separation, gray)
 
-        monkeypatch.setattr(experiments, "coefficients", coefficients)
+        monkeypatch.setattr(experiments, "spatial_factor", spatial_factor)
 
     def config(self, **axis):
         return SweepConfig(
@@ -209,6 +210,62 @@ class TestSweepCellErrors:
             thermal_generation_threshold(0.6, sep_values=np.array([0.5, 1.5, 2.0]))
         assert (info.value.axis1, info.value.axis2) == (0.1, 1.5)
         assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+class TestOverflowingCell:
+    """At T/omega = 1e308, coth(omega/2T) overflows and a1 = inf: a cell that
+    fails for real, with nothing patched."""
+
+    def config(self, **axis):
+        return SweepConfig(
+            mass_ratio=0.6, initial=XState.excited(), sep_axis=GridAxis(0.5, 2.0, 4), **axis
+        )
+
+    def test_temp_sep_names_the_first_failing_cell(self):
+        with pytest.raises(SweepCellError, match=r"\(T/omega=1e\+308, omega\*L=0.5\)") as info:
+            thermal_scan(self.config(temp_axis=GridAxis(0.1, 1e308, 2)))
+        assert (info.value.axis1, info.value.axis2) == (1e308, 0.5)
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_time_sep_names_the_first_separation(self):
+        with pytest.raises(SweepCellError, match="separation 0.5: rates must be finite") as info:
+            evolve_scan(self.config(tau_axis=GridAxis(0.0, 5.0, 6), temp_ratio=1e308))
+        assert (info.value.axis1, info.value.axis2) == (None, 0.5)
+        assert isinstance(info.value.__cause__, ValueError)
+
+
+class TestCellRates:
+    """The stacked cell builder equals build_rate_matrix(coefficients(...))
+    cell by cell, bit for bit."""
+
+    @staticmethod
+    def assert_cells_equal(mass, seps, temps):
+        got = experiments._cell_rates(mass, seps, temps)
+        cell_temps = np.broadcast_to(np.asarray(temps, dtype=object), seps.shape)
+        expected = RateStack.of([
+            build_rate_matrix(coefficients(FieldBathConfig.from_ratios(mass, sep, temp)))
+            for sep, temp in zip(seps.tolist(), cell_temps.tolist())
+        ])
+        for name, values in zip(RateStack._fields, expected):
+            assert np.array_equal(getattr(got, name), values), (mass, name)
+
+    # 1e-3: coth rounds to 1 (the cascade route); 0.0266 and 0.027 lie either
+    # side of the switch to it on a default map; 1e2: a hot bath.
+    EDGE_TEMPS = [1e-3, 0.0266, 0.027, 1e2]
+
+    @pytest.mark.parametrize("mass", [0.0, 0.999999, 1.0, 1.2, 0.37, 0.9])
+    def test_seeded_grid_and_edges(self, mass):
+        rng = np.random.default_rng(int(mass * 1e6))
+        gray = gray_factor(mass, 1.0)
+        seps = [0.0, 1e-6] + ([np.pi / gray] if gray > 0.0 else [])  # lam = 0 at pi
+        seps = np.array(seps + rng.uniform(0.0, 20.0, 12).tolist())
+        temps = np.array(self.EDGE_TEMPS + rng.uniform(0.01, 2.0, 40).tolist())
+        cell_temps, cell_seps = np.repeat(temps, seps.size), np.tile(seps, temps.size)
+        self.assert_cells_equal(mass, cell_seps, cell_temps)
+        for bath in (None, 0.027, 0.2):  # time-sep columns, vacuum and thermal
+            self.assert_cells_equal(mass, seps, bath)
+        if gray == 0.0:
+            assert experiments._cell_rates(mass, cell_seps, cell_temps).frozen.all()
 
 
 class TestThermalScan:

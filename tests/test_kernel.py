@@ -34,7 +34,7 @@ from massbath.experiments import (
     _vacuum_max_over_time,
 )
 from massbath.measures import BOTH, _coherence_parts
-from massbath.xstate import EXPM, EigenPropagator, RateMatrix
+from massbath.xstate import EXPM, EigenPropagator, RateMatrix, RateStack
 
 KERNEL_TOL = 1e-6
 
@@ -126,7 +126,7 @@ def thermal_rates(mass, sep, temp):
 def kernel(initial, mass, cells):
     """Kernel maxima (2, N) for thermal cells [(T/omega, omega*L), ...]."""
     rates = [thermal_rates(mass, sep, temp) for temp, sep in cells]
-    return _max_over_time(initial, rates, gray_factor(mass, 1.0), cells)
+    return _max_over_time(initial, RateStack.of(rates), gray_factor(mass, 1.0), cells)
 
 
 def assert_matches_oracle(initial, mass, cells):
@@ -184,7 +184,7 @@ def test_late_peak_forces_horizon_doubling():
     rates = _late_peak_rates()
     conc, neg, where = oracle_max(rates, XState.ground())
     assert where > 40.0 / 0.1
-    got = _max_over_time(XState.ground(), [rates], 0.1, [(None, None)])
+    got = _max_over_time(XState.ground(), RateStack.of([rates]), 0.1, [(None, None)])
     assert got[0, 0] == pytest.approx(conc, abs=KERNEL_TOL)
     assert got[1, 0] == pytest.approx(neg, abs=KERNEL_TOL)
 
@@ -215,7 +215,7 @@ def test_frozen_and_live_cells_in_one_map():
     frozen = build_rate_matrix(GklsCoefficients(a1=0.0, b1=0.0, a2=0.0, b2=0.0))
     cells = [(0.05, 1.0), (None, None), (0.2, 3.0), (None, None)]
     rates = [frozen if temp is None else thermal_rates(0.5, sep, temp) for temp, sep in cells]
-    got, routes = _cell_maxima(initial, rates, gray_factor(0.5, 1.0), cells)
+    got, routes = _cell_maxima(initial, RateStack.of(rates), gray_factor(0.5, 1.0), cells)
     assert list(routes) == ["eigen", "frozen", "eigen", "frozen"]
     value = entanglement(initial)
     assert np.array_equal(got[:, 1], [value.concurrence, value.negativity])
@@ -226,7 +226,7 @@ def test_frozen_and_live_cells_in_one_map():
         assert got[1, k] == pytest.approx(neg, abs=KERNEL_TOL)
 
 
-def test_cell_value_independent_of_block_and_neighbours():
+def test_cell_value_independent_of_block_and_neighbours(monkeypatch):
     rng = np.random.default_rng(11)
     initial = random_xstate(rng)
     cells = [
@@ -238,19 +238,44 @@ def test_cell_value_independent_of_block_and_neighbours():
     reversed_order = kernel(initial, 0.9, cells[::-1])[:, ::-1]
     assert np.max(np.abs(together - alone)) <= 1e-12
     assert np.max(np.abs(together - reversed_order)) <= 1e-12
-    # thermal_scan splits its 3 x 4 map into blocks of CELL_BLOCK cells.
+    # The search's blocks hold MAP_BLOCK // points cells: one cell per block,
+    # then every cell in one block.
     config = SweepConfig(
         mass_ratio=0.9,
         initial=initial,
         sep_axis=GridAxis(0.5, 6.0, 4),
         temp_axis=GridAxis(0.05, 0.3, 3),
     )
-    result = thermal_scan(config)
-    for i, temp in enumerate(result.axis1):
-        for j, sep in enumerate(result.axis2):
-            single = kernel(initial, 0.9, [(temp, sep)])[:, 0]
-            assert abs(result.concurrence[i, j] - single[0]) <= 1e-12
-            assert abs(result.negativity[i, j] - single[1]) <= 1e-12
+    seps = np.arange(1, 521) * 0.05 / gray_factor(0.9, 1.0)
+    maps, scans = [], []
+    for budget in (1, 1 << 30):
+        monkeypatch.setattr(experiments, "MAP_BLOCK", budget)
+        result = thermal_scan(config)
+        maps.append(np.stack([result.concurrence, result.negativity]))
+        scans.append(_vacuum_max_over_time(initial, 0.9, seps, "concurrence"))
+    assert np.array_equal(maps[0], maps[1])
+    assert np.array_equal(scans[0], scans[1])
+
+
+def test_search_blocks_stay_within_the_samples_budget(monkeypatch):
+    sizes = []
+    populations = EigenPropagator.populations
+
+    def recorded(self, pops0, taus):
+        sizes.append(np.size(taus))
+        return populations(self, pops0, taus)
+
+    monkeypatch.setattr(EigenPropagator, "populations", recorded)
+    config = SweepConfig(
+        mass_ratio=0.5,
+        initial=XState.excited(),
+        sep_axis=GridAxis(0.05, 20.0, 40, "log"),
+        temp_axis=GridAxis(0.02, 0.4, 20),
+    )
+    thermal_scan(config)
+    assert max(sizes) <= experiments.MAP_BLOCK
+    # The first pass fills blocks of MAP_BLOCK // 1201 cells.
+    assert max(sizes) == (experiments.MAP_BLOCK // 1201) * 1201
 
 
 def test_vacuum_batch_matches_single_separations_and_oracle():
@@ -271,7 +296,7 @@ def test_non_converged_cell_is_named(monkeypatch):
     # (200, 400], so two passes cannot retire it; the coordinates only name it.
     monkeypatch.setattr(experiments, "MAX_DOUBLINGS", 2)
     with pytest.raises(NonConvergedMaxError) as info:
-        _max_over_time(XState.ground(), [_late_peak_rates()], 0.1, [(0.1, 2.0)])
+        _max_over_time(XState.ground(), RateStack.of([_late_peak_rates()]), 0.1, [(0.1, 2.0)])
     assert (info.value.axis1, info.value.axis2) == (0.1, 2.0)
     assert "T/omega=0.1" in str(info.value)
     assert info.value.doublings == 2
@@ -375,7 +400,7 @@ def _counted_max_over_time(monkeypatch, initial, rates, gray, cell, select):
 
     with monkeypatch.context() as patch:
         patch.setattr(EigenPropagator, "populations", counted)
-        got = _max_over_time(initial, [rates], gray, [cell], select=select)
+        got = _max_over_time(initial, RateStack.of([rates]), gray, [cell], select=select)
     assert len(calls) % (1 + experiments.ZOOM_LEVELS) == 0
     return got[:, 0], len(calls) // (1 + experiments.ZOOM_LEVELS)
 
@@ -386,9 +411,10 @@ def test_thermal_one_measure_matches_its_row_of_both(name, monkeypatch):
     mass = 0.6
     gray = gray_factor(mass, 1.0)
     rates = [thermal_rates(mass, sep, temp) for temp, sep in SELECTOR_CELLS]
-    both, _ = _cell_maxima(initial, rates, gray, SELECTOR_CELLS)
+    stack = RateStack.of(rates)
+    both, _ = _cell_maxima(initial, stack, gray, SELECTOR_CELLS)
     for row, measure in enumerate(BOTH):
-        one, _ = _cell_maxima(initial, rates, gray, SELECTOR_CELLS, (measure,))
+        one, _ = _cell_maxima(initial, stack, gray, SELECTOR_CELLS, (measure,))
         assert one.shape == (1, len(SELECTOR_CELLS))
         assert np.max(np.abs(one[0] - both[row])) <= KERNEL_TOL
     for k, cell in enumerate(SELECTOR_CELLS):
@@ -429,7 +455,7 @@ def test_thermal_one_measure_matches_its_row_of_both(name, monkeypatch):
 def test_search_reaches_a_late_birth(populations, select):
     rates = _late_peak_rates()
     initial = XState(*populations)
-    got = _max_over_time(initial, [rates], 0.1, [(None, None)], select=select)
+    got = _max_over_time(initial, RateStack.of([rates]), 0.1, [(None, None)], select=select)
     conc, neg, _ = oracle_max(rates, initial)
     expected = {"concurrence": conc, "negativity": neg}
     for row, name in enumerate(select):
@@ -441,7 +467,7 @@ def test_zero_coherence_shortcut_is_exact(kind, monkeypatch):
     initial = getattr(XState, kind)()
     assert experiments._faded_coherences(initial, 1.0, 1.0, np.ones(3)) == (0.0, 0.0, 0.0)
     gray = gray_factor(0.6, 1.0)
-    rates = [thermal_rates(0.6, sep, temp) for temp, sep in SELECTOR_CELLS]
+    rates = RateStack.of([thermal_rates(0.6, sep, temp) for temp, sep in SELECTOR_CELLS])
     thermal = _cell_maxima(initial, rates, gray, SELECTOR_CELLS)[0]
     vacuum = [_vacuum_max_over_time(initial, 0.8, VACUUM_SEPS, m) for m in BOTH]
 
