@@ -298,7 +298,8 @@ def _propagated_measures(initial: XState, prop: EigenPropagator, select: tuple[s
     )
 
 
-def _search(stack, cells: list[tuple], horizon: float, points: int, select):
+def _search(stack, cells: list[tuple], horizon: float, points: int, select, *,
+            cutoff: float = math.inf):
     """The max-over-time search: (len(select), N) maxima over time of the
     measures named by `select` for N cells.
 
@@ -309,9 +310,16 @@ def _search(stack, cells: list[tuple], horizon: float, points: int, select):
     samples [0, horizon] on `points` points; each later pass doubles the
     horizon and samples only its new half, at the doubled spacing. Every
     pass zooms in on the best sample of each measure. A cell retires on the
-    first pass that raised none of its maxima by tol or more; each step is
-    one array operation over the cells still active. A cell still active
-    after MAX_DOUBLINGS passes raises NonConvergedMaxError.
+    first pass that raised none of its maxima by tol or more, or that left
+    all of them above `cutoff`; each step is one array operation over the
+    cells still active. A cell still active after MAX_DOUBLINGS passes
+    raises NonConvergedMaxError.
+
+    Maxima never fall from pass to pass, so a maximum retired above `cutoff`
+    stays above it, at or below its full search's value: every `> cutoff`
+    test gives the full search's answer. A cell with a maximum that never
+    goes above `cutoff` runs the same passes, and keeps the same values, as
+    with no cutoff.
     """
     tol = 1e-6
     peaks = np.empty((len(select), len(cells)))
@@ -327,7 +335,7 @@ def _search(stack, cells: list[tuple], horizon: float, points: int, select):
             on_grid, lo, hi, _ = _grid_peaks(measures(grid[0, :, None]), grid)
             # Each measure's bracket is one row of one propagation call.
             new = np.maximum(on_grid, _zoom(lambda g: measures(np.swapaxes(g, 0, 1)), lo, hi))
-            stable = np.all(new - best < tol, axis=0)
+            stable = np.all(new - best < tol, axis=0) | np.all(new > cutoff, axis=0)
             best = np.maximum(best, new)
             peaks[:, active[stable]] = np.maximum(best[:, stable], 0.0)
             previous, last = last[:, ~stable], new[:, ~stable]
@@ -353,11 +361,13 @@ def _search(stack, cells: list[tuple], horizon: float, points: int, select):
 
 
 def _max_over_time(initial: XState, rates: RateStack, gray: float, cells: list[tuple],
-                   select: tuple[str, ...] = BOTH, routes: np.ndarray | None = None):
+                   select: tuple[str, ...] = BOTH, routes: np.ndarray | None = None,
+                   cutoff: float = math.inf):
     """Max over Gamma0*tau of the measures named by `select` for N non-frozen
     cells of a RateStack, with grid coordinates `cells`: _search on EigenPropagator
-    blocks, 1201 points from Gamma0*tau = 20/gray. Returns (len(select), N);
-    `routes`, if given, receives each cell's propagation route.
+    blocks, 1201 points from Gamma0*tau = 20/gray, stopping a cell above
+    `cutoff`. Returns (len(select), N); `routes`, if given, receives each
+    cell's propagation route.
     """
 
     def stack(ks: np.ndarray):
@@ -367,16 +377,17 @@ def _max_over_time(initial: XState, rates: RateStack, gray: float, cells: list[t
         return _propagated_measures(initial, prop, select)
 
     horizon = 20.0 / gray if gray > 0.0 else 20.0
-    return _search(stack, cells, horizon, 1201, select)
+    return _search(stack, cells, horizon, 1201, select, cutoff=cutoff)
 
 
 def _cell_maxima(initial: XState, rates: RateStack, gray: float, cells: list[tuple],
-                 select: tuple[str, ...] = BOTH) -> tuple[np.ndarray, np.ndarray]:
+                 select: tuple[str, ...] = BOTH,
+                 cutoff: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
     """(len(select), N) max-over-time measures of N cells and the N
     propagation routes.
 
     Frozen cells keep the initial values; `cells` holds each cell's
-    coordinates for errors.
+    coordinates for errors. A live cell stops above `cutoff` (see _search).
     """
     peaks = np.empty((len(select), len(cells)))
     routes = np.full(len(cells), FROZEN, dtype=object)
@@ -386,7 +397,7 @@ def _cell_maxima(initial: XState, rates: RateStack, gray: float, cells: list[tup
     live = np.flatnonzero(~frozen)
     live_routes = routes[live]
     peaks[:, live] = _max_over_time(
-        initial, rates.take(live), gray, [cells[k] for k in live], select, live_routes
+        initial, rates.take(live), gray, [cells[k] for k in live], select, live_routes, cutoff
     )
     routes[live] = live_routes
     return peaks, routes
@@ -439,14 +450,16 @@ def scaling_check(
     return float(np.max(np.abs(np.subtract(massive, massless))))
 
 
-def _vacuum_max_over_time(initial: XState, mass_ratio: float, seps, measure: str):
+def _vacuum_max_over_time(initial: XState, mass_ratio: float, seps, measure: str,
+                          cutoff: float = math.inf):
     """Max over time of one measure in the vacuum at each separation in seps.
 
     _search on the closed form in the decay exponent u = gray*Gamma0*tau,
     1600 points from u = 40: the cascade with d_a = 1 - lam and
-    d_s = 1 + lam, both coherences fading as exp(-u). Needs gray > 0 and a
-    measure name that generation_reach has checked. Returns a float for a
-    scalar sep, else an array shaped like seps.
+    d_s = 1 + lam, both coherences fading as exp(-u); a separation stops
+    above `cutoff` (see _search). Needs gray > 0 and a measure name that
+    generation_reach has checked. Returns a float for a scalar sep, else an
+    array shaped like seps.
     """
     flat = np.atleast_1d(np.asarray(seps, dtype=float)).ravel()
     gray = gray_factor(mass_ratio, 1.0)
@@ -460,7 +473,7 @@ def _vacuum_max_over_time(initial: XState, mass_ratio: float, seps, measure: str
         )
 
     cells = [(None, float(sep)) for sep in flat]
-    out = _search(stack, cells, 40.0, 1600, (measure,))[0]
+    out = _search(stack, cells, 40.0, 1600, (measure,), cutoff=cutoff)[0]
     return float(out[0]) if np.ndim(seps) == 0 else out.reshape(np.shape(seps))
 
 
@@ -474,7 +487,9 @@ def generation_reach(
 
     Vacuum bath. Scans separations out to gray*omega*L = 26 (beyond which the
     cross-qubit coupling is far too weak for any practical cutoff) and refines
-    the last crossing by bisection to 1e-4 relative.
+    the last crossing by bisection to 1e-4 relative. Both ask only whether a
+    maximum exceeds cutoff, so each separation's search stops at its first
+    pass above cutoff.
     """
     _selector(measure)  # an unknown name fails before any search
     initial = XState.excited() if initial is None else initial
@@ -484,7 +499,7 @@ def generation_reach(
         raise NoGenerationError("frozen dynamics: no separation dependence at all")
 
     def max_measure(sep):
-        return _vacuum_max_over_time(initial, mass_ratio, sep, measure)
+        return _vacuum_max_over_time(initial, mass_ratio, sep, measure, cutoff)
 
     step = 0.05
     x_grid = np.arange(step, 26.0 + step / 2, step)
@@ -584,7 +599,9 @@ def thermal_generation_threshold(
     """Temperature T/omega above which no separation generates entanglement.
 
     Bisects on temperature; at each temperature the max-over-time concurrence
-    is maximized over a separation grid (refined around the best point).
+    is maximized over a separation grid, refined around the best point unless
+    the grid already exceeds cutoff. Only `> cutoff` is asked of each
+    temperature, so every cell's search stops at its first pass above cutoff.
     Raises ValueError before any cell runs unless cutoff, tol, both bracket
     ends (lo < hi) and every sep_values entry are finite and > 0.
     """
@@ -600,27 +617,28 @@ def thermal_generation_threshold(
     sep_values = np.asarray(sep_values, dtype=float)
     _require_positive(sep_values=sep_values)
 
-    def best_over_seps(temp: float) -> float:
+    def generates(temp: float) -> bool:
         def peaks(seps: np.ndarray) -> np.ndarray:
             flat = seps.ravel()
             cells = [(temp, sep) for sep in flat.tolist()]
             rates = _cell_rates(mass_ratio, flat, np.full(flat.size, temp))
-            conc = _cell_maxima(initial, rates, gray, cells, ("concurrence",))[0][0]
+            conc = _cell_maxima(initial, rates, gray, cells, ("concurrence",), cutoff)[0][0]
             return conc.reshape(seps.shape)
 
         values = peaks(sep_values)
+        if values.max() > cutoff:
+            return True
         _, lo, hi, _ = _grid_peaks(values, np.log(sep_values))
-        log_peak = _zoom(lambda u: peaks(np.exp(u)), lo, hi, points=SEP_ZOOM_POINTS)
-        return max(float(values.max()), float(log_peak))
+        return bool(_zoom(lambda u: peaks(np.exp(u)), lo, hi, points=SEP_ZOOM_POINTS) > cutoff)
 
     t_lo, t_hi = bracket
-    if not best_over_seps(t_lo) > cutoff:
+    if not generates(t_lo):
         raise NoGenerationError(f"no generation above cutoff even at T/omega = {t_lo}")
-    if best_over_seps(t_hi) > cutoff:
+    if generates(t_hi):
         raise NonConvergedMaxError(f"generation persists at T/omega = {t_hi}; widen the bracket")
     while t_hi - t_lo > tol:
         mid = 0.5 * (t_lo + t_hi)
-        if best_over_seps(mid) > cutoff:
+        if generates(mid):
             t_lo = mid
         else:
             t_hi = mid

@@ -5,6 +5,7 @@ from massbath import (
     FieldBathConfig,
     GridAxis,
     NoGenerationError,
+    NonConvergedMaxError,
     SweepCellError,
     SweepConfig,
     XState,
@@ -432,6 +433,45 @@ class TestGenerationReach:
         monkeypatch.setattr(experiments, "_vacuum_max_over_time", cell)
         with pytest.raises(ValueError, match="must be finite and > 0|lo < hi"):
             search(**kwargs)
+
+
+class TestCutoffDecidedSearches:
+    """The headline searches ask only whether a maximum exceeds the cutoff;
+    their results are pinned to the values of the full max-over-time search."""
+
+    def test_threshold_values(self):
+        for mass in (0.0, 0.3, 0.5, 0.9, 0.995):
+            assert thermal_generation_threshold(mass) == 0.2318359375, mass
+        # On six separations the zoom around the grid's best point decides
+        # some temperatures that the grid alone leaves below the cutoff.
+        coarse = np.geomspace(0.05, 6.0, 6)
+        assert thermal_generation_threshold(sep_values=coarse) == 0.2259765625
+
+    def test_reach_and_enlargement_values(self):
+        expected = {
+            0.0: 2.48740234375,
+            0.5: 2.872204825493937,
+            0.9: 5.706492341227617,
+            0.995: 24.905174387010835,
+        }
+        for mass, reach in expected.items():
+            assert generation_reach(mass) == reach, mass
+        assert enlargement_factor(0.995) == 10.0125234864352
+        reach = generation_reach(0.9, cutoff=1e-6, measure="negativity")
+        assert reach == 10.889630039563016
+
+    def test_threshold_bracket_still_generating(self):
+        with pytest.raises(NonConvergedMaxError, match="generation persists at T/omega = 0.2"):
+            thermal_generation_threshold(bracket=(0.1, 0.2))
+
+    def test_threshold_bracket_never_generating(self):
+        with pytest.raises(NoGenerationError, match="even at T/omega = 0.3"):
+            thermal_generation_threshold(bracket=(0.3, 0.4))
+
+    def test_reach_past_the_scan_window(self):
+        # bell-GE starts maximally entangled at every separation.
+        with pytest.raises(NoGenerationError, match="beyond the scan window"):
+            generation_reach(0.5, XState.bell_ge())
 
 
 class TestVerifyCoefficients:

@@ -388,21 +388,41 @@ def test_vacuum_one_measure_is_bit_identical(name, measure):
     assert _vacuum_max_over_time(initial, 0.8, VACUUM_SEPS, measure).tolist() == expected
 
 
-def _counted_max_over_time(monkeypatch, initial, rates, gray, cell, select):
-    """(maxima, passes) of one cell; a pass is one grid and ZOOM_LEVELS
-    zoom propagations."""
+def _counted_passes(monkeypatch, search):
+    """search() under a stack whose measures record the cells they measure;
+    returns its result and each cell's number of passes."""
     calls = []
-    populations = EigenPropagator.populations
+    original = experiments._search
 
-    def counted(self, pops0, taus):
-        calls.append(taus.shape)
-        return populations(self, pops0, taus)
+    def counted_search(stack, *args, **kwargs):
+        def counted_stack(ks):
+            measures = stack(ks)
+
+            def counted(taus):
+                calls.append(ks.tolist())
+                return measures(taus)
+
+            return counted
+
+        return original(counted_stack, *args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(EigenPropagator, "populations", counted)
-        got = _max_over_time(initial, RateStack.of([rates]), gray, [cell], select=select)
-    assert len(calls) % (1 + experiments.ZOOM_LEVELS) == 0
-    return got[:, 0], len(calls) // (1 + experiments.ZOOM_LEVELS)
+        patch.setattr(experiments, "_search", counted_search)
+        got = search()
+    per_call = 1 + experiments.ZOOM_LEVELS  # a grid and its zoom levels
+    assert len(calls) % per_call == 0
+    counts = np.bincount(np.concatenate(calls), minlength=np.size(got, -1))
+    assert np.all(counts % per_call == 0)
+    return got, counts // per_call
+
+
+def _counted_max_over_time(monkeypatch, initial, rates, gray, cell, select):
+    """(maxima, passes) of one cell."""
+    got, passes = _counted_passes(
+        monkeypatch,
+        lambda: _max_over_time(initial, RateStack.of([rates]), gray, [cell], select=select),
+    )
+    return got[:, 0], int(passes[0])
 
 
 @pytest.mark.parametrize("name", list(SELECTOR_STATES))
@@ -481,3 +501,98 @@ def test_zero_coherence_shortcut_is_exact(kind, monkeypatch):
     assert np.array_equal(_cell_maxima(initial, rates, gray, SELECTOR_CELLS)[0], thermal)
     for m, values in zip(BOTH, vacuum):
         assert np.array_equal(_vacuum_max_over_time(initial, 0.8, VACUUM_SEPS, m), values)
+
+
+# Initial states of the cutoff tests: E (generation only), bell-GE (maximally
+# entangled at tau = 0) and a random X state.
+CUTOFF_STATES = {
+    "E": XState.excited(),
+    "bell-GE": XState.bell_ge(),
+    "random": random_xstate(np.random.default_rng(23)),
+}
+CUTOFFS = (1e-6, 1e-3, 1e-1)
+
+
+def assert_cutoff_decides(full, cut, cutoff):
+    """The > cutoff answer of every entry is the full search's; an entry at or
+    below the cutoff is bit-identical, one above it at most the full value."""
+    assert np.array_equal(cut > cutoff, full > cutoff)
+    below = full <= cutoff
+    assert np.array_equal(cut[below], full[below])
+    assert np.all(cut[~below] <= full[~below])
+    return int(np.count_nonzero(below)), int(np.count_nonzero(~below))
+
+
+def test_vacuum_cutoff_keeps_every_answer():
+    rng = np.random.default_rng(29)
+    counts = np.zeros(2, dtype=int)
+    for initial in CUTOFF_STATES.values():
+        mass = float(rng.uniform(0.0, 0.95))
+        seps = np.concatenate([[1e-4], rng.uniform(0.05, 12.0, 15)])
+        for measure in BOTH:
+            full = _vacuum_max_over_time(initial, mass, seps, measure)
+            for cutoff in CUTOFFS:
+                cut = _vacuum_max_over_time(initial, mass, seps, measure, cutoff)
+                counts += assert_cutoff_decides(full, cut, cutoff)
+    assert counts.min() > 0
+
+
+@pytest.mark.parametrize("select", [("concurrence",), BOTH], ids="-".join)
+def test_thermal_cutoff_keeps_every_answer(select):
+    rng = np.random.default_rng(31)
+    counts = np.zeros(2, dtype=int)
+    for initial in CUTOFF_STATES.values():
+        mass = float(rng.uniform(0.0, 0.95))
+        cells = [(float(rng.uniform(0.02, 0.4)), float(rng.uniform(0.05, 12.0)))
+                 for _ in range(8)]
+        temps, seps = np.array(cells).T
+        rates = experiments._cell_rates(mass, seps, temps)
+        gray = gray_factor(mass, 1.0)
+        full, routes = _cell_maxima(initial, rates, gray, cells, select)
+        for cutoff in CUTOFFS:
+            cut, cut_routes = _cell_maxima(initial, rates, gray, cells, select, cutoff)
+            counts += assert_cutoff_decides(full, cut, cutoff)
+            assert np.array_equal(cut_routes, routes)
+            # A cell with one measure at or below the cutoff runs on in full.
+            partly = np.any(full <= cutoff, axis=0)
+            assert np.array_equal(cut[:, partly], full[:, partly])
+    assert counts.min() > 0
+
+
+@pytest.mark.parametrize("select", [("concurrence",), ("negativity",), BOTH], ids="-".join)
+def test_late_peak_cutoff_keeps_every_answer(select):
+    # From G the late-peak cell's maxima rise from (0.51, 0.21) on the first
+    # pass to (0.80, 0.62): a cell stops only once every selected maximum is
+    # above the cutoff, and the maxima below it go on rising.
+    rates, cells = RateStack.of([_late_peak_rates()]), [(None, None)]
+    full = _max_over_time(XState.ground(), rates, 0.1, cells, select)
+    for cutoff in (0.4, 0.7):
+        cut = _max_over_time(XState.ground(), rates, 0.1, cells, select, cutoff=cutoff)
+        assert_cutoff_decides(full, cut, cutoff)
+
+
+def test_cell_above_cutoff_retires_after_its_first_pass(monkeypatch):
+    # Vacuum at m/omega = 0.8 from E: the concurrence at omega*L = 1e-4 stays
+    # near 3e-10 and peaks past the first horizon; the others pass 1e-3 early.
+    initial, seps = XState.excited(), np.array([1e-4, 0.3, 1.5, 4.0])
+    full, full_passes = _counted_passes(
+        monkeypatch, lambda: _vacuum_max_over_time(initial, 0.8, seps, "concurrence"))
+    cut, passes = _counted_passes(
+        monkeypatch, lambda: _vacuum_max_over_time(initial, 0.8, seps, "concurrence", 1e-3))
+    above = full > 1e-3
+    assert above.tolist() == [False, True, True, True]
+    assert np.all(passes[above] == 1)
+    # Below the cutoff the one-sided rule still checks a second horizon.
+    assert passes[0] == full_passes[0] >= 2 and cut[0] == full[0]
+    # Thermal cells at m/omega = 0.6 from E: a concurrence peak above 1e-3
+    # (the first three cells) or near 5e-9 (the last).
+    gray = gray_factor(0.6, 1.0)
+    rates = RateStack.of([thermal_rates(0.6, sep, temp) for temp, sep in SELECTOR_CELLS])
+    select = ("concurrence",)
+    full, full_passes = _counted_passes(
+        monkeypatch, lambda: _cell_maxima(initial, rates, gray, SELECTOR_CELLS, select)[0])
+    cut, passes = _counted_passes(
+        monkeypatch, lambda: _cell_maxima(initial, rates, gray, SELECTOR_CELLS, select, 1e-3)[0])
+    assert (full[0] > 1e-3).tolist() == [True, True, True, False]
+    assert passes.tolist()[:3] == [1, 1, 1]
+    assert passes[3] == full_passes[3] >= 2 and cut[0, 3] == full[0, 3]
