@@ -112,28 +112,31 @@ def _merge_config(argv: list[str]) -> list[str]:
 
 def _timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
+    if epoch is None:
+        return datetime.datetime.now(datetime.timezone.utc).isoformat()
+    try:
         moment = datetime.datetime.fromtimestamp(int(epoch), datetime.timezone.utc)
-    else:
-        moment = datetime.datetime.now(datetime.timezone.utc)
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ValueError(
+            f"SOURCE_DATE_EPOCH must be an integer number of seconds that a date "
+            f"can hold, got {epoch!r}"
+        ) from exc
     return moment.isoformat()
 
 
-def _write_manifest(command: str, params: dict, outputs: list[Path]) -> Path:
-    records = []
-    for path in outputs:
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        records.append({"path": path.name, "sha256": digest})
+def _write_manifest(
+    command: str, params: dict, outputs: list[tuple[Path, str]], timestamp: str
+) -> None:
+    """Write `<first output>.manifest.json` for (path, sha256 hex) pairs."""
     manifest = {
         "command": command,
         "params": params,
         "version": __version__,
-        "timestamp": _timestamp(),
-        "outputs": records,
+        "timestamp": timestamp,
+        "outputs": [{"path": path.name, "sha256": digest} for path, digest in outputs],
     }
-    manifest_path = outputs[0].with_name(outputs[0].name + ".manifest.json")
+    manifest_path = outputs[0][0].with_name(outputs[0][0].name + ".manifest.json")
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return manifest_path
 
 
 _CSV_BLOCK = 1024
@@ -148,25 +151,43 @@ def _text(values: np.ndarray) -> list[str]:
     return text[where.ravel()].tolist()
 
 
-def _csv(header: str, columns) -> str:
-    """CSV text: the header, then row k from element k of every column, as
-    str (a float's shortest round-trip repr). Rows are formatted and joined
-    _CSV_BLOCK at a time, so one block's strings are freed before the next."""
+def _csv(header: str, columns):
+    """CSV text in pieces: the header line, then row k from element k of every
+    column, as str (a float's shortest round-trip repr). Rows come _CSV_BLOCK
+    at a time, and a block is formatted only when the previous one has been
+    taken, so a consumer that writes each block holds one block of text."""
     columns = [np.asarray(column) for column in columns]
-    blocks = [header + "\n"]
+    yield header + "\n"
     for start in range(0, len(columns[0]), _CSV_BLOCK):
         cells = [_text(column[start:start + _CSV_BLOCK]) for column in columns]
-        blocks.append("\n".join(map(",".join, zip(*cells))) + "\n")
-    return "".join(blocks)
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def _emit(text: str, out: str | None) -> list[Path]:
+def _emit(text: str, stream, digest=None) -> None:
+    """Write one piece of output: `text` to a text stream, or its UTF-8 bytes
+    to a binary file and to the `digest` that hashes that file."""
+    if digest is None:
+        stream.write(text)
+        return
+    data = text.encode()
+    stream.write(data)
+    digest.update(data)
+
+
+def _write_csv(command: str, params: dict, blocks, out: str | None) -> None:
+    """Write CSV blocks as they come: to stdout when `out` is None, else to the
+    file `out`, hashing the bytes written, followed by its manifest."""
     if out is None:
-        sys.stdout.write(text)
-        return []
+        for text in blocks:
+            _emit(text, sys.stdout)
+        return
+    timestamp = _timestamp()  # a bad SOURCE_DATE_EPOCH fails before any file exists
     path = Path(out)
-    path.write_text(text, newline="\n")
-    return [path]
+    digest = hashlib.sha256()
+    with path.open("wb") as handle:
+        for text in blocks:
+            _emit(text, handle, digest)
+    _write_manifest(command, params, [(path, digest.hexdigest())], timestamp)
 
 
 def cmd_coeffs(args) -> int:
@@ -205,18 +226,16 @@ def cmd_evolve(args) -> int:
         taus, *pops.T, coh_ge.real, coh_ge.imag, coh_as.real, coh_as.imag,
         *_measures_arrays(*pops.T, *_coherence_parts(coh_ge, coh_as)),
     )
-    outputs = _emit(_csv(EVOLVE_HEADER, columns), args.out)
-    if outputs:
-        params = {
-            "initial": args.initial,
-            "mass-ratio": args.mass_ratio,
-            "sep": args.sep,
-            "temp-ratio": args.temp_ratio,
-            "tmax": args.tmax,
-            "steps": args.steps,
-            "method": prop.routes[0],
-        }
-        _write_manifest("evolve", params, outputs)
+    params = {
+        "initial": args.initial,
+        "mass-ratio": args.mass_ratio,
+        "sep": args.sep,
+        "temp-ratio": args.temp_ratio,
+        "tmax": args.tmax,
+        "steps": args.steps,
+        "method": prop.routes[0],
+    }
+    _write_csv("evolve", params, _csv(EVOLVE_HEADER, columns), args.out)
     return 0
 
 
@@ -238,9 +257,7 @@ def _write_map(result, command: str, params: dict, out: str) -> int:
         result.negativity.ravel(),
         result.method.ravel(),
     )
-    outputs = _emit(_csv(MAP_HEADER, columns), out)
-    if outputs:
-        _write_manifest(command, params, outputs)
+    _write_csv(command, params, _csv(MAP_HEADER, columns), out)
     return 0
 
 

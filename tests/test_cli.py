@@ -32,6 +32,13 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def child_env():
+    """The environment for a child Python that imports this checkout's massbath."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def parse_table(text):
     values = {}
     for line in text.strip().splitlines():
@@ -374,7 +381,7 @@ class TestCsvBlocks:
         expected = "h\n" + "".join(
             f"{a!r},{b!r},eigen\n" for a, b in zip(columns[0].tolist(), columns[1].tolist())
         )
-        assert cli._csv("h", columns) == expected
+        assert "".join(cli._csv("h", columns)) == expected
 
 
 def repr_csv(header, columns):
@@ -407,7 +414,107 @@ class TestCsvDistinctValues:
             np.zeros(n),
             np.resize(np.array(["eigen", "closed_form", "frozen"], dtype=object), n),
         )
-        assert cli._csv("h", columns) == repr_csv("h", columns)
+        assert "".join(cli._csv("h", columns)) == repr_csv("h", columns)
+
+
+class TestStreamedOutput:
+    """The CSV is written block by block and hashed as it is written."""
+
+    ARGV = {
+        # 41 x 30 = 1,230 rows: a full block and a partial one.
+        "time-sep": ["map", "time-sep", "--mass-ratio", "0.5", "--temp-ratio", "0.3",
+                     "--initial", "bell-GE", "--tau-count", "41", "--sep-count", "30"],
+        "temp-sep": ["map", "temp-sep", "--mass-ratio", "0.9", "--temp-count", "2",
+                     "--sep-count", "3"],
+        "evolve": ["evolve", "--initial", "bell-GE", "--mass-ratio", "0.5", "--steps", "1500"],
+    }
+
+    @pytest.mark.parametrize("name", ARGV)
+    def test_manifest_hashes_the_file_on_disk(self, capsys, tmp_path, name):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(self.ARGV[name] + ["--out", str(out)], capsys)
+        assert code == 0, err
+        manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert manifest["outputs"] == [{"path": "x.csv", "sha256": digest}]
+
+    def test_evolve_stdout_is_the_out_file(self, tmp_path):
+        out = tmp_path / "x.csv"
+        argv = [sys.executable, "-m", "massbath.cli", *self.ARGV["evolve"]]
+        subprocess.run(argv + ["--out", str(out)], check=True, env=child_env())
+        stdout = subprocess.run(argv, check=True, capture_output=True, env=child_env()).stdout
+        assert stdout == out.read_bytes()
+
+    @pytest.mark.parametrize("name", ARGV)
+    def test_emit_gets_one_block_per_call(self, capsys, monkeypatch, tmp_path, name):
+        """perfbench's `cli.emit.bytes` sums len(text.encode()) over `_emit`
+        calls: each call must get one block's str, and the calls together
+        must carry the file's bytes."""
+        texts = []
+        emit = cli._emit
+
+        def record(text, *args):
+            texts.append(text)
+            emit(text, *args)
+
+        monkeypatch.setattr(cli, "_emit", record)
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(self.ARGV[name] + ["--out", str(out)], capsys)
+        assert code == 0, err
+        assert all(isinstance(text, str) for text in texts)
+        assert max(text.count("\n") for text in texts) <= cli._CSV_BLOCK
+        rows = len(out.read_text().splitlines()) - 1
+        assert len(texts) == 1 + math.ceil(rows / cli._CSV_BLOCK)
+        assert sum(len(text.encode()) for text in texts) == out.stat().st_size
+
+
+# Runs the CLI in a child and prints, in kB, how far its peak RSS rose above
+# its RSS after import. VmHWM is the child's own high-water mark; ru_maxrss
+# would carry the parent's resident size across fork and exec.
+PEAK_AFTER_IMPORT = r"""
+import re, sys
+from massbath.cli import main
+def kb(field):
+    with open("/proc/self/status") as status:
+        return int(re.search(field + r":\s+(\d+)", status.read())[1])
+before = kb("VmRSS")
+code = main(sys.argv[1:])
+print(kb("VmHWM") - before)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_map_memory_stays_below_three_file_sizes(tmp_path):
+    """A streamed map holds one block of text, not the file: its peak RSS
+    above the child's after import stays below 3x the CSV (about 5x when the
+    whole text was joined, encoded and read back)."""
+    out = tmp_path / "m.csv"
+    child = subprocess.run(
+        [sys.executable, "-c", PEAK_AFTER_IMPORT, "map", "time-sep", "--mass-ratio", "0.5",
+         "--temp-ratio", "0.3", "--initial", "bell-GE", "--tau-count", "400",
+         "--sep-count", "400", "--out", str(out)],
+        check=True, capture_output=True, text=True, env=child_env(),
+    )
+    assert int(child.stdout) * 1024 < 3 * out.stat().st_size
+
+
+class TestSourceDateEpoch:
+    @pytest.mark.parametrize("epoch", ["abc", "1e9", "99999999999999999999"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--initial", "E", "--mass-ratio", "0", "--steps", "3"],
+            ["map", "time-sep", "--mass-ratio", "0", "--tau-count", "2", "--sep-count", "2"],
+        ],
+    )
+    def test_bad_epoch_exits_2_without_output(self, capsys, monkeypatch, tmp_path, epoch, argv):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(argv + ["--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("usage error: SOURCE_DATE_EPOCH") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestNoNegativeZero:
@@ -680,11 +787,7 @@ class TestRuntimeWithoutScipy:
 
     @staticmethod
     def run(args):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, "-c", WITHOUT_SCIPY, *args], env=dict(os.environ, PYTHONPATH=path)
-        )
+        return subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, *args], env=child_env())
 
 
 class TestVerify:
