@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import os
@@ -336,7 +337,11 @@ def _add_axis(parser, prefix: str, lo: float, hi: float, count: int) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves no
+    state on it, and a build costs more than many parses. Each subcommand
+    names its handler, which main looks up in this module when it runs."""
     parser = argparse.ArgumentParser(
         prog="massbath",
         description="Entanglement dynamics of two qubits in a massive scalar bath.",
@@ -349,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     coeffs.add_argument("--mass-ratio", type=float, required=True)
     coeffs.add_argument("--sep", type=float, required=True)
     coeffs.add_argument("--temp-ratio", type=float, default=None)
-    coeffs.set_defaults(func=cmd_coeffs)
+    coeffs.set_defaults(func="cmd_coeffs")
 
     evolve = sub.add_parser("evolve", help="trajectory CSV for one parameter point")
     _add_common(evolve)
@@ -365,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--tmax", type=float, default=10.0)
     evolve.add_argument("--steps", type=int, default=200)
     evolve.add_argument("--out", default=None, help="CSV path (default: stdout)")
-    evolve.set_defaults(func=cmd_evolve)
+    evolve.set_defaults(func="cmd_evolve")
 
     map_parser = sub.add_parser("map", help="sweep grids as long-format CSV")
     map_sub = map_parser.add_subparsers(dest="submode", required=True)
@@ -378,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_axis(time_sep, "tau", 0.05, 20.0, 40)
     _add_axis(time_sep, "sep", 0.05, 20.0, 40)
     time_sep.add_argument("--out", required=True)
-    time_sep.set_defaults(func=cmd_map_time_sep)
+    time_sep.set_defaults(func="cmd_map_time_sep")
 
     temp_sep = map_sub.add_parser(
         "temp-sep", help="max-over-time measures vs (T/omega, L)"
@@ -389,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_axis(temp_sep, "temp", 0.02, 0.4, 20)
     _add_axis(temp_sep, "sep", 0.05, 20.0, 40)
     temp_sep.add_argument("--out", required=True)
-    temp_sep.set_defaults(func=cmd_map_temp_sep)
+    temp_sep.set_defaults(func="cmd_map_temp_sep")
 
     verify = sub.add_parser("verify", help="run the self-verification suites")
     _add_common(verify)
@@ -400,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="fault-injection hook: perturb the coefficient comparison",
     )
-    verify.set_defaults(func=cmd_verify)
+    verify.set_defaults(func="cmd_verify")
     return parser
 
 
@@ -414,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except MassbathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

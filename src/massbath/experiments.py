@@ -20,21 +20,21 @@ from .errors import (
 )
 from .field_bath import (
     FieldBathConfig,
-    GklsCoefficients,
     _weights,
     coefficients,
     gray_factor,
     spatial_factor,
     spectral_density,
-    thermal_coefficients,
 )
 from .measures import (
     BOTH,
     CONCURRENCE_CUTOFF,
+    _check_diagonal_weights,
     _coherence_parts,
     _measures_arrays,
     _selector,
     entanglement,
+    lifetime,
 )
 from .xstate import (
     FROZEN,
@@ -44,9 +44,9 @@ from .xstate import (
     _cascade,
     _generators,
     _rate_fault,
-    build_rate_matrix,
-    closed_form_state,
+    _xstates,
     decay_factor,
+    integrate_ode_many,
     random_xstate,
 )
 
@@ -645,35 +645,53 @@ def thermal_generation_threshold(
     return float(0.5 * (t_lo + t_hi))
 
 
-def lifetime_by_bisection(e: float, g: float, a: float, s: float, gray: float, g0: float) -> float:
+def lifetime_by_bisection(e, g, a, s, gray: float, g0: float):
     """Disentanglement time found as the root of the closed-form concurrence.
 
     Independent of the closed-form lifetime expression: bisects the sign of
-    the dominant concurrence branch in the decay variable xi.
+    the dominant concurrence branch in the decay variable xi. The weights
+    are floats, giving a float, or arrays that broadcast, giving an array
+    from one array bisection. Each entry stops as a bisection of it alone
+    would: once the midpoint equals an end, or after 200 halvings. Raises
+    ValueError naming the first entry (in C order) whose weights are not
+    finite, >= 0 and summing to 1.
     """
     if gray <= 0.0 or g0 <= 0.0:
         raise ValueError("gray and gamma0 must be > 0 for a finite lifetime")
+    scalar = all(np.ndim(w) == 0 for w in (e, g, a, s))
+    e, g, a, s = np.broadcast_arrays(*(np.asarray(w, dtype=float) for w in (e, g, a, s)))
+    with np.errstate(invalid="ignore"):  # nan fails both tests, as it fails the scalar check
+        ok = np.minimum(np.minimum(e, g), np.minimum(a, s)) >= -1e-12
+        ok &= np.abs(e + g + a + s - 1.0) <= 1e-9
+    if not ok.all():
+        k = int(np.argmin(ok))
+        try:
+            _check_diagonal_weights(*(float(w.flat[k]) for w in (e, g, a, s)))
+        except ValueError as exc:
+            raise ValueError(str(exc) if scalar else f"entry {k}: {exc}") from None
     h_val = a + s + 2.0 * e
-    gap = abs(a - s)
+    gap = np.abs(a - s)
 
-    def entangled(xi: float) -> bool:
+    def entangled(xi: np.ndarray) -> np.ndarray:
         radicand = e * (xi * xi * e - xi * h_val + 1.0)
-        return gap > 2.0 * math.sqrt(max(radicand, 0.0))
+        return gap > 2.0 * np.sqrt(np.maximum(radicand, 0.0))
 
-    if not entangled(1.0):
-        return 0.0
-    lo, hi = 0.0, 1.0  # entangled at hi, disentangled at lo (xi -> 0)
-    if entangled(lo):
-        return math.inf
+    lo, hi = np.zeros(e.shape), np.ones(e.shape)  # entangled at hi, disentangled at lo (xi -> 0)
+    start, forever = entangled(hi), entangled(lo)
+    live = start & ~forever
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        live &= (mid != lo) & (mid != hi)
+        if not live.any():
             break
-        if entangled(mid):
-            hi = mid
-        else:
-            lo = mid
-    return -math.log(0.5 * (lo + hi)) / (gray * g0)
+        ent = entangled(mid)
+        hi = np.where(live & ent, mid, hi)
+        lo = np.where(live & ~ent, mid, lo)
+    # math.log, as numpy's vectorised log may differ from it in the last bit.
+    rate = gray * g0
+    roots = np.array([-math.log(xi) / rate for xi in (0.5 * (lo + hi)).ravel().tolist()])
+    times = np.where(start, np.where(forever, math.inf, roots.reshape(e.shape)), 0.0)
+    return float(times) if scalar else times
 
 
 @dataclass(frozen=True)
@@ -689,14 +707,25 @@ class SuiteResult:
         return self.max_deviation < self.threshold
 
 
-def _vacuum_like_coefficients(lam: float):
-    """Vacuum-structure coefficients with gray*Gamma0 = 1 and the given lam."""
-    return GklsCoefficients(a1=0.25, b1=0.25, a2=0.25 * lam, b2=0.25 * lam)
-
-
 def _state_distance(x: XState, y: XState) -> float:
     fields = ("pop_g", "pop_a", "pop_s", "pop_e", "coh_ge", "coh_as")
     return max(abs(getattr(x, name) - getattr(y, name)) for name in fields)
+
+
+def _sudden_death_draws(rng: np.random.Generator, count: int) -> np.ndarray:
+    """The first `count` Dirichlet draws (g, a, s, e) that meet
+    sudden_death_condition, leaving rng as drawing them one at a time would.
+    A batch of n draws equals n single draws: batches find how many draws
+    that takes, and exactly that many are drawn again from the saved state."""
+    saved, draws, hits = rng.bit_generator.state, np.empty((0, 4)), []
+    while len(hits) < count:
+        draws = np.concatenate([draws, rng.dirichlet(np.ones(4), size=4 * count)])
+        g, a, s, e = draws.T
+        # A float's ** 2 is libm's pow, which may differ from an array's x * x.
+        gap2 = np.array([gap ** 2 for gap in (a - s).tolist()])
+        hits = np.flatnonzero((4.0 * e * g < gap2) & (gap2 < 4.0 * e))
+    rng.bit_generator.state = saved
+    return rng.dirichlet(np.ones(4), size=hits[count - 1] + 1)[hits[:count]]
 
 
 def run_verification(seed: int = 0, perturb: float = 0.0) -> list[SuiteResult]:
@@ -705,9 +734,6 @@ def run_verification(seed: int = 0, perturb: float = 0.0) -> list[SuiteResult]:
     Deterministic for a given seed. `perturb` is forwarded to the coefficient
     comparison as a fault-injection hook.
     """
-    from .measures import lifetime, sudden_death_condition
-    from .xstate import integrate_ode_many, propagate_eigen
-
     rng = np.random.default_rng(seed)
     results = []
 
@@ -728,40 +754,39 @@ def run_verification(seed: int = 0, perturb: float = 0.0) -> list[SuiteResult]:
     )
     results.append(SuiteResult("scaling-thermal", dev, 1e-9))
 
-    dev = 0.0
-    count = 0
-    while count < 300:
-        g, a, s, e = rng.dirichlet(np.ones(4))
-        if not sudden_death_condition(e, g, a, s):
-            continue
-        count += 1
-        formula = lifetime(e, g, a, s, 1.0, 1.0)
-        oracle = lifetime_by_bisection(e, g, a, s, 1.0, 1.0)
-        dev = max(dev, abs(formula - oracle) / oracle)
+    weights = _sudden_death_draws(rng, 300)
+    formula = np.array([lifetime(e, g, a, s, 1.0, 1.0) for g, a, s, e in weights])
+    g, a, s, e = weights.T
+    oracle = lifetime_by_bisection(e, g, a, s, 1.0, 1.0)
+    dev = float(np.max(np.abs(formula - oracle) / oracle))
     results.append(SuiteResult("lifetime-bisection", dev, 1e-8))
 
-    dev = 0.0
-    systems = []
-    for _ in range(30):
-        state = random_xstate(rng)
-        lam = rng.uniform(-0.9, 0.9)
-        tau = rng.uniform(0.1, 5.0)
-        rates = build_rate_matrix(_vacuum_like_coefficients(lam))
-        closed = closed_form_state(state, lam, decay_factor(tau, 1.0, 1.0))
-        eigen = propagate_eigen(state, rates, tau)
-        dev = max(dev, _state_distance(closed, eigen))
-        systems.append((state, rates, tau, eigen))
-    for _ in range(30):
-        state = random_xstate(rng)
-        temp = rng.uniform(0.05, 2.0)
-        sep = rng.uniform(0.1, 10.0)
-        tau = rng.uniform(0.1, 5.0)
-        cfg = FieldBathConfig.from_ratios(0.0, sep, temp)
-        rates = build_rate_matrix(thermal_coefficients(cfg))
-        systems.append((state, rates, tau, propagate_eigen(state, rates, tau)))
-    states, rates, taus, eigens = zip(*systems)
+    # 30 vacuum-like systems (gray*Gamma0 = 1, a1 = b1 = 1/4, a2 = b2 = lam/4),
+    # then 30 massless thermal ones, drawn in this order.
+    vacuum = [(random_xstate(rng), rng.uniform(-0.9, 0.9), rng.uniform(0.1, 5.0))
+              for _ in range(30)]
+    thermal = [(random_xstate(rng), rng.uniform(0.05, 2.0), rng.uniform(0.1, 10.0),
+                rng.uniform(0.1, 5.0)) for _ in range(30)]
+    lams = np.array([lam for _, lam, _ in vacuum])
+    gens, rate = _generators(0.25, 0.25, 0.25 * lams, 0.25 * lams)
+    decay = np.full(lams.size, rate)
+    hot = _cell_rates(0.0, np.array([sep for *_, sep, _ in thermal]),
+                      np.array([temp for _, temp, _, _ in thermal]))
+    rates = RateStack(*(np.concatenate(pair) for pair in zip((gens, decay, decay), hot)))
+    states = [system[0] for system in vacuum + thermal]
+    taus = np.array([system[-1] for system in vacuum + thermal])
+    pops0 = np.array([state.populations() for state in states])
+    coh_ge, coh_as = np.array([(state.coh_ge, state.coh_as) for state in states]).T
+    pops = EigenPropagator(rates).populations(pops0, taus[:, None])[:, 0]
+    eigens = _xstates(pops, coh_ge * np.exp(-rates.decay_ge * taus),
+                      coh_as * np.exp(-rates.decay_as * taus))
+    # The closed form at xi = exp(-tau), in u = -log(xi), as closed_form_state.
+    u = np.array([-math.log(decay_factor(tau, 1.0, 1.0)) for tau in taus[:lams.size]])
+    cut, fade = slice(lams.size), np.exp(-u)
+    closed = _xstates(np.stack(_cascade(pops0[cut].T, 1.0 - lams, 1.0 + lams, u), axis=-1),
+                      coh_ge[cut] * fade, coh_as[cut] * fade)
     odes = integrate_ode_many(states, rates, taus, tol=1e-10)
-    dev = max(dev, *map(_state_distance, eigens, odes))
+    dev = max(*map(_state_distance, closed, eigens), *map(_state_distance, eigens, odes))
     results.append(SuiteResult("method-agreement", dev, 1e-8))
 
     checks = [

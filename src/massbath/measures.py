@@ -170,6 +170,8 @@ def _state_arrays(states) -> tuple[np.ndarray, ...]:
 
 
 def _check_diagonal_weights(e: float, g: float, a: float, s: float) -> None:
+    if not all(map(math.isfinite, (e, g, a, s))):
+        raise ValueError(f"populations must be finite, got {(e, g, a, s)}")
     if min(e, g, a, s) < -1e-12:
         raise ValueError(f"populations must be >= 0, got {(e, g, a, s)}")
     if abs(e + g + a + s - 1.0) > 1e-9:

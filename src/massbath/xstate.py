@@ -428,30 +428,36 @@ class EigenPropagator:
     def populations(self, pops0: np.ndarray, taus: np.ndarray) -> np.ndarray:
         """Population vectors at each tau.
 
-        taus is one time grid shared by every generator, shape (K,), or
-        per-generator grids of shape (N, ..., K), each row along the last
-        axis one grid. Returns taus' shape plus a trailing axis of 4 for a
-        single RateMatrix (taus of shape (K,)), else (N, ..., K, 4).
+        pops0 is one initial population vector shared by every generator,
+        shape (4,), or one per generator, shape (N, 4). taus is one time grid
+        shared by every generator, shape (K,), or per-generator grids of
+        shape (N, ..., K), each row along the last axis one grid. Returns
+        taus' shape plus a trailing axis of 4 for a single RateMatrix (taus
+        of shape (K,)), else (N, ..., K, 4).
         """
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
         if not np.all((taus >= 0.0) & (taus < math.inf)):
             raise ValueError("tau must be finite and >= 0")
-        pops0 = np.asarray(pops0, dtype=float)
         shared = taus.ndim == 1
         count = len(self.routes)
         if not shared and taus.shape[0] != count:
             raise ValueError(f"need {count} per-generator grids, got {taus.shape[0]}")
+        pops0 = np.asarray(pops0, dtype=float)
+        if pops0.shape not in ((4,), (count, 4)):
+            raise ValueError(f"pops0 must have shape (4,) or ({count}, 4), got {pops0.shape}")
+        pops0 = np.broadcast_to(pops0, (count, 4))
         rows = taus.reshape(1 if shared else count, -1, taus.shape[-1])
 
         def grid(index: np.ndarray) -> np.ndarray:
             return rows if shared or index.size == count else rows[index]
 
         out = np.empty((count,) + rows.shape[1:] + (4,))
-        out[self._route[FROZEN]] = pops0
+        frozen = self._route[FROZEN]
+        out[frozen] = pops0[frozen, None, None]
         eigen = self._route[EIGEN]
         if eigen.size:
             modes = np.exp(grid(eigen)[..., None] * self._eigvals[:, None, None, :])
-            modes *= (self._inv @ pops0)[:, None, None, :]
+            modes *= _apply(self._inv, pops0[eigen])[:, None, None, :]
             if eigen.size == count:
                 out = modes @ self._eigvecs_t
             else:
@@ -459,11 +465,12 @@ class EigenPropagator:
         cascade = self._route[CLOSED_FORM]
         if cascade.size:
             rates = self._d_a[cascade], self._d_s[cascade]
-            out[cascade] = np.stack(_cascade(pops0, *rates, grid(cascade)), axis=-1)
+            start = pops0[cascade].T[..., None, None]
+            out[cascade] = np.stack(_cascade(start, *rates, grid(cascade)), axis=-1)
         expm = self._route[EXPM]
         if expm.size:
             grids = np.broadcast_to(grid(expm), (expm.size,) + rows.shape[1:])
-            out[expm] = _uniformized_populations(self._gens[expm], pops0, grids)
+            out[expm] = _uniformized_populations(self._gens[expm], pops0[expm], grids)
         out = out.reshape((count,) + (taus.shape if shared else taus.shape[1:]) + (4,))
         return out[0] if self._single else out
 
@@ -483,6 +490,11 @@ class EigenPropagator:
             initial.coh_ge * np.exp(-self.rates.decay_ge * taus),
             initial.coh_as * np.exp(-self.rates.decay_as * taus),
         )
+
+
+def _apply(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """matrices[n] @ vectors[n] for matrices (N, 4, 4) and vectors (N, 4)."""
+    return (matrices @ vectors[..., None])[..., 0]
 
 
 def _diagonalize(gens: np.ndarray):
@@ -543,7 +555,8 @@ def _uniformized(gens: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _uniformized_populations(gens: np.ndarray, pops0: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Populations (N, R, K, 4) of generators (N, 4, 4) on time rows (N, R, K).
+    """Populations (N, R, K, 4) of generators (N, 4, 4) from initial
+    populations (N, 4) on time rows (N, R, K).
 
     One batched _uniformized call serves every row. A uniform row t0 + k*dt
     takes exp(G t0) @ pops0 and exp(G dt), applied by repeated squaring: the
@@ -560,9 +573,9 @@ def _uniformized_populations(gens: np.ndarray, pops0: np.ndarray, rows: np.ndarr
     times = np.concatenate([t0[uniform], dt[uniform], rows[~uniform].ravel()])
     exps = _uniformized(gens[np.concatenate([ends, ends, points])], times)
     out = np.empty(rows.shape + (4,))
-    out[~uniform] = (exps[2 * ends.size:] @ pops0).reshape(-1, count, 4)
+    out[~uniform] = _apply(exps[2 * ends.size:], pops0[points]).reshape(-1, count, 4)
     run = np.empty((ends.size, count, 4))
-    run[:, 0] = exps[:ends.size] @ pops0
+    run[:, 0] = _apply(exps[:ends.size], pops0[ends])
     power = np.swapaxes(exps[ends.size:2 * ends.size], 1, 2)  # rows are columns
     filled = 1
     while filled < count:
@@ -675,20 +688,27 @@ def _rkf45(gen: np.ndarray, y0: np.ndarray, tau_end: np.ndarray, tol: float):
             rows, gen, y, t, h, tau_end = (a[live] for a in (rows, gen, y, t, h, tau_end))
 
 
-def _ode_system(initials: Sequence[XState], rates: Sequence[RateMatrix]):
+def _ode_system(initials: Sequence[XState], rates: Sequence[RateMatrix] | RateStack):
     """Generators (N, 8, 8) and initial vectors (N, 8) of the real ODE systems.
 
     A state's vector holds the four populations, then coh_ge and coh_as as
     (real, imag) pairs; its generator is block-diagonal: the population
     generator, then minus each coherence's decay rate.
     """
-    gen = np.zeros((len(initials), 8, 8))
-    y0 = np.zeros((len(initials), 8))
-    for n, (state, rate) in enumerate(zip(initials, rates, strict=True)):
-        gen[n, :4, :4] = rate.generator
-        gen[n, range(4, 8), range(4, 8)] = np.repeat([-rate.decay_ge, -rate.decay_as], 2)
-        y0[n, :4] = state.populations()
-        y0[n, 4:] = np.array([state.coh_ge, state.coh_as]).view(float)
+    if not isinstance(rates, RateStack):
+        rates = RateStack.of(rates)
+    count = len(initials)
+    if len(rates.generator) != count:
+        raise ValueError(f"need one rate per state, got {len(rates.generator)} for {count}")
+    gen = np.zeros((count, 8, 8))
+    gen[:, :4, :4] = rates.generator
+    decay = np.stack([-rates.decay_ge, -rates.decay_as], axis=1)
+    gen[:, range(4, 8), range(4, 8)] = np.repeat(decay, 2, axis=1)
+    y0 = np.array([
+        (s.pop_g, s.pop_a, s.pop_s, s.pop_e,
+         s.coh_ge.real, s.coh_ge.imag, s.coh_as.real, s.coh_as.imag)
+        for s in initials
+    ]).reshape(-1, 8)
     return gen, y0
 
 
@@ -735,14 +755,15 @@ def integrate_ode(
 
 def integrate_ode_many(
     initials: Sequence[XState],
-    rates: Sequence[RateMatrix],
+    rates: Sequence[RateMatrix] | RateStack,
     tau_ends: Sequence[float],
     tol: float = 1e-10,
 ) -> tuple[XState, ...]:
     """Final states of integrate_ode for many systems, integrated in lockstep.
 
-    System n keeps its own step control, as in integrate_ode(initials[n],
-    rates[n], tau_ends[n], tol); all systems advance in the same array passes.
+    rates is a RateStack or a sequence of RateMatrix, one per system. System n
+    keeps its own step control, as in integrate_ode(initials[n], rates[n],
+    tau_ends[n], tol); all systems advance in the same array passes.
     """
     tau_ends = _ode_times(tau_ends, tol)
     if tau_ends.shape != (len(initials),):

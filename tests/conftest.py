@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from massbath import XState, to_product_basis
+from massbath import GklsCoefficients, XState, to_product_basis
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240613)
+
+
+def vacuum_like(lam: float) -> GklsCoefficients:
+    """Vacuum-structure coefficients with gray*Gamma0 = 1 and spatial factor lam."""
+    return GklsCoefficients(a1=0.25, b1=0.25, a2=0.25 * lam, b2=0.25 * lam)
 
 
 def wootters_concurrence(rho: np.ndarray) -> float:

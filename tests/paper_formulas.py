@@ -6,7 +6,12 @@ xi = exp(-gray*Gamma0*tau) directly from the initial state, without
 propagating it. They carry 1/(1 - lam^2), so they are evaluated only where
 |lam| stays _LAMBDA_BAND away from 1. The library propagates and then
 measures instead; tests/test_measures.py checks the two routes agree.
+
+scalar_lifetime_by_bisection is the one-state bisection that the library's
+array lifetime_by_bisection must reproduce entry by entry, bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -83,3 +88,29 @@ def closed_form_negativity(initial: XState, lam: float, xi) -> tuple:
         * (h_fn - 2.0 * xi * (1.0 + lam * lam) / one * e0 - 2.0 * abs(initial.coh_ge))
     )
     return n1, n2
+
+
+def scalar_lifetime_by_bisection(e, g, a, s, gray: float, g0: float) -> float:
+    """Disentanglement time of one diagonal state: bisection of the sign of
+    the dominant concurrence branch in xi, one float at a time."""
+    h_val = a + s + 2.0 * e
+    gap = abs(a - s)
+
+    def entangled(xi: float) -> bool:
+        radicand = e * (xi * xi * e - xi * h_val + 1.0)
+        return gap > 2.0 * math.sqrt(max(radicand, 0.0))
+
+    if not entangled(1.0):
+        return 0.0
+    lo, hi = 0.0, 1.0  # entangled at hi, disentangled at lo (xi -> 0)
+    if entangled(lo):
+        return math.inf
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if entangled(mid):
+            hi = mid
+        else:
+            lo = mid
+    return -math.log(0.5 * (lo + hi)) / (gray * g0)

@@ -14,6 +14,7 @@ from conftest import (
     off_x_magnitude,
     partial_transpose_negativity,
     state_distance,
+    vacuum_like,
     wootters_concurrence,
 )
 from massbath import (
@@ -42,7 +43,6 @@ from massbath import (
     to_product_basis,
     vacuum_coefficients,
 )
-from massbath.experiments import _vacuum_like_coefficients
 
 RNG_SEED = 987654321
 
@@ -155,7 +155,7 @@ def test_criterion_07_method_agreement():
     states = [random_xstate(rng) for _ in range(100)]
     for state in states:
         for lam in (-0.2, 0.0, 0.5, 0.9):
-            rates = build_rate_matrix(_vacuum_like_coefficients(lam))
+            rates = build_rate_matrix(vacuum_like(lam))
             for tau in (0.1, 1.0, 5.0):
                 closed = closed_form_state(state, lam, decay_factor(tau, 1.0, 1.0))
                 eigen = propagate_eigen(state, rates, tau)

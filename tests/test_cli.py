@@ -803,3 +803,39 @@ class TestVerify:
         code, out, _ = run_cli(["verify", "--perturb", "1e-6"], capsys)
         assert code == 1
         assert "FAIL" in out
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_usage_error_then_map_behave_as_two_fresh_calls(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+
+        def two_calls(name: str, fresh: bool):
+            folder = tmp_path / name
+            folder.mkdir()
+            good = ["map", "temp-sep", "--mass-ratio", "0.5", "--temp-count", "2",
+                    "--sep-count", "3", "--out", str(folder / "map.csv")]
+            outcomes = []
+            for argv in (["map", "temp-sep", "--mass-ratio", "abc", "--out", "x.csv"], good):
+                if fresh:
+                    cli.build_parser.cache_clear()
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                outcomes.append((code, *capsys.readouterr()))
+            files = [(folder / f).read_bytes() for f in ("map.csv", "map.csv.manifest.json")]
+            return outcomes, files
+
+        cached = two_calls("cached", fresh=False)
+        assert [code for code, _, _ in cached[0]] == [2, 0]
+        assert "invalid float value: 'abc'" in cached[0][0][2]
+        assert two_calls("fresh", fresh=True) == cached
+
+    def test_handlers_are_looked_up_when_called(self, monkeypatch):
+        # A wrapper installed on a handler after the parser is built is the one called.
+        cli.build_parser()
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: 7)
+        assert main(["verify", "--seed", "3"]) == 7

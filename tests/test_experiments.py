@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import state_distance, vacuum_like
 from massbath import (
     FieldBathConfig,
     GridAxis,
@@ -10,7 +11,9 @@ from massbath import (
     SweepConfig,
     XState,
     build_rate_matrix,
+    closed_form_state,
     coefficients,
+    decay_factor,
     detect_events,
     eigen_trajectory,
     enlargement_factor,
@@ -18,9 +21,13 @@ from massbath import (
     evolve_scan,
     generation_reach,
     gray_factor,
+    integrate_ode_many,
+    lifetime,
+    propagate_eigen,
     random_xstate,
     run_verification,
     scaling_check,
+    sudden_death_condition,
     thermal_generation_threshold,
     thermal_scan,
     vacuum_coefficients,
@@ -29,6 +36,7 @@ from massbath import (
 import massbath.experiments as experiments
 from massbath.experiments import _vacuum_max_over_time
 from massbath.xstate import RateStack
+from paper_formulas import scalar_lifetime_by_bisection
 
 
 class TestGridAxis:
@@ -519,3 +527,49 @@ class TestRunVerification:
         results = run_verification(seed=7, perturb=1e-6)
         oracle = [s for s in results if s.name == "coefficient-oracle"][0]
         assert not oracle.passed
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_sudden_death_draws_match_one_at_a_time(self, seed):
+        rng, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = experiments._sudden_death_draws(rng, 300)
+        expected = []
+        while len(expected) < 300:
+            g, a, s, e = loop.dirichlet(np.ones(4))
+            if sudden_death_condition(e, g, a, s):
+                expected.append((g, a, s, e))
+        assert drawn.tolist() == np.array(expected).tolist()
+        assert rng.random(3).tolist() == loop.random(3).tolist()
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_array_suites_equal_one_system_loops(self, seed):
+        # The lifetime and method-agreement suites, one state and one
+        # propagator at a time, as the array passes must reproduce bit for bit.
+        rng = np.random.default_rng(seed)
+        lifetime_dev, count = 0.0, 0
+        while count < 300:
+            g, a, s, e = rng.dirichlet(np.ones(4))
+            if not sudden_death_condition(e, g, a, s):
+                continue
+            count += 1
+            formula = lifetime(e, g, a, s, 1.0, 1.0)
+            oracle = scalar_lifetime_by_bisection(e, g, a, s, 1.0, 1.0)
+            lifetime_dev = max(lifetime_dev, abs(formula - oracle) / oracle)
+        method_dev, systems = 0.0, []
+        for _ in range(30):
+            state, lam, tau = random_xstate(rng), rng.uniform(-0.9, 0.9), rng.uniform(0.1, 5.0)
+            rates = build_rate_matrix(vacuum_like(lam))
+            closed = closed_form_state(state, lam, decay_factor(tau, 1.0, 1.0))
+            eigen = propagate_eigen(state, rates, tau)
+            method_dev = max(method_dev, state_distance(closed, eigen))
+            systems.append((state, rates, tau, eigen))
+        for _ in range(30):
+            state, temp, sep = random_xstate(rng), rng.uniform(0.05, 2.0), rng.uniform(0.1, 10.0)
+            tau = rng.uniform(0.1, 5.0)
+            rates = build_rate_matrix(coefficients(FieldBathConfig.from_ratios(0.0, sep, temp)))
+            systems.append((state, rates, tau, propagate_eigen(state, rates, tau)))
+        states, rates, taus, eigens = zip(*systems)
+        odes = integrate_ode_many(states, rates, taus, tol=1e-10)
+        method_dev = max(method_dev, *map(state_distance, eigens, odes))
+        suites = {suite.name: suite.max_deviation for suite in run_verification(seed)}
+        assert suites["lifetime-bisection"] == lifetime_dev
+        assert suites["method-agreement"] == method_dev

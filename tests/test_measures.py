@@ -33,6 +33,7 @@ from paper_formulas import (
     LambdaSingularError,
     closed_form_concurrence,
     closed_form_negativity,
+    scalar_lifetime_by_bisection,
 )
 
 
@@ -244,6 +245,57 @@ class TestLifetime:
     def test_frozen_entangled_raises(self):
         with pytest.raises(FrozenDynamicsError):
             lifetime(e=0.5, g=0.0, a=0.5, s=0.0, gray=0.0, g0=1.0)
+
+
+class TestLifetimeBisection:
+    def test_array_bisection_equals_scalar_loop(self, rng):
+        weights = []
+        while len(weights) < 300:
+            g, a, s, e = rng.dirichlet(np.ones(4))
+            if sudden_death_condition(e, g, a, s):
+                weights.append((e, g, a, s))
+        # Never entangled (0.0), and entangled as xi -> 0 (inf).
+        weights += [(1.0, 0.0, 0.0, 0.0), (0.25, 0.25, 0.25, 0.25), (0.0, 0.0, 1.0, 0.0),
+                    (0.1, 0.0, 0.9, 0.0)]
+        for gray, g0 in ((1.0, 1.0), (0.3, 2.5)):
+            e, g, a, s = np.array(weights).T
+            times = lifetime_by_bisection(e, g, a, s, gray, g0)
+            expected = [scalar_lifetime_by_bisection(*w, gray, g0) for w in weights]
+            assert times.shape == (304,)
+            assert times.tolist() == expected
+            assert times[-4:].tolist() == [0.0, 0.0, math.inf, math.inf]
+
+    def test_scalar_call_returns_a_float(self):
+        value = lifetime_by_bisection(0.5, 0.0, 0.5, 0.0, 1.0, 1.0)
+        assert type(value) is float
+        assert value == scalar_lifetime_by_bisection(0.5, 0.0, 0.5, 0.0, 1.0, 1.0)
+        assert type(lifetime_by_bisection(1.0, 0.0, 0.0, 0.0, 1.0, 1.0)) is float
+
+    def test_weights_broadcast(self):
+        a = np.array([[0.5], [0.4]])
+        times = lifetime_by_bisection(0.5, 0.0, a, 0.5 - a, 1.0, 1.0)
+        assert times.shape == (2, 1)
+        assert times[1, 0] == lifetime_by_bisection(0.5, 0.0, 0.4, 0.1, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "weights, match",
+        [((0.5, 0.2, math.inf, 0.3), "finite"), ((-0.5, 0.2, 0.9, 0.3), ">= 0"),
+         ((math.nan, 0.2, 0.3, 0.5), "finite"), ((0.5, 0.2, 0.3, 0.5), "sum to 1")],
+    )
+    def test_bad_weights_raise(self, weights, match):
+        with pytest.raises(ValueError, match=match):
+            lifetime_by_bisection(*weights, 1.0, 1.0)
+        e, g, a, s = np.array([(0.5, 0.0, 0.5, 0.0), (0.5, 0.0, 0.5, 0.0), weights]).T
+        with pytest.raises(ValueError, match=f"entry 2: .*{match}"):
+            lifetime_by_bisection(e, g, a, s, 1.0, 1.0)
+
+    def test_non_finite_weights_fail_the_lifetime_checks(self):
+        with pytest.raises(ValueError, match="finite"):
+            lifetime(math.nan, 0.2, 0.3, 0.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            sudden_death_condition(math.nan, 0.2, 0.3, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            sudden_death_condition(0.5, 0.2, math.inf, 0.3)
 
 
 class TestDetectEvents:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import (
     mp_reference_state,
     off_x_magnitude,
     state_distance,
+    vacuum_like,
 )
 from massbath import (
     FieldBathConfig,
@@ -37,15 +39,12 @@ from massbath.xstate import (
     FROZEN,
     EigenPropagator,
     RateMatrix,
+    RateStack,
     Trajectory,
     _ode_system,
     _rkf45,
     _uniformized,
 )
-
-
-def vacuum_like(lam: float) -> GklsCoefficients:
-    return GklsCoefficients(a1=0.25, b1=0.25, a2=0.25 * lam, b2=0.25 * lam)
 
 
 RKF_A = (
@@ -335,15 +334,30 @@ class TestEigenPropagator:
         ]
         prop = EigenPropagator(stack)
         assert list(prop.routes) == [FROZEN, CLOSED_FORM, CLOSED_FORM, EIGEN, EXPM]
-        pops0 = random_xstate(rng).populations()
         taus = np.linspace(0.0, 8.0, 33)
-        shared = prop.populations(pops0, taus)
-        rows = prop.populations(pops0, np.stack([[taus / 2, taus]] * len(stack)))
-        assert shared.shape == (5, 33, 4) and rows.shape == (5, 2, 33, 4)
-        for n, rates in enumerate(stack):
-            alone = EigenPropagator(rates).populations(pops0, taus)
-            assert np.max(np.abs(shared[n] - alone)) < 1e-14
-            assert np.max(np.abs(rows[n, 1] - alone)) < 1e-14
+        grids = np.stack([[taus / 2, taus]] * len(stack))
+        common = random_xstate(rng).populations()
+        own = np.array([random_xstate(rng).populations() for _ in stack])
+        # One initial vector for every generator, then one per generator. Every
+        # row was bit-equal to its one-generator propagator on x86-64 with
+        # numpy 2.4 and OpenBLAS; the bound allows a BLAS that sums otherwise.
+        for pops0 in (common, own):
+            shared = prop.populations(pops0, taus)
+            rows = prop.populations(pops0, grids)
+            assert shared.shape == (5, 33, 4) and rows.shape == (5, 2, 33, 4)
+            for n, rates in enumerate(stack):
+                start = pops0 if pops0.ndim == 1 else pops0[n]
+                alone = EigenPropagator(rates).populations(start, taus)
+                assert np.max(np.abs(shared[n] - alone)) < 1e-14
+                assert np.max(np.abs(rows[n, 1] - alone)) < 1e-14
+
+    @pytest.mark.parametrize("shape", [(6, 4), (5, 3), (4, 4), (1, 4), (5, 4, 1)])
+    def test_per_generator_populations_need_one_vector_per_generator(self, shape):
+        stack = [build_rate_matrix(vacuum_like(lam)) for lam in (-0.5, 0.0, 0.2, 0.7, 1.0)]
+        prop = EigenPropagator(stack)
+        message = rf"\(4,\) or \(5, 4\), got {re.escape(str(shape))}"
+        with pytest.raises(ValueError, match=message):
+            prop.populations(np.full(shape, 0.25), np.linspace(0.0, 1.0, 3))
 
     def test_semigroup_property(self, rng):
         for _ in range(20):
@@ -549,6 +563,21 @@ class TestIntegrateOde:
             assert np.abs(entries(finals[n]) - entries(single.states[-1])).max() <= 1e-14
             assert np.abs(entries(single.states[-1]) - reference).max() <= 1e-14
         assert steps[-2] == 1
+
+    def test_lockstep_batch_takes_a_rate_stack(self, rng):
+        rates = [build_rate_matrix(vacuum_like(lam)) for lam in (-0.9, 0.4, 1.0)]
+        rates += [
+            build_rate_matrix(thermal_coefficients(FieldBathConfig.from_ratios(0.5, sep, temp)))
+            for sep, temp in ((2.0, 0.2), (0.3, 1.5))
+        ]
+        rates.append(build_rate_matrix(GklsCoefficients(0.0, 0.0, 0.0, 0.0)))
+        initials = [random_xstate(rng) for _ in rates]
+        taus = rng.uniform(0.1, 5.0, size=len(rates))
+        from_list = integrate_ode_many(initials, rates, taus)
+        from_stack = integrate_ode_many(initials, RateStack.of(rates), taus)
+        assert from_stack == from_list
+        with pytest.raises(ValueError, match="one rate per state"):
+            integrate_ode_many(initials, RateStack.of(rates[1:]), taus)
 
     def test_lockstep_batch_underflow_names_the_system(self):
         stiff = build_rate_matrix(GklsCoefficients(a1=2.5e14, b1=2.5e14, a2=0.0, b2=0.0))
