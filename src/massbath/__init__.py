@@ -41,7 +41,6 @@ from .xstate import (
     from_product_basis,
     integrate_ode,
     integrate_ode_many,
-    propagate_eigen,
     random_xstate,
     to_product_basis,
 )

@@ -36,7 +36,7 @@ from .experiments import (
     run_verification,
     thermal_scan,
 )
-from .xstate import EigenPropagator, XState, _check_states, build_rate_matrix
+from .xstate import XState, build_rate_matrix, eigen_trajectory
 
 EVOLVE_HEADER = (
     "tau,rho_G,rho_A,rho_S,rho_E,re_GE,im_GE,re_AS,im_AS,concurrence,negativity"
@@ -220,12 +220,11 @@ def cmd_evolve(args) -> int:
     taus = np.linspace(0.0, args.tmax, args.steps)
     if np.any(np.diff(taus) <= 0.0):
         raise ValueError(f"--tmax must give {args.steps} increasing times, got {args.tmax}")
-    prop = EigenPropagator(build_rate_matrix(coefficients(config)))
-    pops, coh_ge, coh_as = prop._arrays(initial, taus)
-    _check_states(pops, coh_ge, coh_as)
+    traj = eigen_trajectory(initial, build_rate_matrix(coefficients(config)), taus)
+    pops, coh_ge, coh_as = traj.populations.T, traj.coh_ge, traj.coh_as
     columns = (
-        taus, *pops.T, coh_ge.real, coh_ge.imag, coh_as.real, coh_as.imag,
-        *_measures_arrays(*pops.T, *_coherence_parts(coh_ge, coh_as)),
+        taus, *pops, coh_ge.real, coh_ge.imag, coh_as.real, coh_as.imag,
+        *_measures_arrays(*pops, *_coherence_parts(coh_ge, coh_as)),
     )
     params = {
         "initial": args.initial,
@@ -234,7 +233,7 @@ def cmd_evolve(args) -> int:
         "temp-ratio": args.temp_ratio,
         "tmax": args.tmax,
         "steps": args.steps,
-        "method": prop.routes[0],
+        "method": traj.method,
     }
     _write_csv("evolve", params, _csv(EVOLVE_HEADER, columns), args.out)
     return 0

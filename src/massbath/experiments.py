@@ -44,6 +44,7 @@ from .xstate import (
     _cascade,
     _generators,
     _rate_fault,
+    _vacuum_rates,
     _xstates,
     decay_factor,
     integrate_ode_many,
@@ -783,8 +784,8 @@ def run_verification(seed: int = 0, perturb: float = 0.0) -> list[SuiteResult]:
     # The closed form at xi = exp(-tau), in u = -log(xi), as closed_form_state.
     u = np.array([-math.log(decay_factor(tau, 1.0, 1.0)) for tau in taus[:lams.size]])
     cut, fade = slice(lams.size), np.exp(-u)
-    closed = _xstates(np.stack(_cascade(pops0[cut].T, 1.0 - lams, 1.0 + lams, u), axis=-1),
-                      coh_ge[cut] * fade, coh_as[cut] * fade)
+    pops = EigenPropagator(_vacuum_rates(lams)).populations(pops0[cut], u[:, None])[:, 0]
+    closed = _xstates(pops, coh_ge[cut] * fade, coh_as[cut] * fade)
     odes = integrate_ode_many(states, rates, taus, tol=1e-10)
     dev = max(*map(_state_distance, closed, eigens), *map(_state_distance, eigens, odes))
     results.append(SuiteResult("method-agreement", dev, 1e-8))

@@ -1,9 +1,10 @@
 """Concurrence and negativity of X states, birth/death events and lifetimes.
 
 For X-form states both measures reduce to closed expressions in the block
-entries. The candidate branch values are kept alongside the clipped measures
-(fields k1/k2 for concurrence, n1/n2 for negativity) because sign changes of
-the dominant branch are what birth and death events track.
+entries, each clipped from two branch values that `entanglement` reports
+alongside: concurrence = max(0, k1, k2) and negativity = -2 times the sum of
+the negative ones of n1, n2. Birth and death events track where a measure's
+value rises above a threshold (value > threshold) or falls back to it.
 """
 
 from __future__ import annotations
@@ -157,18 +158,6 @@ def _measures_arrays(pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as, select=BO
     return tuple(_MEASURES[name](*entries) for name in select)
 
 
-def _state_arrays(states) -> tuple[np.ndarray, ...]:
-    """The _measures_arrays entries (pop_g, pop_a, pop_s, pop_e, |coh_ge|,
-    re coh_as, im coh_as) of a state sequence.
-
-    Built field by field: a tuple per state would fill the garbage
-    collector's generations and set off full collections.
-    """
-    fields = ("pop_g", "pop_a", "pop_s", "pop_e", "coh_ge", "coh_as")
-    columns = [np.array([getattr(s, name) for s in states]) for name in fields]
-    return (*columns[:4], *_coherence_parts(*columns[4:]))
-
-
 def _check_diagonal_weights(e: float, g: float, a: float, s: float) -> None:
     if not all(map(math.isfinite, (e, g, a, s))):
         raise ValueError(f"populations must be finite, got {(e, g, a, s)}")
@@ -233,45 +222,37 @@ def detect_events(
     measure: str = "concurrence",
     threshold: float = 0.0,
 ) -> EntanglementEvents:
-    """Locate births (measure rising through threshold) and deaths (falling).
-
-    The samples are measured in one array call. Crossings are bracketed on
-    them and refined by bisection on the trajectory's exact point-evaluator;
-    without an evaluator the bracket midpoint sets the resolution.
+    """Births (measure rising above a finite threshold >= 0) and deaths
+    (falling back to it), bracketed on the samples. With the trajectory's
+    evaluator `at`, one array bisection refines every bracket, one evaluation
+    and one measure call per level, to 1e-9 or adjacent floats; without it,
+    the bracket midpoint sets the resolution.
     """
-    if threshold < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
     select = _selector(measure)
-    fn = concurrence if measure == "concurrence" else negativity
-    (values,) = _measures_arrays(*_state_arrays(trajectory.states), select=select)
-    alive = (values > threshold).tolist()
 
-    def refine(t_lo: float, t_hi: float) -> float:
-        if trajectory.evaluate is None:
-            return 0.5 * (t_lo + t_hi)
-        lo_alive = fn(trajectory.evaluate(t_lo)) > threshold
-        while t_hi - t_lo > 1e-9:
-            mid = 0.5 * (t_lo + t_hi)
-            if mid in (t_lo, t_hi):  # adjacent floats, farther apart than 1e-9
-                break
-            if (fn(trajectory.evaluate(mid)) > threshold) == lo_alive:
-                t_lo = mid
-            else:
-                t_hi = mid
-        return 0.5 * (t_lo + t_hi)
+    def values(pops, coh_ge, coh_as):
+        return _measures_arrays(*pops.T, *_coherence_parts(coh_ge, coh_as), select=select)[0]
 
-    births = []
-    deaths = []
-    for i in range(1, len(trajectory)):
-        if alive[i] == alive[i - 1]:
-            continue
-        crossing = refine(trajectory.taus[i - 1], trajectory.taus[i])
-        if alive[i]:
-            births.append(crossing)
-        else:
-            deaths.append(crossing)
+    samples = values(trajectory.populations, trajectory.coh_ge, trajectory.coh_as)
+    alive = samples > threshold
+    edges = np.flatnonzero(alive[1:] != alive[:-1])
+    taus = np.array(trajectory.taus)
+    lo, hi, births = taus[edges], taus[edges + 1], alive[edges + 1]
+    while trajectory.at is not None:
+        mid = 0.5 * (lo + hi)
+        open_ = np.flatnonzero((hi - lo > 1e-9) & (mid != lo) & (mid != hi))
+        if not open_.size:
+            break
+        mid = mid[open_]
+        # A birth's bracket keeps a dead lo and a living hi; a death's the reverse.
+        to_hi = (values(*trajectory.at(mid)) > threshold) == births[open_]
+        hi[open_[to_hi]] = mid[to_hi]
+        lo[open_[~to_hi]] = mid[~to_hi]
+    crossings = 0.5 * (lo + hi)
     return EntanglementEvents(
-        birth_times=tuple(births),
-        death_times=tuple(deaths),
-        final_value=float(values[-1]),
+        birth_times=tuple(crossings[births].tolist()),
+        death_times=tuple(crossings[~births].tolist()),
+        final_value=float(samples[-1]),
     )

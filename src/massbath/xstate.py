@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -45,7 +46,6 @@ __all__ = [
     "build_rate_matrix",
     "decay_factor",
     "closed_form_state",
-    "propagate_eigen",
     "integrate_ode",
     "integrate_ode_many",
     "closed_form_trajectory",
@@ -356,17 +356,20 @@ def _check_states(pops, coh_ge, coh_as) -> None:
     _xstates(pops[~ok], coh_ge[~ok], coh_as[~ok])
 
 
-def _vacuum_states(initial: XState, lam: float, u: np.ndarray) -> tuple[XState, ...]:
-    """Vacuum states at decay exponents u = gray*Gamma0*tau (an array).
-
-    In u the vacuum is the cascade with d_a = 1 - lam and d_s = 1 + lam, and
-    both coherences decay as exp(-u).
-    """
-    if not (math.isfinite(lam) and -1.0 <= lam <= 1.0):
+def _vacuum_rates(lam) -> RateStack:
+    """The vacuum in the decay exponent u = gray*Gamma0*tau at spatial
+    factors lam (a float or an array): the cascade with d_a = 1 - lam and
+    d_s = 1 + lam, both coherences decaying at rate 1."""
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    if not np.all((lams >= -1.0) & (lams <= 1.0)):
         raise ValueError(f"lam must lie in [-1, 1], got {lam}")
-    pops = np.stack(_cascade(initial.populations(), 1.0 - lam, 1.0 + lam, u), axis=-1)
-    fade = np.exp(-u)
-    return _xstates(pops, initial.coh_ge * fade, initial.coh_as * fade)
+    d_a, d_s = (1.0 - lams)[:, None, None], (1.0 + lams)[:, None, None]
+    return RateStack(d_a * _CASCADE_A + d_s * _CASCADE_S, *np.ones((2, lams.size)))
+
+
+def _vacuum_propagator(lam: float) -> "EigenPropagator":
+    """EigenPropagator of the vacuum in u (see _vacuum_rates) at one lam."""
+    return EigenPropagator(RateMatrix(*_vacuum_rates(lam).take(0)))
 
 
 def closed_form_state(initial: XState, lam: float, xi: float) -> XState:
@@ -376,9 +379,10 @@ def closed_form_state(initial: XState, lam: float, xi: float) -> XState:
     """
     if not 0.0 < xi <= 1.0:
         raise ValueError(f"xi must lie in (0, 1], got {xi}")
+    prop = _vacuum_propagator(lam)
     if xi == 1.0:
         return initial
-    return _vacuum_states(initial, lam, np.array([-math.log(xi)]))[0]
+    return _xstates(*prop._arrays(initial, np.array([-math.log(xi)])))[0]
 
 
 class EigenPropagator:
@@ -436,8 +440,8 @@ class EigenPropagator:
         of shape (K,)), else (N, ..., K, 4).
         """
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        if not np.all((taus >= 0.0) & (taus < math.inf)):
-            raise ValueError("tau must be finite and >= 0")
+        if not (taus.size and np.all((taus >= 0.0) & (taus < math.inf))):
+            raise ValueError("tau must be finite and >= 0, and taus not empty")
         shared = taus.ndim == 1
         count = len(self.routes)
         if not shared and taus.shape[0] != count:
@@ -589,34 +593,43 @@ def _uniformized_populations(gens: np.ndarray, pops0: np.ndarray, rows: np.ndarr
     return out
 
 
-def propagate_eigen(initial: XState, rates: RateMatrix, tau: float) -> XState:
-    """Exact propagation by eigendecomposition of the population generator."""
-    return EigenPropagator(rates).state(initial, tau)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-ordered samples (tau in units 1/Gamma0, state) plus the method used.
-
-    Factories attach an exact point-evaluator so that event detection can
-    refine crossings beyond the sample grid; it does not take part in
-    equality comparisons.
+    """Samples of one propagation at increasing times taus (K floats, units
+    1/Gamma0): populations (K, 4) as (g, a, s, e), coh_ge and coh_as (K,),
+    each sample a state (NotAStateError otherwise), built as XState objects
+    (`states`) only when read. Factories attach `at`, the exact evaluator of
+    the same propagation, times (M,) -> (populations, coh_ge, coh_as).
     """
 
     taus: tuple[float, ...]
-    states: tuple[XState, ...]
+    populations: np.ndarray
+    coh_ge: np.ndarray
+    coh_as: np.ndarray
     method: str
-    evaluate: Callable[[float], XState] | None = field(
-        default=None, repr=False, compare=False
+    at: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = field(
+        default=None, repr=False
     )
 
     def __post_init__(self):
-        if len(self.taus) != len(self.states):
-            raise ValueError("taus and states must have equal length")
-        if not self.taus:
+        taus = np.array(self.taus, dtype=float)
+        arrays = (np.array(self.populations, dtype=float), np.array(self.coh_ge, dtype=complex),
+                  np.array(self.coh_as, dtype=complex))
+        if taus.ndim != 1 or not taus.size:
             raise ValueError("trajectory must contain at least one sample")
-        if any(b <= a for a, b in zip(self.taus, self.taus[1:])):
+        if [a.shape for a in arrays] != [(taus.size, 4), (taus.size,), (taus.size,)]:
+            raise ValueError(f"need populations (K, 4) and coherences (K,) for K = {taus.size}")
+        if np.any(taus[1:] <= taus[:-1]):
             raise ValueError("taus must be strictly increasing")
+        _check_states(*arrays)
+        for name, array in zip(("populations", "coh_ge", "coh_as"), arrays):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "taus", tuple(taus.tolist()))
+
+    @cached_property
+    def states(self) -> tuple[XState, ...]:
+        return _xstates(self.populations, self.coh_ge, self.coh_as)
 
     def __len__(self) -> int:
         return len(self.taus)
@@ -712,11 +725,6 @@ def _ode_system(initials: Sequence[XState], rates: Sequence[RateMatrix] | RateSt
     return gen, y0
 
 
-def _ode_states(ys: np.ndarray) -> tuple[XState, ...]:
-    coh = ys[:, 4:].view(complex)
-    return _xstates(ys[:, :4], coh[:, 0], coh[:, 1])
-
-
 def _ode_times(tau_ends: Sequence[float], tol: float) -> np.ndarray:
     """tau_ends as an array, once they and tol are checked."""
     tau_ends = np.asarray(tau_ends, dtype=float)
@@ -742,15 +750,13 @@ def integrate_ode(
     step drops below 1e-14.
     """
     tau_end = _ode_times([tau_end], tol)
-    passes = list(_rkf45(*_ode_system([initial], [rates]), tau_end, tol))
+    gen, y0 = _ode_system([initial], [rates])
+    passes = list(_rkf45(gen, y0, tau_end, tol))
     taus = np.concatenate([[0.0]] + [t for _, t, _ in passes])
-    evaluator = EigenPropagator(rates)
-    return Trajectory(
-        taus=tuple(taus.tolist()),
-        states=(initial,) + _ode_states(np.concatenate([y for _, _, y in passes])),
-        method=ODE,
-        evaluate=lambda tt, _p=evaluator, _s=initial: _p.state(_s, tt),
-    )
+    ys = np.concatenate([y0] + [y for _, _, y in passes])
+    coh = ys[:, 4:].view(complex)
+    evaluator = partial(EigenPropagator(rates)._arrays, initial)
+    return Trajectory(taus, ys[:, :4], coh[:, 0], coh[:, 1], ODE, at=evaluator)
 
 
 def integrate_ode_many(
@@ -771,7 +777,8 @@ def integrate_ode_many(
     finals = np.empty((len(initials), 8))
     for rows, _, ys in _rkf45(*_ode_system(initials, rates), tau_ends, tol):
         finals[rows] = ys
-    return _ode_states(finals)
+    coh = finals[:, 4:].view(complex)
+    return _xstates(finals[:, :4], coh[:, 0], coh[:, 1])
 
 
 def closed_form_trajectory(
@@ -781,17 +788,19 @@ def closed_form_trajectory(
     g0: float,
     taus: Sequence[float],
 ) -> Trajectory:
-    """Sample the vacuum closed form on a time grid (times in true units)."""
+    """Sample the vacuum closed form on a time grid (times in true units).
+    Needs lam in [-1, 1], gray in [0, 1], g0 > 0 and taus finite and >= 0."""
     taus = np.asarray(taus, dtype=float)
-    rate = gray * g0
-    if not (np.isfinite(taus).all() and math.isfinite(rate)) or (taus < 0.0).any():
-        raise ValueError("taus and rates must be finite, taus >= 0")
-    return Trajectory(
-        taus=tuple(taus.tolist()),
-        states=_vacuum_states(initial, lam, rate * taus),
-        method=CLOSED_FORM,
-        evaluate=lambda t: _vacuum_states(initial, lam, np.array([rate * t]))[0],
-    )
+    if not (0.0 <= gray <= 1.0 and 0.0 < g0 < math.inf):
+        raise ValueError(f"need gray in [0, 1] and g0 > 0, got gray={gray}, g0={g0}")
+    if not (np.isfinite(taus).all() and (taus >= 0.0).all()):
+        raise ValueError("taus must be finite and >= 0")
+    prop, rate = _vacuum_propagator(lam), gray * g0
+
+    def evaluator(t):
+        return prop._arrays(initial, rate * np.asarray(t, dtype=float))
+
+    return Trajectory(taus, *evaluator(taus), CLOSED_FORM, at=evaluator)
 
 
 def eigen_trajectory(
@@ -799,13 +808,8 @@ def eigen_trajectory(
 ) -> Trajectory:
     """Sample the propagator on a time grid; method is the route it took."""
     prop = EigenPropagator(rates)
-    taus = np.asarray(taus, dtype=float)
-    return Trajectory(
-        taus=tuple(taus.tolist()),
-        states=_xstates(*prop._arrays(initial, taus)),
-        method=prop.routes[0],
-        evaluate=lambda t: prop.state(initial, t),
-    )
+    evaluator = partial(prop._arrays, initial)
+    return Trajectory(taus, *evaluator(np.asarray(taus, dtype=float)), prop.routes[0], at=evaluator)
 
 
 def random_xstate(

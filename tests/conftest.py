@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from massbath import GklsCoefficients, XState, to_product_basis
+from massbath import EigenPropagator, GklsCoefficients, XState, to_product_basis
+from massbath.measures import _coherence_parts
 
 
 @pytest.fixture
@@ -12,6 +13,19 @@ def rng():
 def vacuum_like(lam: float) -> GklsCoefficients:
     """Vacuum-structure coefficients with gray*Gamma0 = 1 and spatial factor lam."""
     return GklsCoefficients(a1=0.25, b1=0.25, a2=0.25 * lam, b2=0.25 * lam)
+
+
+def propagate_eigen(initial: XState, rates, tau: float) -> XState:
+    """The exact propagator's state at one time, as one XState."""
+    return EigenPropagator(rates).state(initial, tau)
+
+
+def state_arrays(states) -> tuple[np.ndarray, ...]:
+    """The measures' array entries (pop_g, pop_a, pop_s, pop_e, |coh_ge|,
+    re coh_as, im coh_as) of a state sequence."""
+    fields = ("pop_g", "pop_a", "pop_s", "pop_e", "coh_ge", "coh_as")
+    columns = [np.array([getattr(s, name) for s in states]) for name in fields]
+    return (*columns[:4], *_coherence_parts(*columns[4:]))
 
 
 def wootters_concurrence(rho: np.ndarray) -> float:

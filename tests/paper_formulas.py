@@ -8,7 +8,9 @@ propagating it. They carry 1/(1 - lam^2), so they are evaluated only where
 measures instead; tests/test_measures.py checks the two routes agree.
 
 scalar_lifetime_by_bisection is the one-state bisection that the library's
-array lifetime_by_bisection must reproduce entry by entry, bit for bit.
+array lifetime_by_bisection must reproduce entry by entry, bit for bit, and
+scalar_crossing the one-bracket bisection that detect_events' array
+refinement must reproduce bracket by bracket.
 """
 
 import math
@@ -114,3 +116,19 @@ def scalar_lifetime_by_bisection(e, g, a, s, gray: float, g0: float) -> float:
         else:
             lo = mid
     return -math.log(0.5 * (lo + hi)) / (gray * g0)
+
+
+def scalar_crossing(state_at, measure, threshold: float, t_lo: float, t_hi: float) -> float:
+    """Threshold crossing of measure(state_at(t)) inside [t_lo, t_hi], one
+    scalar state per step, halving the bracket until it is at most 1e-9 wide
+    or its ends are adjacent floats."""
+    lo_alive = measure(state_at(t_lo)) > threshold
+    while t_hi - t_lo > 1e-9:
+        mid = 0.5 * (t_lo + t_hi)
+        if mid in (t_lo, t_hi):
+            break
+        if (measure(state_at(mid)) > threshold) == lo_alive:
+            t_lo = mid
+        else:
+            t_hi = mid
+    return 0.5 * (t_lo + t_hi)

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 summary lines.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -13,19 +14,24 @@ from conftest import (
     check_block_positivity,
     off_x_magnitude,
     partial_transpose_negativity,
+    propagate_eigen,
     state_distance,
     vacuum_like,
     wootters_concurrence,
 )
 from massbath import (
+    CONCURRENCE_CUTOFF,
     FieldBathConfig,
     GridAxis,
+    RateMatrix,
     XState,
     build_rate_matrix,
     closed_form_state,
     coefficients,
     concurrence,
     decay_factor,
+    detect_events,
+    eigen_trajectory,
     enlargement_factor,
     gray_factor,
     integrate_ode,
@@ -33,7 +39,6 @@ from massbath import (
     lifetime,
     lifetime_by_bisection,
     negativity,
-    propagate_eigen,
     random_xstate,
     scaling_check,
     spectral_density,
@@ -43,6 +48,7 @@ from massbath import (
     to_product_basis,
     vacuum_coefficients,
 )
+from massbath.experiments import _cell_maxima, _cell_rates
 
 RNG_SEED = 987654321
 
@@ -135,6 +141,66 @@ def test_criterion_05_enlargement_factor():
         f"ACCEPTANCE 5 enlargement factor: m/w=0.995 -> {factor_heavy:.4f} "
         f"(target {target_heavy:.4f}), m/w=0.8 -> {factor_mid:.4f} "
         "(target 1.6667), both within 2% PASS"
+    )
+
+
+def _vacuum_cells(mass_ratio: float, seps):
+    """The separations as an array and their vacuum cells' RateStack."""
+    seps = np.atleast_1d(np.asarray(seps, dtype=float))
+    return seps, _cell_rates(mass_ratio, seps)
+
+
+@functools.lru_cache
+def physical_reach(mass_ratio: float) -> float:
+    """Largest omega*L at which E's max-over-time concurrence exceeds the
+    cutoff, in physical units: vacuum cells at the separations themselves
+    (rates and spatial factor carry the mass), searched in Gamma0*tau, on a
+    fixed log grid of omega*L, then bisection to 1e-6 relative. Nothing here
+    divides by gray."""
+    gray = gray_factor(mass_ratio, 1.0)
+
+    def maxima(seps):
+        seps, rates = _vacuum_cells(mass_ratio, seps)
+        cells = [(None, sep) for sep in seps.tolist()]
+        select = ("concurrence",)
+        return _cell_maxima(XState.excited(), rates, gray, cells, select, CONCURRENCE_CUTOFF)[0][0]
+
+    grid = np.geomspace(0.1, 400.0, 500)
+    above = np.flatnonzero(maxima(grid) > CONCURRENCE_CUTOFF)
+    last = int(above[-1])
+    assert last < grid.size - 1, "generation region reaches past the scan"
+    lo, hi = grid[last], grid[last + 1]
+    while hi - lo > 1e-6 * hi:
+        mid = 0.5 * (lo + hi)
+        if maxima(mid)[0] > CONCURRENCE_CUTOFF:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _birth_time(mass_ratio: float, sep: float) -> float:
+    """First birth of E's concurrence in Gamma0*tau in the vacuum cell at sep."""
+    _, rates = _vacuum_cells(mass_ratio, sep)
+    horizon = 20.0 / gray_factor(mass_ratio, 1.0)
+    traj = eigen_trajectory(XState.excited(), RateMatrix(*rates.take(0)),
+                            np.linspace(0.0, horizon, 400))
+    return detect_events(traj, "concurrence").birth_times[0]
+
+
+@pytest.mark.parametrize("mass", [0.9, 0.995])
+def test_criterion_05_physical_enlargement_factor(mass):
+    # enlargement_factor rescales one massless scan by 1/g, so criterion 5
+    # holds by construction. Here separations and times stay physical: the
+    # reach grows by 1/g, and a birth at omega*L/g comes 1/g later.
+    gray = gray_factor(mass, 1.0)
+    factor = physical_reach(mass) / physical_reach(0.0)
+    assert factor == pytest.approx(1.0 / gray, rel=1e-4)
+    delay = _birth_time(mass, 1.0 / gray) / _birth_time(0.0, 1.0)
+    assert delay == pytest.approx(1.0 / gray, rel=1e-9)
+    print(
+        f"ACCEPTANCE 5 physical units, m/w={mass}: reach ratio {factor:.6f}, "
+        f"birth delay {delay:.6f} (1/g = {1.0 / gray:.6f}) PASS"
     )
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import mp_reference_state
 from massbath import (
+    EigenPropagator,
     FieldBathConfig,
     GridAxis,
     SweepConfig,
@@ -608,7 +609,7 @@ class TestNumericalFailureExit:
         def boom(*args, **kwargs):
             raise StepUnderflowError("step 1e-15 below 1e-14 at tau=0.5")
 
-        monkeypatch.setattr(cli.EigenPropagator, "populations", boom)
+        monkeypatch.setattr(EigenPropagator, "populations", boom)
         code, _, err = run_cli(
             ["evolve", "--initial", "E", "--mass-ratio", "1.2"], capsys
         )
@@ -644,7 +645,7 @@ class TestEvolveRowChecks:
             "--temp-ratio", "0.3", "--tmax", "6", "--steps", "40"]
 
     def _patch(self, monkeypatch, edit, later_bad):
-        original = cli.EigenPropagator.populations
+        original = EigenPropagator.populations
         seen = {}
 
         def populations(prop, pops0, taus):
@@ -656,7 +657,7 @@ class TestEvolveRowChecks:
             seen["row"] = (*pops[self.K], coh_ge)
             return pops
 
-        monkeypatch.setattr(cli.EigenPropagator, "populations", populations)
+        monkeypatch.setattr(EigenPropagator, "populations", populations)
         return seen
 
     @pytest.mark.parametrize(

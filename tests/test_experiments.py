@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import state_distance, vacuum_like
+from conftest import propagate_eigen, state_distance, vacuum_like
 from massbath import (
     FieldBathConfig,
     GridAxis,
@@ -23,7 +23,6 @@ from massbath import (
     gray_factor,
     integrate_ode_many,
     lifetime,
-    propagate_eigen,
     random_xstate,
     run_verification,
     scaling_check,

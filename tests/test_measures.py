@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import partial_transpose_negativity, wootters_concurrence
+from conftest import partial_transpose_negativity, state_arrays, wootters_concurrence
 from massbath import (
     FrozenDynamicsError,
     GklsCoefficients,
@@ -12,6 +13,7 @@ from massbath import (
     build_rate_matrix,
     closed_form_state,
     closed_form_trajectory,
+    coefficients,
     concurrence,
     detect_events,
     eigen_trajectory,
@@ -26,13 +28,14 @@ from massbath import (
     vacuum_coefficients,
     FieldBathConfig,
 )
-from massbath.measures import RADICAND_TOL, _measures_arrays, _safe_sqrt, _state_arrays
+from massbath.measures import RADICAND_TOL, _measures_arrays, _safe_sqrt
 from massbath.xstate import POP_TOL, PSD_TOL
 from paper_formulas import (
     AssumptionViolatedError,
     LambdaSingularError,
     closed_form_concurrence,
     closed_form_negativity,
+    scalar_crossing,
     scalar_lifetime_by_bisection,
 )
 
@@ -103,7 +106,7 @@ class TestScalarMatchesArrays:
             XState(-5e-11, 0.0, 0.5, 0.5 + 5e-11),
             XState(0.0, 0.5, 0.5, 0.0, coh_as=math.sqrt(0.25 + 0.99 * PSD_TOL)),
         ]
-        conc, neg = _measures_arrays(*_state_arrays(states))
+        conc, neg = _measures_arrays(*state_arrays(states))
         for state, c, n in zip(states, conc.tolist(), neg.tolist()):
             value = entanglement(state)
             assert concurrence(state) == value.concurrence == c
@@ -347,13 +350,47 @@ class TestDetectEvents:
         traj = eigen_trajectory(initial, rates, np.linspace(0.0, 5.0, 200))
         events = detect_events(traj, "concurrence", threshold=0.05)
         assert len(events.death_times) == 1
-        crossing = traj.evaluate(events.death_times[0])
+        pops, coh_ge, coh_as = traj.at(np.array(events.death_times))
+        crossing = XState(*pops[0], coh_ge=coh_ge[0], coh_as=coh_as[0])
         assert concurrence(crossing) == pytest.approx(0.05, abs=1e-6)
+
+    @pytest.mark.parametrize("route", ["closed_form", "eigen"])
+    def test_brackets_refine_together_as_one_bracket_bisections(self, route):
+        # A birth and a death, refined in one array bisection: each level is
+        # one evaluator call over the brackets still open, and each crossing
+        # equals the scalar one-bracket bisection bit for bit.
+        initial = XState.excited()
+        if route == "closed_form":
+            lam = spatial_factor(1.0, 1.0, 1.0)
+            traj = closed_form_trajectory(initial, lam, 1.0, 1.0, np.linspace(0.0, 15.0, 400))
+        else:
+            rates = build_rate_matrix(coefficients(FieldBathConfig.from_ratios(0.5, 0.5, 0.1)))
+            traj = eigen_trajectory(initial, rates, np.linspace(0.0, 40.0, 400))
+        assert traj.method == route
+        calls = []
+        counted = dataclasses.replace(traj, at=lambda t: calls.append(len(t)) or traj.at(t))
+        events = detect_events(counted, "concurrence", threshold=0.01)
+        assert len(events.birth_times) == len(events.death_times) == 1
+        assert calls[0] == 2 and len(calls) < 40
+
+        def state_at(t):
+            pops, coh_ge, coh_as = traj.at(np.array([t]))
+            return XState(*pops[0], coh_ge=coh_ge[0], coh_as=coh_as[0])
+
+        alive = [concurrence(state) > 0.01 for state in traj.states]
+        expected = [
+            scalar_crossing(state_at, concurrence, 0.01, traj.taus[k - 1], traj.taus[k])
+            for k in range(1, len(traj)) if alive[k] != alive[k - 1]
+        ]
+        assert sorted(events.birth_times + events.death_times) == expected
 
     def test_rejects_negative_threshold(self):
         rates = build_rate_matrix(GklsCoefficients(0.25, 0.25, 0.0, 0.0))
         traj = eigen_trajectory(XState.excited(), rates, np.linspace(0.0, 1.0, 5))
         with pytest.raises(ValueError):
             detect_events(traj, "concurrence", threshold=-0.1)
+        for threshold in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="threshold must be finite"):
+                detect_events(traj, "concurrence", threshold=threshold)
         with pytest.raises(ValueError):
             detect_events(traj, "fidelity")

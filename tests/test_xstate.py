@@ -9,6 +9,7 @@ from conftest import (
     mp_expm_populations,
     mp_reference_state,
     off_x_magnitude,
+    propagate_eigen,
     state_distance,
     vacuum_like,
 )
@@ -21,12 +22,12 @@ from massbath import (
     XState,
     build_rate_matrix,
     closed_form_state,
+    closed_form_trajectory,
     decay_factor,
     eigen_trajectory,
     from_product_basis,
     integrate_ode,
     integrate_ode_many,
-    propagate_eigen,
     random_xstate,
     thermal_coefficients,
     to_product_basis,
@@ -257,6 +258,19 @@ class TestClosedForm:
     def test_lambda_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
             closed_form_state(XState.excited(), 1.0 + 1e-9, 0.5)
+        # Also at xi = 1, where the state itself is returned.
+        for lam in (5.0, -1.0 - 1e-9, math.nan, math.inf):
+            for xi in (1.0, 0.5):
+                with pytest.raises(ValueError, match="lam must lie in"):
+                    closed_form_state(XState.excited(), lam, xi)
+
+    @pytest.mark.parametrize("gray, g0", [
+        (-0.5, 1.0), (1.5, 1.0), (math.nan, 1.0), (0.5, 0.0), (0.5, -1.0), (0.5, math.inf),
+        (0.5, math.nan),
+    ])
+    def test_trajectory_rejects_rates_outside_their_range(self, gray, g0):
+        with pytest.raises(ValueError, match="need gray in"):
+            closed_form_trajectory(XState.bell_ge(), 0.3, gray, g0, np.linspace(0.0, 5.0, 20))
 
     def test_bad_xi_rejected(self):
         with pytest.raises(ValueError):
@@ -607,16 +621,44 @@ class TestIntegrateOde:
 
 class TestTrajectory:
     def test_requires_increasing_times(self):
-        state = XState.excited()
-        with pytest.raises(ValueError):
-            Trajectory(taus=(0.0, 0.0), states=(state, state), method="eigen")
+        pops = [[0.0, 0.0, 0.0, 1.0]] * 2
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Trajectory((0.0, 0.0), pops, [0j, 0j], [0j, 0j], "eigen")
+        with pytest.raises(ValueError, match="populations"):
+            Trajectory((0.0, 1.0), pops[:1], [0j, 0j], [0j, 0j], "eigen")
+        rates = build_rate_matrix(vacuum_like(0.2))
+        with pytest.raises(ValueError, match="not empty"):
+            eigen_trajectory(XState.excited(), rates, [])
+        with pytest.raises(ValueError, match="not empty"):
+            closed_form_trajectory(XState.excited(), 0.2, 1.0, 1.0, [])
+
+    def test_rejects_what_xstate_rejects(self):
+        pops = [[0.0, 0.0, 0.0, 1.0], [0.5, 0.2, 0.2, 0.1 + 3e-10]]
+        with pytest.raises(NotAStateError) as rejected:
+            XState(*pops[1])
+        with pytest.raises(NotAStateError, match=re.escape(str(rejected.value))):
+            Trajectory((0.0, 1.0), pops, [0j, 0j], [0j, 0j], "eigen")
+
+    def test_states_are_built_from_the_arrays(self):
+        rates = build_rate_matrix(vacuum_like(0.2))
+        traj = eigen_trajectory(XState.bell_ge(), rates, np.linspace(0, 2, 5))
+        assert traj.populations.shape == (5, 4) and traj.coh_ge.shape == (5,)
+        assert traj.taus == tuple(np.linspace(0, 2, 5).tolist())
+        assert traj.states is traj.states
+        for k, (tau, state) in enumerate(traj):
+            assert tau == traj.taus[k]
+            assert state == XState(*traj.populations[k], coh_ge=traj.coh_ge[k],
+                                   coh_as=traj.coh_as[k])
 
     def test_factory_attaches_evaluator(self):
         rates = build_rate_matrix(vacuum_like(0.2))
         traj = eigen_trajectory(XState.excited(), rates, np.linspace(0, 2, 5))
-        assert traj.evaluate is not None
-        mid = traj.evaluate(1.234)
+        assert traj.at is not None
+        pops, coh_ge, coh_as = traj.at(np.array([1.234, 0.5]))
+        assert pops.shape == (2, 4) and coh_ge.shape == coh_as.shape == (2,)
+        mid = XState(*pops[0], coh_ge=coh_ge[0], coh_as=coh_as[0])
         assert state_distance(mid, propagate_eigen(XState.excited(), rates, 1.234)) < 1e-15
+        assert np.array_equal(traj.at(np.array(traj.taus))[0], traj.populations)
 
 
 class TestRandomXState:
