@@ -41,7 +41,6 @@ from .xstate import (
     EigenPropagator,
     RateStack,
     XState,
-    _cascade,
     _generators,
     _rate_fault,
     _vacuum_rates,
@@ -199,15 +198,15 @@ def _cell_rates(mass_ratio: float, seps: np.ndarray, temps=None) -> RateStack:
 def _time_sep_measures(mass_ratio: float, temp_ratio: float | None, initial: XState,
                        seps: np.ndarray, taus: np.ndarray):
     """Concurrence and negativity, each (len(taus), len(seps)), and the route
-    of every separation: one propagator and one measure call per block of
+    of every separation: one propagator, and one measure call per block of
     separations, each block at most MAP_BLOCK (tau, sep) cells or one column."""
-    rates = _cell_rates(mass_ratio, seps, temp_ratio)
+    prop = EigenPropagator(_cell_rates(mass_ratio, seps, temp_ratio))
     width = max(1, MAP_BLOCK // taus.size)
-    props = [EigenPropagator(rates.take(slice(i, i + width))) for i in range(0, seps.size, width)]
     rows = np.broadcast_to(taus, (width, 1, taus.size))
+    props = [prop.take(slice(i, i + width)) for i in range(0, seps.size, width)]
     blocks = [_propagated_measures(initial, p, BOTH)(rows[:len(p.routes)]) for p in props]
     conc, neg = np.concatenate(blocks, axis=1)
-    return conc.T, neg.T, np.concatenate([p.routes for p in props])
+    return conc.T, neg.T, prop.routes
 
 
 def evolve_scan(config: SweepConfig) -> SweepResult:
@@ -268,15 +267,17 @@ def _faded_coherences(initial: XState, decay_ge, decay_as, taus):
     return abs_ge, re_as, im_as
 
 
-def _stack_measures(initial: XState, select, populations, decay_ge=1.0, decay_as=1.0):
-    """measures(taus) -> (M, N, K): the M measures of `select` of N cells at
-    per-cell times taus of shape (N, S, K), from one populations(taus) call,
-    which gives the four populations (g, a, s, e), each of taus' shape. One
-    row (S = 1) is measured for every selected measure; otherwise (S = M, a
-    zoom's brackets) row s is measured for select[s] only."""
+def _propagated_measures(initial: XState, prop: EigenPropagator, select: tuple[str, ...]):
+    """measures(taus) -> (M, N, K): the M measures of `select` of the N cells
+    of an EigenPropagator on a RateStack at per-cell times taus of shape
+    (N, S, K), from one populations call. One row (S = 1) is measured for
+    every selected measure; otherwise (S = M, a zoom's brackets) row s is
+    measured for select[s] only."""
+    pops0, rates = initial.populations(), prop.rates
+    decay_ge, decay_as = rates.decay_ge[:, None], rates.decay_as[:, None]
 
     def measures(taus: np.ndarray) -> np.ndarray:
-        pops = populations(taus)
+        pops = prop.populations(pops0, taus).transpose(3, 0, 1, 2)  # population-major
         rows = [select] if taus.shape[1] == 1 else [(name,) for name in select]
         return np.concatenate([
             _measures_arrays(
@@ -290,22 +291,13 @@ def _stack_measures(initial: XState, select, populations, decay_ge=1.0, decay_as
     return measures
 
 
-def _propagated_measures(initial: XState, prop: EigenPropagator, select: tuple[str, ...]):
-    """_stack_measures of the cells of an EigenPropagator on a RateStack."""
-    pops0, rates = initial.populations(), prop.rates
-    return _stack_measures(
-        initial, select, lambda taus: np.moveaxis(prop.populations(pops0, taus), -1, 0),
-        rates.decay_ge[:, None], rates.decay_as[:, None],
-    )
-
-
 def _search(stack, cells: list[tuple], horizon: float, points: int, select, *,
             cutoff: float = math.inf):
     """The max-over-time search: (len(select), N) maxima over time of the
     measures named by `select` for N cells.
 
     stack(ks) returns measures(taus) of the cells ks (indices into cells), as
-    _stack_measures does; cells holds each cell's (T/omega, or None in the
+    _propagated_measures does; cells holds each cell's (T/omega, or None in the
     vacuum, omega*L), used to name a cell that fails. Cells run in blocks of
     MAP_BLOCK // points, which bounds the samples of a pass. The first pass
     samples [0, horizon] on `points` points; each later pass doubles the
@@ -361,47 +353,37 @@ def _search(stack, cells: list[tuple], horizon: float, points: int, select, *,
     return peaks
 
 
-def _max_over_time(initial: XState, rates: RateStack, gray: float, cells: list[tuple],
-                   select: tuple[str, ...] = BOTH, routes: np.ndarray | None = None,
-                   cutoff: float = math.inf):
-    """Max over Gamma0*tau of the measures named by `select` for N non-frozen
-    cells of a RateStack, with grid coordinates `cells`: _search on EigenPropagator
-    blocks, 1201 points from Gamma0*tau = 20/gray, stopping a cell above
-    `cutoff`. Returns (len(select), N); `routes`, if given, receives each
-    cell's propagation route.
-    """
+def _propagated_search(initial: XState, prop: EigenPropagator, cells: list[tuple],
+                       horizon: float, points: int, select, cutoff: float) -> np.ndarray:
+    """(len(select), N) maxima of the N cells of an EigenPropagator: frozen
+    cells keep the initial values, the others run _search on slices of prop."""
+    peaks = np.empty((len(select), len(cells)))
+    frozen = prop.routes == FROZEN
+    if frozen.any():
+        value = entanglement(initial)
+        peaks[:, frozen] = [[getattr(value, name)] for name in select]
+    live = np.flatnonzero(~frozen)
 
     def stack(ks: np.ndarray):
-        prop = EigenPropagator(rates.take(ks))
-        if routes is not None:
-            routes[ks] = prop.routes
-        return _propagated_measures(initial, prop, select)
+        return _propagated_measures(
+            initial, prop if ks.size == len(cells) else prop.take(live[ks]), select)
 
+    live_cells = [cells[k] for k in live]
+    peaks[:, live] = _search(stack, live_cells, horizon, points, select, cutoff=cutoff)
+    return peaks
+
+
+def _max_over_time(initial: XState, rates: RateStack, gray: float, cells: list[tuple],
+                   select: tuple[str, ...] = BOTH,
+                   cutoff: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
+    """(len(select), N) maxima over Gamma0*tau of the measures named by
+    `select` for the N cells of a RateStack, with grid coordinates `cells`
+    for errors, and the N propagation routes: _propagated_search on one
+    EigenPropagator, 1201 points from Gamma0*tau = 20/gray, a cell stopping
+    above `cutoff` (see _search)."""
+    prop = EigenPropagator(rates)
     horizon = 20.0 / gray if gray > 0.0 else 20.0
-    return _search(stack, cells, horizon, 1201, select, cutoff=cutoff)
-
-
-def _cell_maxima(initial: XState, rates: RateStack, gray: float, cells: list[tuple],
-                 select: tuple[str, ...] = BOTH,
-                 cutoff: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
-    """(len(select), N) max-over-time measures of N cells and the N
-    propagation routes.
-
-    Frozen cells keep the initial values; `cells` holds each cell's
-    coordinates for errors. A live cell stops above `cutoff` (see _search).
-    """
-    peaks = np.empty((len(select), len(cells)))
-    routes = np.full(len(cells), FROZEN, dtype=object)
-    frozen = rates.frozen
-    value = entanglement(initial)
-    peaks[:, frozen] = [[getattr(value, name)] for name in select]
-    live = np.flatnonzero(~frozen)
-    live_routes = routes[live]
-    peaks[:, live] = _max_over_time(
-        initial, rates.take(live), gray, [cells[k] for k in live], select, live_routes, cutoff
-    )
-    routes[live] = live_routes
-    return peaks, routes
+    return _propagated_search(initial, prop, cells, horizon, 1201, select, cutoff), prop.routes
 
 
 def thermal_scan(config: SweepConfig) -> SweepResult:
@@ -421,7 +403,7 @@ def thermal_scan(config: SweepConfig) -> SweepResult:
     cell_temps, cell_seps = np.repeat(temps, seps.size), np.tile(seps, temps.size)
     cells = list(zip(cell_temps.tolist(), cell_seps.tolist()))
     rates = _cell_rates(config.mass_ratio, cell_seps, cell_temps)
-    peaks, routes = _cell_maxima(config.initial, rates, gray, cells)
+    peaks, routes = _max_over_time(config.initial, rates, gray, cells)
     shape = (temps.size, seps.size)
     conc, neg = peaks.reshape((2,) + shape)
     return SweepResult(config, temps, seps, conc, neg, routes.reshape(shape))
@@ -455,26 +437,17 @@ def _vacuum_max_over_time(initial: XState, mass_ratio: float, seps, measure: str
                           cutoff: float = math.inf):
     """Max over time of one measure in the vacuum at each separation in seps.
 
-    _search on the closed form in the decay exponent u = gray*Gamma0*tau,
-    1600 points from u = 40: the cascade with d_a = 1 - lam and
-    d_s = 1 + lam, both coherences fading as exp(-u); a separation stops
-    above `cutoff` (see _search). Needs gray > 0 and a measure name that
-    generation_reach has checked. Returns a float for a scalar sep, else an
-    array shaped like seps.
+    _propagated_search on the EigenPropagator of _vacuum_rates, the vacuum in
+    the decay exponent u = gray*Gamma0*tau (the closed-form cascade route),
+    1600 points from u = 40; a separation stops above `cutoff` (see _search).
+    Needs gray > 0 and a measure name that generation_reach has checked.
+    Returns a float for a scalar sep, else an array shaped like seps.
     """
     flat = np.atleast_1d(np.asarray(seps, dtype=float)).ravel()
     gray = gray_factor(mass_ratio, 1.0)
-    lams = np.array([spatial_factor(1.0, sep, gray) for sep in flat])[:, None, None]
-    pops0 = initial.populations()
-
-    def stack(ks: np.ndarray):
-        lam = lams[ks]
-        return _stack_measures(
-            initial, (measure,), lambda u: _cascade(pops0, 1.0 - lam, 1.0 + lam, u)
-        )
-
+    prop = EigenPropagator(_vacuum_rates([spatial_factor(1.0, sep, gray) for sep in flat]))
     cells = [(None, float(sep)) for sep in flat]
-    out = _search(stack, cells, 40.0, 1600, (measure,), cutoff=cutoff)[0]
+    out = _propagated_search(initial, prop, cells, 40.0, 1600, (measure,), cutoff)[0]
     return float(out[0]) if np.ndim(seps) == 0 else out.reshape(np.shape(seps))
 
 
@@ -623,7 +596,7 @@ def thermal_generation_threshold(
             flat = seps.ravel()
             cells = [(temp, sep) for sep in flat.tolist()]
             rates = _cell_rates(mass_ratio, flat, np.full(flat.size, temp))
-            conc = _cell_maxima(initial, rates, gray, cells, ("concurrence",), cutoff)[0][0]
+            conc = _max_over_time(initial, rates, gray, cells, ("concurrence",), cutoff)[0][0]
             return conc.reshape(seps.shape)
 
         values = peaks(sep_values)

@@ -14,6 +14,7 @@ cleanly. An adaptive Runge-Kutta integrator serves as an independent oracle.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -34,6 +35,7 @@ EIGEN = "eigen"
 EXPM = "expm"
 ODE = "ode"
 FROZEN = "frozen"
+_ROUTES = np.array([FROZEN, CLOSED_FORM, EIGEN, EXPM], dtype=object)
 
 __all__ = [
     "XState",
@@ -299,9 +301,9 @@ def _decay(rate, t):
     return fade, span if np.all(live) else np.where(live, span, t)
 
 
-def _cascade(pops0, d_a, d_s, t):
+def _cascade(pops0, d_a, d_s, t, out=None):
     """Populations (pop_g, pop_a, pop_s, pop_e) of the cascade E -> A -> G,
-    E -> S -> G at times t.
+    E -> S -> G at times t, written into the planes out[0..3] if out is given.
 
     d_a = rate(E -> A) = rate(A -> G) and d_s = rate(E -> S) = rate(S -> G)
     broadcast against t. With psi(z) = -expm1(-z)/z (psi(0) = 1),
@@ -316,16 +318,17 @@ def _cascade(pops0, d_a, d_s, t):
     g0, a0, s0, e0 = pops0
     fade_a, span_a = _decay(d_a, t)
     fade_s, span_s = _decay(d_s, t)
+    pop_g, pop_a, pop_s, pop_e = (None,) * 4 if out is None else out
     # In place, since temporaries cost as much as the arithmetic on them.
-    pop_a = (e0 * d_a) * span_s
+    pop_a = np.multiply(e0 * d_a, span_s, out=pop_a)
     pop_a += a0
     pop_a *= fade_a
-    pop_s = (e0 * d_s) * span_a
+    pop_s = np.multiply(e0 * d_s, span_a, out=pop_s)
     pop_s += s0
     pop_s *= fade_s
-    pop_e = e0 * fade_a
+    pop_e = np.multiply(e0, fade_a, out=pop_e)
     pop_e *= fade_s
-    pop_g = (g0 + a0 + s0 + e0) - pop_a
+    pop_g = np.subtract(g0 + a0 + s0 + e0, pop_a, out=pop_g)
     pop_g -= pop_s
     pop_g -= pop_e
     return pop_g, pop_a, pop_s, pop_e
@@ -399,6 +402,10 @@ class EigenPropagator:
     bath at |spatial factor| ~ 1), takes EXPM: matrix exponentials by
     uniformization, a sum of nonnegative terms accurate entry by entry, for
     every EXPM generator and time row in one batched call.
+
+    `populations` stores the populations population-major, one contiguous
+    plane each, behind the (..., 4) view it returns. `take` slices a stack,
+    routes and eigendecompositions included, without diagonalizing again.
     """
 
     def __init__(self, rates: RateMatrix | Sequence[RateMatrix] | RateStack):
@@ -406,28 +413,39 @@ class EigenPropagator:
         self._single = isinstance(rates, RateMatrix)
         if not isinstance(rates, RateStack):
             rates = RateStack.of([rates] if self._single else rates)
-        gens = self._gens = rates.generator
+        gens = rates.generator
         frozen = rates.frozen
         # d_a and d_s of the cascade are the G <- A and G <- S rates.
-        self._d_a, self._d_s = gens[:, 0, 1, None, None], gens[:, 0, 2, None, None]
-        pattern = self._d_a * _CASCADE_A + self._d_s * _CASCADE_S
+        pattern = gens[:, 0, 1, None, None] * _CASCADE_A + gens[:, 0, 2, None, None] * _CASCADE_S
         cascade = ~frozen & np.all(gens == pattern, axis=(1, 2))
-        rest = np.flatnonzero(~frozen & ~cascade)
-        ok = np.zeros(0, dtype=bool)
+        # Each generator's route, as an index into _ROUTES.
+        codes = np.where(frozen, 0, np.where(cascade, 1, 3))
+        self._eig = ()  # eigenvalues, eigenvectors and their inverses, per generator
+        rest = np.flatnonzero(codes == 3)
         if rest.size:
-            ok, eigvals, eigvecs, inv = _diagonalize(gens[rest])
-            self._eigvals, self._inv = eigvals[ok], inv[ok]
-            # C-ordered transposes let matmul take its fast path.
-            self._eigvecs_t = np.ascontiguousarray(np.swapaxes(eigvecs[ok], 1, 2))[:, None]
-        self._route = {
-            FROZEN: np.flatnonzero(frozen),
-            CLOSED_FORM: np.flatnonzero(cascade),
-            EIGEN: rest[ok],
-            EXPM: rest[~ok],
-        }
-        self.routes = np.empty(len(gens), dtype=object)
-        for route, index in self._route.items():
-            self.routes[index] = route
+            ok, *parts = _diagonalize(gens[rest])
+            codes[rest[ok]] = 2
+            self._eig = tuple(np.zeros((len(gens),) + part.shape[1:]) for part in parts)
+            for full, part in zip(self._eig, parts):
+                full[rest] = part
+        self._stack = rates
+        self._set_routes(codes)
+
+    def _set_routes(self, codes: np.ndarray) -> None:
+        """routes from route codes, and each route taken with its generators (None: all)."""
+        self._codes, self.routes = codes, _ROUTES[codes]
+        sizes = np.bincount(codes, minlength=len(_ROUTES))
+        self._groups = [(_ROUTES[c], None if sizes[c] == codes.size else np.flatnonzero(codes == c))
+                        for c in np.flatnonzero(sizes)]
+
+    def take(self, index: np.ndarray) -> "EigenPropagator":
+        """The propagator of the stack of generators at `index`, an index array."""
+        sub = copy.copy(self)
+        sub._single = False
+        sub.rates = sub._stack = self._stack.take(index)
+        sub._eig = tuple(part[index] for part in self._eig)
+        sub._set_routes(self._codes[index])
+        return sub
 
     def populations(self, pops0: np.ndarray, taus: np.ndarray) -> np.ndarray:
         """Population vectors at each tau.
@@ -437,46 +455,53 @@ class EigenPropagator:
         shared by every generator, shape (K,), or per-generator grids of
         shape (N, ..., K), each row along the last axis one grid. Returns
         taus' shape plus a trailing axis of 4 for a single RateMatrix (taus
-        of shape (K,)), else (N, ..., K, 4).
+        of shape (K,)), else (N, ..., K, 4), a view whose [..., p] planes are C-contiguous.
         """
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        if not (taus.size and np.all((taus >= 0.0) & (taus < math.inf))):
+        if not (taus.size and taus.min() >= 0.0 and taus.max() < math.inf):
             raise ValueError("tau must be finite and >= 0, and taus not empty")
         shared = taus.ndim == 1
-        count = len(self.routes)
+        count = len(self._codes)
         if not shared and taus.shape[0] != count:
             raise ValueError(f"need {count} per-generator grids, got {taus.shape[0]}")
         pops0 = np.asarray(pops0, dtype=float)
         if pops0.shape not in ((4,), (count, 4)):
             raise ValueError(f"pops0 must have shape (4,) or ({count}, 4), got {pops0.shape}")
-        pops0 = np.broadcast_to(pops0, (count, 4))
         rows = taus.reshape(1 if shared else count, -1, taus.shape[-1])
-
-        def grid(index: np.ndarray) -> np.ndarray:
-            return rows if shared or index.size == count else rows[index]
-
-        out = np.empty((count,) + rows.shape[1:] + (4,))
-        frozen = self._route[FROZEN]
-        out[frozen] = pops0[frozen, None, None]
-        eigen = self._route[EIGEN]
-        if eigen.size:
-            modes = np.exp(grid(eigen)[..., None] * self._eigvals[:, None, None, :])
-            modes *= _apply(self._inv, pops0[eigen])[:, None, None, :]
-            if eigen.size == count:
-                out = modes @ self._eigvecs_t
+        out = np.empty((4, count) + rows.shape[1:])
+        for route, index in self._groups:
+            if index is None:  # one route: no index copies
+                self._fill(route, out, pops0, rows)
             else:
-                out[eigen] = modes @ self._eigvecs_t
-        cascade = self._route[CLOSED_FORM]
-        if cascade.size:
-            rates = self._d_a[cascade], self._d_s[cascade]
-            start = pops0[cascade].T[..., None, None]
-            out[cascade] = np.stack(_cascade(start, *rates, grid(cascade)), axis=-1)
-        expm = self._route[EXPM]
-        if expm.size:
-            grids = np.broadcast_to(grid(expm), (expm.size,) + rows.shape[1:])
-            out[expm] = _uniformized_populations(self._gens[expm], pops0[expm], grids)
-        out = out.reshape((count,) + (taus.shape if shared else taus.shape[1:]) + (4,))
+                part = np.empty((4, index.size) + rows.shape[1:])
+                self._fill(route, part, pops0 if pops0.ndim == 1 else pops0[index],
+                           rows if shared else rows[index], index)
+                out[:, index] = part
+        out = out.reshape((4, count) + (taus.shape if shared else taus.shape[1:]))
+        out = out.transpose(*range(1, out.ndim), 0)  # np.moveaxis(out, 0, -1), faster
         return out[0] if self._single else out
+
+    def _fill(self, route: str, out: np.ndarray, pops0: np.ndarray, rows: np.ndarray,
+              index=slice(None)) -> None:
+        """Write the populations of the generators at index, all on `route`,
+        into the planes out (4, n, R, K), from pops0 (4,) or (n, 4) on rows
+        (n or 1, R, K)."""
+        gens = self._stack.generator[index]
+        if route == FROZEN:
+            out[...] = pops0.T.reshape(4, -1, 1, 1)
+        elif route == CLOSED_FORM:
+            d_a, d_s = gens[:, 0, 1, None, None], gens[:, 0, 2, None, None]
+            _cascade(pops0 if pops0.ndim == 1 else pops0.T[..., None, None], d_a, d_s, rows, out)
+        elif route == EIGEN:
+            eigvals, eigvecs, inv = (part[index] for part in self._eig)
+            modes = rows[:, :, None, :] * eigvals[:, None, :, None]
+            np.exp(modes, out=modes)
+            modes *= _apply(inv, pops0)[:, None, :, None]
+            np.matmul(eigvecs[:, None], modes, out=out.transpose(1, 2, 0, 3))
+        else:
+            grids = np.broadcast_to(rows, (len(gens),) + rows.shape[1:])
+            pops0 = np.broadcast_to(pops0, (len(gens), 4))
+            out[...] = np.moveaxis(_uniformized_populations(gens, pops0, grids), -1, 0)
 
     def state(self, initial: XState, tau: float) -> XState:
         if not self._single:
@@ -497,7 +522,7 @@ class EigenPropagator:
 
 
 def _apply(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """matrices[n] @ vectors[n] for matrices (N, 4, 4) and vectors (N, 4)."""
+    """matrices[n] @ vectors[n] for matrices (N, 4, 4) and vectors (N, 4) or (4,)."""
     return (matrices @ vectors[..., None])[..., 0]
 
 
@@ -840,10 +865,10 @@ def random_xstate(
     mag_as = math.sqrt(diag[1] * diag[2]) * rng.random()
     anti_ge = mag_ge * np.exp(2j * math.pi * rng.random())
     anti_as = mag_as * np.exp(2j * math.pi * rng.random())
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = diag
-    rho[0, 3] = anti_ge
-    rho[3, 0] = np.conj(anti_ge)
-    rho[1, 2] = anti_as
-    rho[2, 1] = np.conj(anti_as)
-    return from_product_basis(rho)
+    # from_product_basis' complex arithmetic on rho[1, 1], rho[2, 2], rho[1, 2]
+    # = anti_as and rho[2, 1], in its order, so every bit is the same.
+    rho_11, rho_22, rho_21 = np.complex128(diag[1]), np.complex128(diag[2]), np.conj(anti_as)
+    pop_a = 0.5 * (rho_11 + rho_22 - anti_as - rho_21).real
+    pop_s = 0.5 * (rho_11 + rho_22 + anti_as + rho_21).real
+    coh_as = 0.5 * (rho_22 - rho_11 + rho_21 - anti_as)
+    return XState(diag[0], pop_a, pop_s, diag[3], coh_ge=anti_ge, coh_as=coh_as)

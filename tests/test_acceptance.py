@@ -48,7 +48,7 @@ from massbath import (
     to_product_basis,
     vacuum_coefficients,
 )
-from massbath.experiments import _cell_maxima, _cell_rates
+from massbath.experiments import _cell_rates, _max_over_time
 
 RNG_SEED = 987654321
 
@@ -163,7 +163,8 @@ def physical_reach(mass_ratio: float) -> float:
         seps, rates = _vacuum_cells(mass_ratio, seps)
         cells = [(None, sep) for sep in seps.tolist()]
         select = ("concurrence",)
-        return _cell_maxima(XState.excited(), rates, gray, cells, select, CONCURRENCE_CUTOFF)[0][0]
+        maxima, _ = _max_over_time(XState.excited(), rates, gray, cells, select, CONCURRENCE_CUTOFF)
+        return maxima[0]
 
     grid = np.geomspace(0.1, 400.0, 500)
     above = np.flatnonzero(maxima(grid) > CONCURRENCE_CUTOFF)

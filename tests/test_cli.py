@@ -791,7 +791,32 @@ class TestRuntimeWithoutScipy:
         return subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, *args], env=child_env())
 
 
+# verify --seed 0..4 stdout, pinned: the suites' deviations must not move
+# from one commit to the next unless a change means them to.
+def _verify_text(lifetime: str, methods: str) -> str:
+    return (
+        "scaling-vacuum       max deviation 3.331e-16 (threshold 1e-10) PASS\n"
+        "scaling-thermal      max deviation 5.463e-13 (threshold 1e-09) PASS\n"
+        f"lifetime-bisection   max deviation {lifetime} (threshold 1e-08) PASS\n"
+        f"method-agreement     max deviation {methods} (threshold 1e-08) PASS\n"
+        "coefficient-oracle   max deviation 1.691e-16 (threshold 1e-12) PASS\n"
+    )
+
+
+VERIFY_GOLDEN = {
+    0: _verify_text("1.172e-13", "4.000e-11"),
+    1: _verify_text("2.959e-13", "4.078e-11"),
+    2: _verify_text("2.235e-13", "4.566e-11"),
+    3: _verify_text("1.118e-13", "4.299e-11"),
+    4: _verify_text("1.199e-12", "3.974e-11"),
+}
+
+
 class TestVerify:
+    @pytest.mark.parametrize("seed", sorted(VERIFY_GOLDEN))
+    def test_stdout_is_pinned(self, seed, capsys):
+        assert run_cli(["verify", "--seed", str(seed)], capsys) == (0, VERIFY_GOLDEN[seed], "")
+
     def test_passes_and_deterministic(self, capsys):
         code, first, _ = run_cli(["verify", "--seed", "42"], capsys)
         assert code == 0

@@ -29,7 +29,6 @@ from massbath import (
     thermal_scan,
 )
 from massbath.experiments import (
-    _cell_maxima,
     _max_over_time,
     _vacuum_max_over_time,
 )
@@ -126,7 +125,7 @@ def thermal_rates(mass, sep, temp):
 def kernel(initial, mass, cells):
     """Kernel maxima (2, N) for thermal cells [(T/omega, omega*L), ...]."""
     rates = [thermal_rates(mass, sep, temp) for temp, sep in cells]
-    return _max_over_time(initial, RateStack.of(rates), gray_factor(mass, 1.0), cells)
+    return _max_over_time(initial, RateStack.of(rates), gray_factor(mass, 1.0), cells)[0]
 
 
 def assert_matches_oracle(initial, mass, cells):
@@ -184,7 +183,7 @@ def test_late_peak_forces_horizon_doubling():
     rates = _late_peak_rates()
     conc, neg, where = oracle_max(rates, XState.ground())
     assert where > 40.0 / 0.1
-    got = _max_over_time(XState.ground(), RateStack.of([rates]), 0.1, [(None, None)])
+    got, _ = _max_over_time(XState.ground(), RateStack.of([rates]), 0.1, [(None, None)])
     assert got[0, 0] == pytest.approx(conc, abs=KERNEL_TOL)
     assert got[1, 0] == pytest.approx(neg, abs=KERNEL_TOL)
 
@@ -215,7 +214,7 @@ def test_frozen_and_live_cells_in_one_map():
     frozen = build_rate_matrix(GklsCoefficients(a1=0.0, b1=0.0, a2=0.0, b2=0.0))
     cells = [(0.05, 1.0), (None, None), (0.2, 3.0), (None, None)]
     rates = [frozen if temp is None else thermal_rates(0.5, sep, temp) for temp, sep in cells]
-    got, routes = _cell_maxima(initial, RateStack.of(rates), gray_factor(0.5, 1.0), cells)
+    got, routes = _max_over_time(initial, RateStack.of(rates), gray_factor(0.5, 1.0), cells)
     assert list(routes) == ["eigen", "frozen", "eigen", "frozen"]
     value = entanglement(initial)
     assert np.array_equal(got[:, 1], [value.concurrence, value.negativity])
@@ -420,7 +419,7 @@ def _counted_max_over_time(monkeypatch, initial, rates, gray, cell, select):
     """(maxima, passes) of one cell."""
     got, passes = _counted_passes(
         monkeypatch,
-        lambda: _max_over_time(initial, RateStack.of([rates]), gray, [cell], select=select),
+        lambda: _max_over_time(initial, RateStack.of([rates]), gray, [cell], select=select)[0],
     )
     return got[:, 0], int(passes[0])
 
@@ -432,9 +431,9 @@ def test_thermal_one_measure_matches_its_row_of_both(name, monkeypatch):
     gray = gray_factor(mass, 1.0)
     rates = [thermal_rates(mass, sep, temp) for temp, sep in SELECTOR_CELLS]
     stack = RateStack.of(rates)
-    both, _ = _cell_maxima(initial, stack, gray, SELECTOR_CELLS)
+    both, _ = _max_over_time(initial, stack, gray, SELECTOR_CELLS)
     for row, measure in enumerate(BOTH):
-        one, _ = _cell_maxima(initial, stack, gray, SELECTOR_CELLS, (measure,))
+        one, _ = _max_over_time(initial, stack, gray, SELECTOR_CELLS, (measure,))
         assert one.shape == (1, len(SELECTOR_CELLS))
         assert np.max(np.abs(one[0] - both[row])) <= KERNEL_TOL
     for k, cell in enumerate(SELECTOR_CELLS):
@@ -475,7 +474,7 @@ def test_thermal_one_measure_matches_its_row_of_both(name, monkeypatch):
 def test_search_reaches_a_late_birth(populations, select):
     rates = _late_peak_rates()
     initial = XState(*populations)
-    got = _max_over_time(initial, RateStack.of([rates]), 0.1, [(None, None)], select=select)
+    got, _ = _max_over_time(initial, RateStack.of([rates]), 0.1, [(None, None)], select=select)
     conc, neg, _ = oracle_max(rates, initial)
     expected = {"concurrence": conc, "negativity": neg}
     for row, name in enumerate(select):
@@ -488,7 +487,7 @@ def test_zero_coherence_shortcut_is_exact(kind, monkeypatch):
     assert experiments._faded_coherences(initial, 1.0, 1.0, np.ones(3)) == (0.0, 0.0, 0.0)
     gray = gray_factor(0.6, 1.0)
     rates = RateStack.of([thermal_rates(0.6, sep, temp) for temp, sep in SELECTOR_CELLS])
-    thermal = _cell_maxima(initial, rates, gray, SELECTOR_CELLS)[0]
+    thermal = _max_over_time(initial, rates, gray, SELECTOR_CELLS)[0]
     vacuum = [_vacuum_max_over_time(initial, 0.8, VACUUM_SEPS, m) for m in BOTH]
 
     def explicit(initial, decay_ge, decay_as, taus):
@@ -498,7 +497,7 @@ def test_zero_coherence_shortcut_is_exact(kind, monkeypatch):
         )
 
     monkeypatch.setattr(experiments, "_faded_coherences", explicit)
-    assert np.array_equal(_cell_maxima(initial, rates, gray, SELECTOR_CELLS)[0], thermal)
+    assert np.array_equal(_max_over_time(initial, rates, gray, SELECTOR_CELLS)[0], thermal)
     for m, values in zip(BOTH, vacuum):
         assert np.array_equal(_vacuum_max_over_time(initial, 0.8, VACUUM_SEPS, m), values)
 
@@ -548,9 +547,9 @@ def test_thermal_cutoff_keeps_every_answer(select):
         temps, seps = np.array(cells).T
         rates = experiments._cell_rates(mass, seps, temps)
         gray = gray_factor(mass, 1.0)
-        full, routes = _cell_maxima(initial, rates, gray, cells, select)
+        full, routes = _max_over_time(initial, rates, gray, cells, select)
         for cutoff in CUTOFFS:
-            cut, cut_routes = _cell_maxima(initial, rates, gray, cells, select, cutoff)
+            cut, cut_routes = _max_over_time(initial, rates, gray, cells, select, cutoff)
             counts += assert_cutoff_decides(full, cut, cutoff)
             assert np.array_equal(cut_routes, routes)
             # A cell with one measure at or below the cutoff runs on in full.
@@ -565,9 +564,9 @@ def test_late_peak_cutoff_keeps_every_answer(select):
     # pass to (0.80, 0.62): a cell stops only once every selected maximum is
     # above the cutoff, and the maxima below it go on rising.
     rates, cells = RateStack.of([_late_peak_rates()]), [(None, None)]
-    full = _max_over_time(XState.ground(), rates, 0.1, cells, select)
+    full, _ = _max_over_time(XState.ground(), rates, 0.1, cells, select)
     for cutoff in (0.4, 0.7):
-        cut = _max_over_time(XState.ground(), rates, 0.1, cells, select, cutoff=cutoff)
+        cut, _ = _max_over_time(XState.ground(), rates, 0.1, cells, select, cutoff=cutoff)
         assert_cutoff_decides(full, cut, cutoff)
 
 
@@ -590,9 +589,9 @@ def test_cell_above_cutoff_retires_after_its_first_pass(monkeypatch):
     rates = RateStack.of([thermal_rates(0.6, sep, temp) for temp, sep in SELECTOR_CELLS])
     select = ("concurrence",)
     full, full_passes = _counted_passes(
-        monkeypatch, lambda: _cell_maxima(initial, rates, gray, SELECTOR_CELLS, select)[0])
+        monkeypatch, lambda: _max_over_time(initial, rates, gray, SELECTOR_CELLS, select)[0])
     cut, passes = _counted_passes(
-        monkeypatch, lambda: _cell_maxima(initial, rates, gray, SELECTOR_CELLS, select, 1e-3)[0])
+        monkeypatch, lambda: _max_over_time(initial, rates, gray, SELECTOR_CELLS, select, 1e-3)[0])
     assert (full[0] > 1e-3).tolist() == [True, True, True, False]
     assert passes.tolist()[:3] == [1, 1, 1]
     assert passes[3] == full_passes[3] >= 2 and cut[0, 3] == full[0, 3]

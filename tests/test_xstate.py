@@ -365,6 +365,42 @@ class TestEigenPropagator:
                 assert np.max(np.abs(shared[n] - alone)) < 1e-14
                 assert np.max(np.abs(rows[n, 1] - alone)) < 1e-14
 
+    @pytest.mark.parametrize("routes", [
+        (FROZEN, FROZEN), (CLOSED_FORM, CLOSED_FORM), (EIGEN, EIGEN), (EXPM, EXPM),
+        (EXPM, CLOSED_FORM, FROZEN, EIGEN, CLOSED_FORM),
+    ], ids="-".join)
+    def test_populations_are_population_major(self, routes, rng):
+        # populations returns (..., 4) as before, a view of one contiguous
+        # plane per population.
+        example = {
+            FROZEN: build_rate_matrix(GklsCoefficients(0.0, 0.0, 0.0, 0.0)),
+            CLOSED_FORM: build_rate_matrix(vacuum_like(0.3)),
+            EIGEN: build_rate_matrix(
+                thermal_coefficients(FieldBathConfig.from_ratios(0.5, 2.0, 0.2))),
+            EXPM: build_rate_matrix(
+                thermal_coefficients(FieldBathConfig.from_ratios(0.9, 0.07, 0.028))),
+        }
+        stack = [example[route] for route in routes]
+        prop = EigenPropagator(stack)
+        assert list(prop.routes) == list(routes)
+        taus = np.linspace(0.0, 8.0, 33)
+        grids = np.stack([[taus / 2, taus, taus * 3]] * len(stack))
+        pops0 = np.array([random_xstate(rng).populations() for _ in stack])
+        for times, shape in ((taus, (len(stack), 33, 4)), (grids, (len(stack), 3, 33, 4))):
+            out = prop.populations(pops0, times)
+            assert out.shape == shape
+            assert all(plane.flags.c_contiguous for plane in np.moveaxis(out, -1, 0))
+            for n, rates in enumerate(stack):
+                alone = EigenPropagator(rates).populations(pops0[n], taus)
+                assert alone.shape == (33, 4)
+                assert all(plane.flags.c_contiguous for plane in np.moveaxis(alone, -1, 0))
+                got = out[n] if times is taus else out[n, 1]
+                # Bit for bit on x86-64 with numpy 2.4 and OpenBLAS; eigen and
+                # expm go through BLAS, which may sum otherwise elsewhere.
+                assert np.max(np.abs(got - alone), initial=0.0) < 1e-14
+                if routes[n] in (FROZEN, CLOSED_FORM):
+                    assert np.array_equal(got, alone)
+
     @pytest.mark.parametrize("shape", [(6, 4), (5, 3), (4, 4), (1, 4), (5, 4, 1)])
     def test_per_generator_populations_need_one_vector_per_generator(self, shape):
         stack = [build_rate_matrix(vacuum_like(lam)) for lam in (-0.5, 0.0, 0.2, 0.7, 1.0)]
@@ -673,6 +709,27 @@ class TestRandomXState:
             pure_seen = pure_seen or purity > 0.99
             mixed_seen = mixed_seen or purity < 0.9
         assert mixed_seen
+
+    def test_draws_match_the_product_basis_route(self):
+        # The default draw builds the state from its product-basis entries;
+        # the 4x4 matrix through from_product_basis gives the same bits.
+        def through_product_basis(rng):
+            diag = rng.dirichlet(np.ones(4))
+            mag_ge = math.sqrt(diag[0] * diag[3]) * rng.random()
+            mag_as = math.sqrt(diag[1] * diag[2]) * rng.random()
+            anti_ge = mag_ge * np.exp(2j * math.pi * rng.random())
+            anti_as = mag_as * np.exp(2j * math.pi * rng.random())
+            rho = np.zeros((4, 4), dtype=complex)
+            rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = diag
+            rho[0, 3], rho[3, 0] = anti_ge, np.conj(anti_ge)
+            rho[1, 2], rho[2, 1] = anti_as, np.conj(anti_as)
+            return from_product_basis(rho)
+
+        direct, oracle = np.random.default_rng(2024), np.random.default_rng(2024)
+        for _ in range(2000):
+            got, expected = random_xstate(direct), through_product_basis(oracle)
+            assert entries(got).tobytes() == entries(expected).tobytes()
+        assert direct.bit_generator.state == oracle.bit_generator.state
 
     def test_diagonal_flag(self, rng):
         state = random_xstate(rng, diagonal=True)
