@@ -29,6 +29,8 @@ from .field_bath import (
 from .measures import (
     BOTH,
     CONCURRENCE_CUTOFF,
+    _bisect,
+    _check_decay,
     _check_diagonal_weights,
     _coherence_parts,
     _measures_arrays,
@@ -225,13 +227,14 @@ def evolve_scan(config: SweepConfig) -> SweepResult:
 
 def _grid_peaks(values: np.ndarray, grid: np.ndarray):
     """Best sample along the last axis, the bracket of its neighbours, its index."""
-    i = np.argmax(values, axis=-1)[..., None]
+    i = np.argmax(values, axis=-1)
+    cells = np.indices(i.shape, sparse=True)
     last = grid.shape[-1] - 1
     return (
-        np.take_along_axis(values, i, -1)[..., 0],
-        np.take_along_axis(grid, np.maximum(i - 1, 0), -1)[..., 0],
-        np.take_along_axis(grid, np.minimum(i + 1, last), -1)[..., 0],
-        i[..., 0],
+        values[(*cells, i)],
+        grid[(*cells, np.maximum(i - 1, 0))],
+        grid[(*cells, np.minimum(i + 1, last))],
+        i,
     )
 
 
@@ -484,14 +487,9 @@ def generation_reach(
     last = int(above[-1])
     if last == x_grid.size - 1:
         raise NoGenerationError("generation region extends beyond the scan window")
-    lo, hi = x_grid[last], x_grid[last + 1]
-    while (hi - lo) > 1e-4 * hi:
-        mid = 0.5 * (lo + hi)
-        if max_measure(mid / gray) > cutoff:
-            lo = mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi) / gray)
+    lo, hi = _bisect(lambda mid, _: ~(max_measure(mid / gray) > cutoff),
+                     x_grid[[last]], x_grid[[last + 1]], lambda lo, hi: hi - lo <= 1e-4 * hi)
+    return float(0.5 * (lo[0] + hi[0]) / gray)
 
 
 def enlargement_factor(
@@ -572,7 +570,8 @@ def thermal_generation_threshold(
 ) -> float:
     """Temperature T/omega above which no separation generates entanglement.
 
-    Bisects on temperature; at each temperature the max-over-time concurrence
+    Bisects on temperature until the bracket is at most tol wide or its ends
+    are adjacent floats; at each temperature the max-over-time concurrence
     is maximized over a separation grid, refined around the best point unless
     the grid already exceeds cutoff. Only `> cutoff` is asked of each
     temperature, so every cell's search stops at its first pass above cutoff.
@@ -610,13 +609,9 @@ def thermal_generation_threshold(
         raise NoGenerationError(f"no generation above cutoff even at T/omega = {t_lo}")
     if generates(t_hi):
         raise NonConvergedMaxError(f"generation persists at T/omega = {t_hi}; widen the bracket")
-    while t_hi - t_lo > tol:
-        mid = 0.5 * (t_lo + t_hi)
-        if generates(mid):
-            t_lo = mid
-        else:
-            t_hi = mid
-    return float(0.5 * (t_lo + t_hi))
+    lo, hi = _bisect(lambda mid, _: np.array([not generates(t) for t in mid.tolist()]),
+                     [t_lo], [t_hi], lambda lo, hi: hi - lo <= tol)
+    return float(0.5 * (lo[0] + hi[0]))
 
 
 def lifetime_by_bisection(e, g, a, s, gray: float, g0: float):
@@ -627,13 +622,13 @@ def lifetime_by_bisection(e, g, a, s, gray: float, g0: float):
     are floats, giving a float, or arrays that broadcast, giving an array
     from one array bisection. Each entry stops as a bisection of it alone
     would: once the midpoint equals an end, or after 200 halvings. Raises
-    ValueError naming the first entry (in C order) whose weights are not
-    finite, >= 0 and summing to 1.
+    ValueError unless g0 is finite and > 0 and gray lies in (0, 1], and one
+    naming the first entry (in C order) whose weights are not finite, >= 0
+    and summing to 1.
     """
-    if gray <= 0.0 or g0 <= 0.0:
-        raise ValueError("gray and gamma0 must be > 0 for a finite lifetime")
-    scalar = all(np.ndim(w) == 0 for w in (e, g, a, s))
-    e, g, a, s = np.broadcast_arrays(*(np.asarray(w, dtype=float) for w in (e, g, a, s)))
+    _check_decay(gray, g0, frozen_ok=False)
+    shape = np.broadcast(e, g, a, s).shape  # () for float weights
+    e, g, a, s = (np.broadcast_to(np.asarray(w, dtype=float), shape).ravel() for w in (e, g, a, s))
     with np.errstate(invalid="ignore"):  # nan fails both tests, as it fails the scalar check
         ok = np.minimum(np.minimum(e, g), np.minimum(a, s)) >= -1e-12
         ok &= np.abs(e + g + a + s - 1.0) <= 1e-9
@@ -642,30 +637,22 @@ def lifetime_by_bisection(e, g, a, s, gray: float, g0: float):
         try:
             _check_diagonal_weights(*(float(w.flat[k]) for w in (e, g, a, s)))
         except ValueError as exc:
-            raise ValueError(str(exc) if scalar else f"entry {k}: {exc}") from None
-    h_val = a + s + 2.0 * e
-    gap = np.abs(a - s)
+            raise ValueError(str(exc) if shape == () else f"entry {k}: {exc}") from None
+    h_val, gap = a + s + 2.0 * e, np.abs(a - s)
 
-    def entangled(xi: np.ndarray) -> np.ndarray:
-        radicand = e * (xi * xi * e - xi * h_val + 1.0)
-        return gap > 2.0 * np.sqrt(np.maximum(radicand, 0.0))
+    def entangled(xi: np.ndarray, k=slice(None)) -> np.ndarray:
+        radicand = e[k] * (xi * xi * e[k] - xi * h_val[k] + 1.0)
+        return gap[k] > 2.0 * np.sqrt(np.maximum(radicand, 0.0))
 
-    lo, hi = np.zeros(e.shape), np.ones(e.shape)  # entangled at hi, disentangled at lo (xi -> 0)
+    lo, hi = np.zeros(e.size), np.ones(e.size)  # entangled at hi, disentangled at lo (xi -> 0)
     start, forever = entangled(hi), entangled(lo)
     live = start & ~forever
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        live &= (mid != lo) & (mid != hi)
-        if not live.any():
-            break
-        ent = entangled(mid)
-        hi = np.where(live & ent, mid, hi)
-        lo = np.where(live & ~ent, mid, lo)
+    lo, hi = _bisect(entangled, lo, hi, lambda lo, hi: ~live)
     # math.log, as numpy's vectorised log may differ from it in the last bit.
     rate = gray * g0
-    roots = np.array([-math.log(xi) / rate for xi in (0.5 * (lo + hi)).ravel().tolist()])
-    times = np.where(start, np.where(forever, math.inf, roots.reshape(e.shape)), 0.0)
-    return float(times) if scalar else times
+    roots = np.array([-math.log(xi) / rate for xi in (0.5 * (lo + hi)).tolist()])
+    times = np.where(start, np.where(forever, math.inf, roots), 0.0).reshape(shape)
+    return float(times) if shape == () else times
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,16 @@ def _check_diagonal_weights(e: float, g: float, a: float, s: float) -> None:
         raise ValueError(f"populations must sum to 1, got {e + g + a + s}")
 
 
+def _check_decay(gray: float, g0: float, frozen_ok: bool) -> None:
+    """ValueError unless g0 is finite and > 0 and gray lies in [0, 1], or
+    in (0, 1] when frozen dynamics (gray == 0) are not ok."""
+    if not (math.isfinite(g0) and g0 > 0.0):
+        raise ValueError(f"gamma0 must be finite and > 0, got {g0}")
+    if not (0.0 <= gray <= 1.0 and (frozen_ok or gray > 0.0)):
+        span = "[0, 1]" if frozen_ok else "(0, 1]"
+        raise ValueError(f"gray factor must lie in {span}, got {gray}")
+
+
 def sudden_death_condition(e: float, g: float, a: float, s: float) -> bool:
     """Whether a diagonal initial state (independent baths) disentangles at a
     finite time: 4*e*g < (a - s)^2 < 4*e, both strictly.
@@ -187,13 +197,11 @@ def lifetime(
         ln[2e (sqrt(2(a+e)^2 + 2(e+s)^2 - 4e) + a + 2e + s) / (4e - (a-s)^2)]
         / (gray * Gamma0).
 
-    Raises FrozenDynamicsError for an entangled state with gray == 0.
+    Raises FrozenDynamicsError for an entangled state with gray == 0, and
+    ValueError unless g0 is finite and > 0 and gray lies in [0, 1].
     """
     _check_diagonal_weights(e, g, a, s)
-    if g0 <= 0.0:
-        raise ValueError(f"gamma0 must be > 0, got {g0}")
-    if not 0.0 <= gray <= 1.0:
-        raise ValueError(f"gray factor must lie in [0, 1], got {gray}")
+    _check_decay(gray, g0, frozen_ok=True)
     gap2 = (a - s) ** 2
     if gap2 <= 4.0 * e * g:
         return 0.0
@@ -215,6 +223,24 @@ class EntanglementEvents:
     birth_times: tuple[float, ...]
     death_times: tuple[float, ...]
     final_value: float
+
+
+def _bisect(moves_hi, lo, hi, done):
+    """The brackets [lo, hi] (1-D float arrays) bisected together: each level
+    calls moves_hi(mid, k) once, on the midpoints of the open brackets k, and
+    moves hi to mid where it holds, else lo. A bracket closes once done(lo, hi)
+    holds, its midpoint equals an end, or after 200 halvings. Returns (lo, hi)."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        open_ = np.flatnonzero(~done(lo, hi) & (mid != lo) & (mid != hi))
+        if not open_.size:
+            break
+        mid = mid[open_]
+        to_hi = moves_hi(mid, open_)
+        hi[open_[to_hi]] = mid[to_hi]
+        lo[open_[~to_hi]] = mid[~to_hi]
+    return lo, hi
 
 
 def detect_events(
@@ -240,16 +266,10 @@ def detect_events(
     edges = np.flatnonzero(alive[1:] != alive[:-1])
     taus = np.array(trajectory.taus)
     lo, hi, births = taus[edges], taus[edges + 1], alive[edges + 1]
-    while trajectory.at is not None:
-        mid = 0.5 * (lo + hi)
-        open_ = np.flatnonzero((hi - lo > 1e-9) & (mid != lo) & (mid != hi))
-        if not open_.size:
-            break
-        mid = mid[open_]
+    if trajectory.at is not None:
         # A birth's bracket keeps a dead lo and a living hi; a death's the reverse.
-        to_hi = (values(*trajectory.at(mid)) > threshold) == births[open_]
-        hi[open_[to_hi]] = mid[to_hi]
-        lo[open_[~to_hi]] = mid[~to_hi]
+        lo, hi = _bisect(lambda mid, k: (values(*trajectory.at(mid)) > threshold) == births[k],
+                         lo, hi, lambda lo, hi: hi - lo <= 1e-9)
     crossings = 0.5 * (lo + hi)
     return EntanglementEvents(
         birth_times=tuple(crossings[births].tolist()),

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -466,6 +468,15 @@ class TestCutoffDecidedSearches:
         assert enlargement_factor(0.995) == 10.0125234864352
         reach = generation_reach(0.9, cutoff=1e-6, measure="negativity")
         assert reach == 10.889630039563016
+
+    def test_threshold_below_float_spacing_ends_on_adjacent_floats(self):
+        # A tol far below the spacing of floats near the threshold stops the
+        # bisection on adjacent floats instead of repeating one temperature.
+        start = time.perf_counter()
+        threshold = thermal_generation_threshold(
+            tol=1e-300, bracket=(0.2, 0.26), sep_values=np.geomspace(0.05, 6.0, 6))
+        assert time.perf_counter() - start < 2.0
+        assert type(threshold) is float and 0.2 < threshold < 0.26
 
     def test_threshold_bracket_still_generating(self):
         with pytest.raises(NonConvergedMaxError, match="generation persists at T/omega = 0.2"):

@@ -28,7 +28,7 @@ from massbath import (
     vacuum_coefficients,
     FieldBathConfig,
 )
-from massbath.measures import RADICAND_TOL, _measures_arrays, _safe_sqrt
+from massbath.measures import RADICAND_TOL, _bisect, _measures_arrays, _safe_sqrt
 from massbath.xstate import POP_TOL, PSD_TOL
 from paper_formulas import (
     AssumptionViolatedError,
@@ -249,6 +249,16 @@ class TestLifetime:
         with pytest.raises(FrozenDynamicsError):
             lifetime(e=0.5, g=0.0, a=0.5, s=0.0, gray=0.0, g0=1.0)
 
+    @pytest.mark.parametrize(
+        "gray, g0, match",
+        [(1.0, math.nan, "gamma0"), (1.0, math.inf, "gamma0"), (1.0, 0.0, "gamma0"),
+         (1.0, -1.0, "gamma0"), (math.nan, 1.0, "gray"), (-0.1, 1.0, "gray"),
+         (2.0, 1.0, "gray"), (math.inf, 1.0, "gray")],
+    )
+    def test_bad_rates_raise(self, gray, g0, match):
+        with pytest.raises(ValueError, match=match):
+            lifetime(0.5, 0.0, 0.4, 0.1, gray, g0)
+
 
 class TestLifetimeBisection:
     def test_array_bisection_equals_scalar_loop(self, rng):
@@ -292,6 +302,18 @@ class TestLifetimeBisection:
         with pytest.raises(ValueError, match=f"entry 2: .*{match}"):
             lifetime_by_bisection(e, g, a, s, 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "gray, g0, match",
+        [(1.0, math.nan, "gamma0"), (1.0, math.inf, "gamma0"), (1.0, 0.0, "gamma0"),
+         (1.0, -1.0, "gamma0"), (math.nan, 1.0, "gray"), (0.0, 1.0, r"\(0, 1\]"),
+         (-0.1, 1.0, "gray"), (2.0, 1.0, "gray"), (math.inf, 1.0, "gray")],
+    )
+    def test_bad_rates_raise(self, gray, g0, match):
+        with pytest.raises(ValueError, match=match):
+            lifetime_by_bisection(0.5, 0.0, 0.4, 0.1, gray, g0)
+        with pytest.raises(ValueError, match=match):
+            lifetime_by_bisection(np.array([0.5, 0.5]), 0.0, 0.4, 0.1, gray, g0)
+
     def test_non_finite_weights_fail_the_lifetime_checks(self):
         with pytest.raises(ValueError, match="finite"):
             lifetime(math.nan, 0.2, 0.3, 0.5, 1.0, 1.0)
@@ -299,6 +321,48 @@ class TestLifetimeBisection:
             sudden_death_condition(math.nan, 0.2, 0.3, 0.5)
         with pytest.raises(ValueError, match="finite"):
             sudden_death_condition(0.5, 0.2, math.inf, 0.3)
+
+
+class TestBisect:
+    """The one bisection kernel behind lifetime_by_bisection, detect_events,
+    generation_reach and thermal_generation_threshold."""
+
+    @staticmethod
+    def recorded(moves_hi, calls):
+        def wrapped(mid, k):
+            calls.append(k.tolist())
+            return moves_hi(mid, k)
+        return wrapped
+
+    def test_step_without_done_ends_on_adjacent_floats(self):
+        steps, calls = np.array([0.3, 2.2]), []
+        lo, hi = _bisect(self.recorded(lambda mid, k: mid >= steps[k], calls), [0.0, 1.0],
+                         [1.0, 3.0], lambda lo, hi: np.zeros(lo.shape, dtype=bool))
+        assert len(calls) < 100  # well before the cap of 200 halvings
+        assert np.all(lo < steps) and np.all(steps <= hi)
+        assert np.array_equal(np.nextafter(lo, np.inf), hi)
+
+    def test_one_call_per_level_on_open_brackets_only(self):
+        calls = []
+        lo, hi = _bisect(self.recorded(lambda mid, k: np.ones(k.size, dtype=bool), calls),
+                         [0.0, 0.0, 0.0], [1.0, 0.25, 0.5], lambda lo, hi: hi - lo <= 1 / 16)
+        assert calls == [[0, 1, 2], [0, 1, 2], [0, 2], [0]]
+        assert lo.tolist() == [0.0, 0.0, 0.0] and hi.tolist() == [1 / 16] * 3
+
+    def test_bracket_closed_at_the_start_is_never_evaluated(self):
+        # Bracket 1 is done at the start, and bracket 2's midpoint is its ends.
+        calls = []
+        lo, hi = _bisect(self.recorded(lambda mid, k: mid > 0.3, calls),
+                         [0.0, 0.0, 2.0], [1.0, 1e-3, 2.0], lambda lo, hi: hi - lo <= 1e-2)
+        assert calls and all(k == [0] for k in calls)
+        assert lo[1:].tolist() == [0.0, 2.0] and hi[1:].tolist() == [1e-3, 2.0]
+
+    def test_stops_after_200_halvings(self):
+        calls = []
+        lo, hi = _bisect(self.recorded(lambda mid, k: mid >= 1e-300, calls), [0.0], [1.0],
+                         lambda lo, hi: np.zeros(lo.shape, dtype=bool))
+        assert len(calls) == 200
+        assert lo.tolist() == [0.0] and hi.tolist() == [2.0**-200]
 
 
 class TestDetectEvents:
