@@ -33,6 +33,7 @@ from .measures import (
     _check_decay,
     _check_diagonal_weights,
     _coherence_parts,
+    _measure_bounds,
     _measures_arrays,
     _selector,
     entanglement,
@@ -294,28 +295,41 @@ def _propagated_measures(initial: XState, prop: EigenPropagator, select: tuple[s
     return measures
 
 
-def _search(stack, cells: list[tuple], horizon: float, points: int, select, *,
+def _propagated_bounds(initial: XState, prop: EigenPropagator, select, tau: float) -> np.ndarray:
+    """(M, N) bounds of the M measures of `select` of the N cells of an
+    EigenPropagator at all times >= tau (inf where a cell has none): tail on
+    pa - ps, pa + ps, pg - pe, pg and pe, and the coherences at tau."""
+    weights = np.array([[0, 1, -1, 0], [0, 1, 1, 0], [1, 0, 0, -1], [1, 0, 0, 0], [0, 0, 0, 1.0]])
+    center, radius = prop.tail(initial.populations(), tau, weights)
+    low, size = (center - radius).T, (np.abs(center) + radius).T  # size: the largest |w·p|
+    coherences = _faded_coherences(initial, prop.rates.decay_ge, prop.rates.decay_as, tau)
+    return _measure_bounds(size[0], low[1], size[2], low[3], low[4], *coherences, select=select)
+
+
+def _search(stack, bound, cells: list[tuple], horizon: float, points: int, select, *,
             cutoff: float = math.inf):
     """The max-over-time search: (len(select), N) maxima over time of the
     measures named by `select` for N cells.
 
     stack(ks) returns measures(taus) of the cells ks (indices into cells), as
-    _propagated_measures does; cells holds each cell's (T/omega, or None in the
-    vacuum, omega*L), used to name a cell that fails. Cells run in blocks of
-    MAP_BLOCK // points, which bounds the samples of a pass. The first pass
-    samples [0, horizon] on `points` points; each later pass doubles the
-    horizon and samples only its new half, at the doubled spacing. Every
-    pass zooms in on the best sample of each measure. A cell retires on the
-    first pass that raised none of its maxima by tol or more, or that left
-    all of them above `cutoff`; each step is one array operation over the
-    cells still active. A cell still active after MAX_DOUBLINGS passes
-    raises NonConvergedMaxError.
+    _propagated_measures does, and bound(ks, tau) their bounds at all times
+    >= tau, as _propagated_bounds does; cells holds each cell's (T/omega, or
+    None in the vacuum, omega*L), used to name a cell that fails. Cells run
+    in blocks of MAP_BLOCK // points, which bounds the samples of a pass. The
+    first pass samples [0, horizon] on `points` points; each later pass
+    doubles the horizon and samples only its new half, at the doubled
+    spacing. Every pass zooms in on the best sample of each measure. A cell
+    retires, each step one array operation over the cells still active, on
+    the first pass that raised none of its maxima by tol or more, left all of
+    them above `cutoff`, or certified them all: every bound at or below its
+    maximum (expm cells have no bound). A cell still active after
+    MAX_DOUBLINGS passes raises NonConvergedMaxError.
 
-    Maxima never fall from pass to pass, so a maximum retired above `cutoff`
-    stays above it, at or below its full search's value: every `> cutoff`
-    test gives the full search's answer. A cell with a maximum that never
-    goes above `cutoff` runs the same passes, and keeps the same values, as
-    with no cutoff.
+    A certified maximum cannot rise later: the search that would confirm it
+    on the next horizon returns the same bits. Maxima never fall, so a
+    maximum retired above `cutoff` stays above it, at or below its full
+    search's value: every `> cutoff` test gives the full search's answer. A
+    cell whose maxima never exceed `cutoff` runs as with no cutoff.
     """
     tol = 1e-6
     peaks = np.empty((len(select), len(cells)))
@@ -333,6 +347,8 @@ def _search(stack, cells: list[tuple], horizon: float, points: int, select, *,
             new = np.maximum(on_grid, _zoom(lambda g: measures(np.swapaxes(g, 0, 1)), lo, hi))
             stable = np.all(new - best < tol, axis=0) | np.all(new > cutoff, axis=0)
             best = np.maximum(best, new)
+            if not stable.all():  # the bounds of the cells still open
+                stable[~stable] = np.all(bound(active[~stable], tau_max) <= best[:, ~stable], axis=0)
             peaks[:, active[stable]] = np.maximum(best[:, stable], 0.0)
             previous, last = last[:, ~stable], new[:, ~stable]
             active, best = active[~stable], best[:, ~stable]
@@ -367,12 +383,12 @@ def _propagated_search(initial: XState, prop: EigenPropagator, cells: list[tuple
         peaks[:, frozen] = [[getattr(value, name)] for name in select]
     live = np.flatnonzero(~frozen)
 
-    def stack(ks: np.ndarray):
-        return _propagated_measures(
-            initial, prop if ks.size == len(cells) else prop.take(live[ks]), select)
+    def sub(ks: np.ndarray) -> EigenPropagator:
+        return prop if ks.size == len(cells) else prop.take(live[ks])
 
-    live_cells = [cells[k] for k in live]
-    peaks[:, live] = _search(stack, live_cells, horizon, points, select, cutoff=cutoff)
+    peaks[:, live] = _search(lambda ks: _propagated_measures(initial, sub(ks), select),
+                             lambda ks, tau: _propagated_bounds(initial, sub(ks), select, tau),
+                             [cells[k] for k in live], horizon, points, select, cutoff=cutoff)
     return peaks
 
 

@@ -503,6 +503,34 @@ class EigenPropagator:
             pops0 = np.broadcast_to(pops0, (len(gens), 4))
             out[...] = np.moveaxis(_uniformized_populations(gens, pops0, grids), -1, 0)
 
+    def tail(self, pops0: np.ndarray, tau: float, weights: np.ndarray):
+        """(center, radius), each (N, W): w·p(t) lies within center ± radius
+        for each row w of weights (W, 4) at all t >= tau, from pops0 (4,).
+        EIGEN: c = V^-1 pops0; the stationary mode (largest eigenvalue, zero
+        to roundoff) is the center and mode j adds |w·V_j c_j| e^(lambda_j tau).
+        CLOSED_FORM, FROZEN: A, S and E only drain, so pa, ps, pe lie in [0, X]
+        and pg in [1 - X, 1], X = (pa + ps + pe)(tau). EXPM: radius inf. Each
+        population widens by 64 eps sum_j |V_ij c_j| + eps (sum 1 off EIGEN)."""
+        count, eps = len(self._codes), np.finfo(float).eps
+        center, spread, scale = np.zeros((count, 4)), np.zeros((count, 4, 4)), np.ones((count, 4))
+        for route, index in self._groups:
+            k = slice(None) if index is None else index
+            if route in (FROZEN, CLOSED_FORM):  # frozen: the cascade without rates
+                gens = self._stack.generator[k]
+                excited = sum(_cascade(pops0, gens[:, 0, 1], gens[:, 0, 2], tau)[1:])[:, None]
+                center[k] = [1.0, 0.0, 0.0, 0.0] + excited * [-0.5, 0.5, 0.5, 0.5]
+                spread[k] = 0.5 * excited[:, :, None] * np.eye(4)
+            elif route == EIGEN:
+                eigvals, eigvecs, inv = (part[k] for part in self._eig)
+                amps = eigvecs * _apply(inv, pops0)[:, None, :]  # V_ij c_j
+                stat = eigvals == eigvals.max(axis=1, keepdims=True)
+                center[k] = (amps * stat[:, None, :]).sum(axis=2)
+                fade = np.where(stat, 0.0, np.exp(np.minimum(eigvals, 0.0) * tau))
+                spread[k], scale[k] = amps * fade[:, None, :], np.abs(amps).sum(axis=2)
+        radius = np.abs(weights @ spread).sum(axis=2) + (64.0 * eps * scale + eps) @ np.abs(weights).T
+        radius[self.routes == EXPM] = np.inf
+        return center @ weights.T, radius
+
     def state(self, initial: XState, tau: float) -> XState:
         if not self._single:
             raise ValueError("state() needs a propagator for a single RateMatrix")

@@ -8,6 +8,7 @@ partial transpose), not from the package's X-state formulas.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from massbath import (
     entanglement,
     gray_factor,
     random_xstate,
+    spatial_factor,
     thermal_scan,
 )
 from massbath.experiments import (
@@ -33,7 +35,15 @@ from massbath.experiments import (
     _vacuum_max_over_time,
 )
 from massbath.measures import BOTH, _coherence_parts
-from massbath.xstate import EXPM, EigenPropagator, RateMatrix, RateStack
+from massbath.xstate import (
+    CLOSED_FORM,
+    EIGEN,
+    EXPM,
+    EigenPropagator,
+    RateMatrix,
+    RateStack,
+    _vacuum_rates,
+)
 
 KERNEL_TOL = 1e-6
 
@@ -307,18 +317,19 @@ def test_non_converged_cell_is_named(monkeypatch):
 
 
 def test_vacuum_non_converged_separation_is_named(monkeypatch):
-    # A first pass has no earlier maximum to agree with, so one pass never
-    # retires a separation.
-    expected = _vacuum_max_over_time(XState.excited(), 0.8, 1.5, "concurrence")
+    # A first pass has no earlier maximum to agree with, and at omega*L =
+    # 1e-3 (1 - lam near 1e-7) the A population barely drains, so no tail
+    # bound certifies the separation after one pass.
+    expected = _vacuum_max_over_time(XState.excited(), 0.8, 1e-3, "concurrence")
     monkeypatch.setattr(experiments, "MAX_DOUBLINGS", 1)
     with pytest.raises(NonConvergedMaxError) as info:
-        _vacuum_max_over_time(XState.excited(), 0.8, 1.5, "concurrence")
-    assert info.value.axis1 is None and info.value.axis2 == 1.5
+        _vacuum_max_over_time(XState.excited(), 0.8, 1e-3, "concurrence")
+    assert info.value.axis1 is None and info.value.axis2 == 1e-3
     assert info.value.doublings == 1
     assert set(info.value.maxima) == {"concurrence"}
     previous, last = info.value.maxima["concurrence"]
     assert math.isnan(previous) and last == expected
-    assert "omega*L=1.5" in str(info.value)
+    assert "omega*L=0.001" in str(info.value)
     assert "T/omega" not in str(info.value)
 
 
@@ -588,10 +599,109 @@ def test_cell_above_cutoff_retires_after_its_first_pass(monkeypatch):
     gray = gray_factor(0.6, 1.0)
     rates = RateStack.of([thermal_rates(0.6, sep, temp) for temp, sep in SELECTOR_CELLS])
     select = ("concurrence",)
-    full, full_passes = _counted_passes(
-        monkeypatch, lambda: _max_over_time(initial, rates, gray, SELECTOR_CELLS, select)[0])
-    cut, passes = _counted_passes(
-        monkeypatch, lambda: _max_over_time(initial, rates, gray, SELECTOR_CELLS, select, 1e-3)[0])
+
+    def search(cutoff=math.inf):
+        return _max_over_time(initial, rates, gray, SELECTOR_CELLS, select, cutoff)[0]
+
+    full, full_passes = _counted_passes(monkeypatch, search)
+    cut, passes = _counted_passes(monkeypatch, lambda: search(1e-3))
     assert (full[0] > 1e-3).tolist() == [True, True, True, False]
     assert passes.tolist()[:3] == [1, 1, 1]
-    assert passes[3] == full_passes[3] >= 2 and cut[0, 3] == full[0, 3]
+    # Below the cutoff the tail bound certifies the 5e-9 cell after one pass,
+    # with the bits of the search that checks a second horizon.
+    monkeypatch.setattr(EigenPropagator, "tail", _no_certificate)
+    uncertified, uncertified_passes = _counted_passes(monkeypatch, search)
+    assert passes[3] == full_passes[3] == 1 and uncertified_passes[3] >= 2
+    assert cut[0, 3] == full[0, 3] == uncertified[0, 3]
+
+
+def _no_certificate(self, pops0, tau, weights):
+    """EigenPropagator.tail without a bound: every radius inf."""
+    shape = (len(self.routes), len(weights))
+    return np.zeros(shape), np.full(shape, np.inf)
+
+
+def _audit_tail_bound(initial, prop, tau):
+    """Check the measure bounds at tau against 2001 samples on [tau, 16 tau];
+    returns the (measure, cell) gaps between bound and sampled maximum."""
+    bounds = experiments._propagated_bounds(initial, prop, BOTH, tau)
+    grid = tau * np.linspace(1.0, 16.0, 2001)
+    cells = len(prop.routes)
+    samples = experiments._propagated_measures(initial, prop, BOTH)(
+        np.broadcast_to(grid, (cells, 1, grid.size)))
+    expm = prop.routes == EXPM
+    assert np.all(bounds[:, expm] == np.inf)
+    assert np.all(np.isfinite(bounds[:, ~expm]))
+    peaks = samples.max(axis=2)
+    assert np.all(peaks <= bounds), np.max(peaks - bounds)
+    return (bounds - peaks)[:, ~expm].ravel()
+
+
+def test_tail_bound_holds_on_every_later_sample():
+    rng = np.random.default_rng(37)
+    # Gaps at the first horizon of each search (20/gray; u = 40 in the vacuum).
+    first_horizon, routes = [], set()
+    for initial in SELECTOR_STATES.values():
+        for mass in (0.0, 0.9, 0.995, 0.999999):
+            gray = gray_factor(mass, 1.0)
+            # T/omega = 0.02 is cold enough for the closed form (no upward
+            # rate), and gray*omega*L near 0.03 at T/omega = 0.027 and 0.03 is
+            # the benchmark's slow corner, where the eigenvectors fail and
+            # expm takes over.
+            temps = np.concatenate([[0.02, 0.027, 0.03], rng.uniform(0.02, 0.4, 3)])
+            xs = np.concatenate([[0.03, 0.037], rng.uniform(0.05, 12.0, 3)])
+            cell_temps, cell_seps = np.repeat(temps, xs.size), np.tile(xs / gray, temps.size)
+            prop = EigenPropagator(experiments._cell_rates(mass, cell_seps, cell_temps))
+            routes.update(prop.routes)
+            for scale in (0.5, 5.0, 80.0):
+                _audit_tail_bound(initial, prop, scale / gray)
+            first_horizon.append(_audit_tail_bound(initial, prop, 20.0 / gray))
+        # The vacuum in the decay exponent u, omega*L down to 1e-4 (|lam| ~ 1).
+        lams = [spatial_factor(1.0, sep, 1.0) for sep in (1e-4, 1e-3, 0.05, 0.3, 1.5, 4.0, 12.0)]
+        prop = EigenPropagator(_vacuum_rates(lams))
+        routes.update(prop.routes)
+        for tau in (0.5, 10.0, 160.0):
+            _audit_tail_bound(initial, prop, tau)
+        first_horizon.append(_audit_tail_bound(initial, prop, 40.0))
+    assert routes == {CLOSED_FORM, EIGEN, EXPM}
+    # Most bounds at the first horizon are close enough to certify a search.
+    assert np.mean(np.concatenate(first_horizon) <= 1e-6) > 0.5
+
+
+def test_certificate_keeps_every_bit(monkeypatch):
+    gray = gray_factor(0.6, 1.0)
+    temps, seps = np.array(SELECTOR_CELLS).T
+    selector_rates = experiments._cell_rates(0.6, seps, temps)
+    # The benchmark's slow-corner anchor grid: m/omega = 0.9, expm cells.
+    anchor_temps, anchor_seps = np.repeat([0.027, 0.03], 3), np.tile([0.065, 0.075, 0.085], 2)
+    anchor_cells = list(zip(anchor_temps.tolist(), anchor_seps.tolist()))
+    anchor_rates = experiments._cell_rates(0.9, anchor_seps, anchor_temps)
+    routes = []
+
+    def thermal(initial, rates, gray, cells, cutoff):
+        def search():
+            peaks, cell_routes = _max_over_time(initial, rates, gray, cells, BOTH, cutoff)
+            routes.append(cell_routes)
+            return peaks
+        return search
+
+    searches = []
+    for initial in SELECTOR_STATES.values():
+        for cutoff in (math.inf, *CUTOFFS):
+            searches.append(thermal(initial, selector_rates, gray, SELECTOR_CELLS, cutoff))
+            searches.append(thermal(initial, anchor_rates, gray_factor(0.9, 1.0), anchor_cells,
+                                    cutoff))
+            for measure in BOTH:
+                searches.append(partial(_vacuum_max_over_time, initial, 0.8, VACUUM_SEPS, measure,
+                                        cutoff))
+    totals = np.zeros(2, dtype=int)
+    for search in searches:
+        got, passes = _counted_passes(monkeypatch, search)
+        with monkeypatch.context() as patch:
+            patch.setattr(EigenPropagator, "tail", _no_certificate)
+            want, want_passes = _counted_passes(monkeypatch, search)
+        assert np.array_equal(got, want)
+        assert np.all(passes <= want_passes)
+        totals += passes.sum(), want_passes.sum()
+    assert all(np.array_equal(a, b) for a, b in zip(routes[::2], routes[1::2]))
+    assert totals[0] < totals[1]

@@ -28,7 +28,13 @@ from massbath import (
     vacuum_coefficients,
     FieldBathConfig,
 )
-from massbath.measures import RADICAND_TOL, _bisect, _measures_arrays, _safe_sqrt
+from massbath.measures import (
+    RADICAND_TOL,
+    _bisect,
+    _measure_bounds,
+    _measures_arrays,
+    _safe_sqrt,
+)
 from massbath.xstate import POP_TOL, PSD_TOL
 from paper_formulas import (
     AssumptionViolatedError,
@@ -111,6 +117,41 @@ class TestScalarMatchesArrays:
             value = entanglement(state)
             assert concurrence(state) == value.concurrence == c
             assert negativity(state) == value.negativity == n
+
+
+def _tight_intervals(pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as):
+    """The intervals of _measure_bounds that hold one state each, exactly."""
+    return (np.abs(pop_a - pop_s), pop_a + pop_s, np.abs(pop_g - pop_e), pop_g, pop_e,
+            abs_ge, re_as, im_as)
+
+
+class TestMeasureBounds:
+    def test_tight_intervals_bound_by_the_value_plus_the_margin(self, rng):
+        states = [random_xstate(rng) for _ in range(2000)]
+        states += [XState.excited(), XState.bell_ge(), XState(0.0, 0.5, 0.5, 0.0, coh_as=0.5j)]
+        entries = state_arrays(states)
+        bounds, values = _measure_bounds(*_tight_intervals(*entries)), np.array(
+            _measures_arrays(*entries))
+        # Each branch widens by 1e-12; negativity sums two of them.
+        assert np.all(bounds >= values) and np.max(bounds - values) <= 2.5e-12
+        # A sign flip of a coherence part leaves every bound as it is.
+        flipped = _tight_intervals(*entries[:5], -entries[5], -entries[6])
+        assert np.array_equal(_measure_bounds(*flipped), bounds)
+
+    def test_wider_intervals_give_larger_bounds(self, rng):
+        entries = state_arrays([random_xstate(rng) for _ in range(2000)])
+        slack = rng.uniform(0.0, 0.05, (8, len(entries[0])))
+        tight = _tight_intervals(*entries)
+        # Lower bounds (pa + ps, pg, pe) fall, the other intervals grow.
+        loose = [x - s if k in (1, 3, 4) else np.sign(x) * (np.abs(x) + s)
+                 for k, (x, s) in enumerate(zip(tight, slack))]
+        assert np.all(_measure_bounds(*loose) >= _measure_bounds(*tight))
+
+    def test_branch_bounds_below_zero_bound_by_exactly_zero(self):
+        # The maximally mixed state: k1 = k2 = -0.5 and n1 = n2 = 0.25.
+        intervals = (0.0, 0.5, 0.0, 0.25, 0.25, 0.0, 0.0, 0.0)
+        assert _measure_bounds(*intervals).tolist() == [0.0, 0.0]
+        assert _measure_bounds(*intervals, select=("negativity",)).tolist() == [0.0]
 
 
 class TestNegativity:
