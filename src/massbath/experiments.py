@@ -72,12 +72,11 @@ __all__ = [
 
 # Samples per array pass ((tau, sep) cells of a time-sep map, cells x points
 # of a max-over-time search); max-over-time passes per cell (the horizon
-# doubles after each), zoom levels and points per level (in time; in
-# log-separation for the thermal threshold's search over separations).
+# doubles after each) and points per refinement (in time; in log-separation
+# for the thermal threshold's search over separations).
 MAP_BLOCK = 1 << 16
 MAX_DOUBLINGS = 40
-ZOOM_LEVELS = 3
-ZOOM_POINTS = 129
+ZOOM_POINTS = 33
 SEP_ZOOM_POINTS = 8
 
 
@@ -227,32 +226,31 @@ def evolve_scan(config: SweepConfig) -> SweepResult:
 
 
 def _grid_peaks(values: np.ndarray, grid: np.ndarray):
-    """Best sample along the last axis, the bracket of its neighbours, its index."""
+    """Best sample along the last axis and the bracket of its neighbours."""
     i = np.argmax(values, axis=-1)
-    cells = np.indices(i.shape, sparse=True)
-    last = grid.shape[-1] - 1
-    return (
-        values[(*cells, i)],
-        grid[(*cells, np.maximum(i - 1, 0))],
-        grid[(*cells, np.minimum(i + 1, last))],
-        i,
-    )
+    cells, last = np.indices(i.shape, sparse=True), grid.shape[-1] - 1
+    low, high = grid[(*cells, np.maximum(i - 1, 0))], grid[(*cells, np.minimum(i + 1, last))]
+    return values[(*cells, i)], low, high
 
 
 def _zoom(evaluate, lo: np.ndarray, hi: np.ndarray, points: int = ZOOM_POINTS) -> np.ndarray:
-    """Maximum of `evaluate` inside every bracket [lo, hi], by zooming.
-
-    Each of ZOOM_LEVELS levels samples `points` equally spaced points in
-    every bracket with one call, evaluate(grid) with grid of shape
-    lo.shape + (points,), then shrinks each bracket to the neighbours of its
-    best sample.
-    """
-    best = np.full(lo.shape, -np.inf)
-    for _ in range(ZOOM_LEVELS):
-        grid = np.linspace(lo, hi, points, axis=-1)
-        top, lo, hi, _ = _grid_peaks(evaluate(grid), grid)
-        best = np.maximum(best, top)
-    return best
+    """Largest value sampled by two calls of `evaluate` in every bracket
+    [lo, hi]: evaluate(grid) on `points` equally spaced points (grid of shape
+    lo.shape + (points,)), then at the vertex of the parabola through the
+    best sample and its neighbours (the interior ones at an end), one step
+    of successive parabolic interpolation (Brent, 1973). A bracket not
+    strictly concave there, or whose vertex is not inside it, keeps its best
+    sample: a repeat would differ by roundoff alone."""
+    values = evaluate(np.linspace(lo, hi, points, axis=-1))
+    mid = np.clip(np.argmax(values, axis=-1), 1, points - 2)
+    three = np.take_along_axis(values, mid[..., None] + np.arange(-1, 2), axis=-1)
+    left, centre, right = np.moveaxis(three, -1, 0)
+    curve = left - 2.0 * centre + right
+    shift = 0.5 * (left - right) / np.where(curve < 0.0, curve, -1.0)
+    vertex = lo + (mid + shift) * ((hi - lo) / (points - 1))
+    moves = (curve < 0.0) & (lo < vertex) & (vertex < hi)
+    at_vertex = evaluate(np.where(moves, vertex, lo)[..., None])[..., 0]
+    return np.maximum(values.max(axis=-1), np.where(moves, at_vertex, -np.inf))
 
 
 # perfbench/tracing.py times the refinement stage under its former name.
@@ -318,10 +316,11 @@ def _search(stack, bound, cells: list[tuple], horizon: float, points: int, selec
     in blocks of MAP_BLOCK // points, which bounds the samples of a pass. The
     first pass samples [0, horizon] on `points` points; each later pass
     doubles the horizon and samples only its new half, at the doubled
-    spacing. Every pass zooms in on the best sample of each measure. A cell
-    retires, each step one array operation over the cells still active, on
-    the first pass that raised none of its maxima by tol or more, left all of
-    them above `cutoff`, or certified them all: every bound at or below its
+    spacing. Every pass refines the best sample of each measure between its
+    neighbours with _zoom: three propagation calls in all. A cell retires,
+    each step one array operation over the cells still active, on the first
+    pass that raised none of its maxima by tol or more, left all of them
+    above `cutoff`, or certified them all: every bound at or below its
     maximum (expm cells have no bound). A cell still active after
     MAX_DOUBLINGS passes raises NonConvergedMaxError.
 
@@ -342,7 +341,7 @@ def _search(stack, bound, cells: list[tuple], horizon: float, points: int, selec
         taus, tau_max = np.linspace(0.0, horizon, points), horizon
         for _ in range(MAX_DOUBLINGS):
             grid = np.broadcast_to(taus, (len(select), active.size, taus.size))
-            on_grid, lo, hi, _ = _grid_peaks(measures(grid[0, :, None]), grid)
+            on_grid, lo, hi = _grid_peaks(measures(grid[0, :, None]), grid)
             # Each measure's bracket is one row of one propagation call.
             new = np.maximum(on_grid, _zoom(lambda g: measures(np.swapaxes(g, 0, 1)), lo, hi))
             stable = np.all(new - best < tol, axis=0) | np.all(new > cutoff, axis=0)
@@ -617,7 +616,7 @@ def thermal_generation_threshold(
         values = peaks(sep_values)
         if values.max() > cutoff:
             return True
-        _, lo, hi, _ = _grid_peaks(values, np.log(sep_values))
+        _, lo, hi = _grid_peaks(values, np.log(sep_values))
         return bool(_zoom(lambda u: peaks(np.exp(u)), lo, hi, points=SEP_ZOOM_POINTS) > cutoff)
 
     t_lo, t_hi = bracket

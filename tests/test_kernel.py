@@ -366,25 +366,25 @@ SELECTOR_STATES = {
     "random": random_xstate(np.random.default_rng(18)),
 }
 VACUUM_SEPS = np.array([1e-4, 0.3, 1.5, 4.0])
-# Vacuum maxima at m/omega = 0.8 and VACUUM_SEPS as the kernel gave them
-# when it measured both quantities from complex coherences and kept one. The
-# E concurrence at omega*L = 1e-4 peaks near u = 43.85, past the first
-# horizon, so its last bit comes from the second pass's grid (a dense
-# closed-form scan puts the peak at 3.0000001683830356e-10).
+# Vacuum maxima at m/omega = 0.8 and VACUUM_SEPS as the kernel gives them
+# when it measures both quantities and keeps one. The E concurrence at
+# omega*L = 1e-4 peaks near u = 43.85, past the first horizon, so its last
+# bit comes from the second pass's grid (a dense closed-form scan puts the
+# peak at 3.0000001683830356e-10).
 VACUUM_MAXIMA = {
     ("E", "concurrence"): [
-        3.0000001683830423e-10, 0.0025213884178687724, 0.026959317081901732, 0.0018514752999671718
+        3.000000168383042e-10, 0.002521388417868772, 0.026959317081901392, 0.0018514752999670078
     ],
     ("E", "negativity"): [
-        0.0, 3.295744547382462e-06, 0.0005712492439852168, 1.1185084414000457e-05
+        0.0, 3.2957445471604174e-06, 0.0005712492439851058, 1.1185084413778412e-05
     ],
     ("bell-GE", "concurrence"): [1.0, 1.0, 1.0, 1.0],
     ("bell-GE", "negativity"): [1.0, 1.0, 1.0, 1.0],
     ("random", "concurrence"): [
-        0.43129557181509715, 0.4169708414716486, 0.2698666004029562, 0.020298097905125913
+        0.4312955718150971, 0.41697084147164837, 0.26986660040295407, 0.0202980979051237
     ],
     ("random", "negativity"): [
-        0.14504664885246765, 0.13863132216243046, 0.07785874195402831, 0.0015761814216872505
+        0.14504664885246765, 0.13863132216242968, 0.0778587419540232, 0.0015761814216861403
     ],
 }
 SELECTOR_CELLS = [(0.03, 0.2), (0.08, 1.5), (0.15, 0.6), (0.3, 3.0)]
@@ -396,6 +396,18 @@ def test_vacuum_one_measure_is_bit_identical(name, measure):
     initial = SELECTOR_STATES[name]
     expected = VACUUM_MAXIMA[name, measure]
     assert _vacuum_max_over_time(initial, 0.8, VACUUM_SEPS, measure).tolist() == expected
+
+
+def _zoom_calls(brackets: int = 3) -> int:
+    """The evaluate calls of one _zoom over `brackets` brackets of a parabola."""
+    calls = []
+
+    def evaluate(grid):
+        calls.append(grid.shape)
+        return -((grid - 0.3) ** 2)
+
+    experiments._zoom(evaluate, np.zeros(brackets), np.ones(brackets))
+    return len(calls)
 
 
 def _counted_passes(monkeypatch, search):
@@ -419,7 +431,7 @@ def _counted_passes(monkeypatch, search):
     with monkeypatch.context() as patch:
         patch.setattr(experiments, "_search", counted_search)
         got = search()
-    per_call = 1 + experiments.ZOOM_LEVELS  # a grid and its zoom levels
+    per_call = 1 + _zoom_calls()  # a grid and the calls of its refinement
     assert len(calls) % per_call == 0
     counts = np.bincount(np.concatenate(calls), minlength=np.size(got, -1))
     assert np.all(counts % per_call == 0)
@@ -705,3 +717,131 @@ def test_certificate_keeps_every_bit(monkeypatch):
         totals += passes.sum(), want_passes.sum()
     assert all(np.array_equal(a, b) for a, b in zip(routes[::2], routes[1::2]))
     assert totals[0] < totals[1]
+
+
+def test_zoom_refines_every_bracket_in_two_calls():
+    shapes = []
+
+    def evaluate(grid):
+        shapes.append(grid.shape)
+        # A parabola peaking at 0.3 in the first three brackets, and the
+        # convex |x - 0.3| (no vertex) in the last.
+        parabola = 1.0 - (grid - 0.3) ** 2
+        return np.where(np.arange(4)[:, None] < 3, parabola, np.abs(grid - 0.3))
+
+    lo, hi = np.array([0.0, 0.25, 0.3, 0.0]), np.array([1.0, 0.5, 0.9, 1.0])
+    got = experiments._zoom(evaluate, lo, hi)
+    points = experiments.ZOOM_POINTS
+    assert shapes == [(4, points), (4, 1)]
+    # The vertex of a parabola is exact; an end maximum (the third bracket
+    # starts at the peak) and a convex bracket keep their best sample.
+    assert got[:2] == pytest.approx(1.0, abs=1e-15)
+    assert got[2] == 1.0 and got[3] == 0.7
+    assert _zoom_calls(brackets=1) == _zoom_calls(brackets=50) == 2
+
+
+def _mp_x_measures(pops, abs_ge, re_as, im_as):
+    """Concurrence and negativity of an X state from its product-basis
+    entries: Wootters' 2 max(0, |rho_23| - sqrt(rho_11 rho_44), |rho_14| -
+    sqrt(rho_22 rho_33)), and -2 times the negative smaller eigenvalues of
+    the partial transpose's two 2x2 blocks."""
+    import mpmath
+
+    g, a, s, e = pops
+    half = (a + s) / 2
+    rho_14, rho_23 = abs_ge, mpmath.sqrt(((a - s) / 2) ** 2 + im_as ** 2)
+    conc = 2 * max(0, rho_23 - mpmath.sqrt(max(g * e, 0)),
+                   rho_14 - mpmath.sqrt(max(half * half - re_as * re_as, 0)))
+    lows = ((g + e) / 2 - mpmath.sqrt(((g - e) / 2) ** 2 + rho_23 ** 2),
+            half - mpmath.sqrt(re_as ** 2 + rho_14 ** 2))
+    return conc, -2 * sum(min(0, low) for low in lows)
+
+
+def _mp_golden(f, lo, hi, steps: int = 50):
+    """Largest value golden-section search finds of f on [lo, hi]."""
+    import mpmath
+
+    ratio = (mpmath.sqrt(5) - 1) / 2
+    x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(steps):
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - ratio * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + ratio * (hi - lo)
+            f2 = f(x2)
+    return max(f1, f2)
+
+
+def mp_maxima(rates: RateStack, initial: XState, start: float) -> list[float]:
+    """Both maxima over tau >= 0 of a one-cell RateStack, to 40 digits.
+
+    A float scan of the cell (tau = 0, then 20,000 log-spaced times from
+    `start` to 60 e-foldings of its slowest rate) brackets the two highest
+    local maxima of each measure; golden section refines each bracket on the
+    40-digit eigendecomposition of the generator, with the same initial
+    state and coherence decay rates.
+    """
+    import mpmath
+
+    gen = rates.generator[0]
+    spectrum = -np.linalg.eigvals(gen).real
+    slowest = min([*spectrum[spectrum > 1e-14 * spectrum.max()], rates.decay_ge[0],
+                   rates.decay_as[0]])
+    taus = np.concatenate([[0.0], np.geomspace(start, 60.0 / slowest, 20000)])
+    scans = experiments._propagated_measures(initial, EigenPropagator(rates), BOTH)(
+        taus[None, None])[:, 0]
+    with mpmath.workdps(40):
+        eigvals, eigvecs = mpmath.eig(mpmath.matrix(gen.tolist()))
+        amps = mpmath.lu_solve(eigvecs, mpmath.matrix(initial.populations().tolist()))
+        modes = [[mpmath.re(eigvecs[i, j] * amps[j]) for j in range(4)] for i in range(4)]
+        exponents = [mpmath.re(value) for value in eigvals]
+        abs_ge, re_as, im_as = (mpmath.mpf(float(x)) for x in _coherence_parts(
+            initial.coh_ge, initial.coh_as))
+        decay_ge, decay_as = mpmath.mpf(rates.decay_ge[0]), mpmath.mpf(rates.decay_as[0])
+
+        def measures(tau):
+            fades = [mpmath.exp(rate * tau) for rate in exponents]
+            pops = [mpmath.fsum(m * f for m, f in zip(row, fades)) for row in modes]
+            fade_as = mpmath.exp(-decay_as * tau)
+            return _mp_x_measures(pops, abs_ge * mpmath.exp(-decay_ge * tau),
+                                  re_as * fade_as, im_as * fade_as)
+
+        maxima = []
+        for which, scan in enumerate(scans):
+            best = measures(mpmath.mpf(0))[which]
+            inner = np.flatnonzero((scan[1:-1] >= scan[:-2]) & (scan[1:-1] >= scan[2:])) + 1
+            for i in inner[np.argsort(scan[inner])[-2:]].tolist():
+                best = max(best, _mp_golden(lambda tau: measures(tau)[which],
+                                            mpmath.mpf(taus[i - 1]), mpmath.mpf(taus[i + 1])))
+            maxima.append(float(best))
+    return maxima
+
+
+@pytest.mark.parametrize("name", list(SELECTOR_STATES))
+def test_maxima_match_a_40_digit_reference(name):
+    # Thermal cells at T/omega 0.03-0.4 (one generating cell of E at
+    # T/omega = 0.05, gray*omega*L = 1.5, and one drawn), and vacuum
+    # separations at gray*omega*L = 1e-4 (|lam| ~ 1 - 2e-9: E's concurrence
+    # plateaus near 3e-10 and peaks past the first horizon) and one drawn.
+    # bell-GE peaks at its end, tau = 0.
+    initial = SELECTOR_STATES[name]
+    rng = np.random.default_rng(43)
+    got, want = [], []
+    for mass in (0.0, 0.9, 0.995):
+        gray = gray_factor(mass, 1.0)
+        temps = np.array([0.05, rng.uniform(0.03, 0.4)])
+        seps = np.array([1.5, rng.uniform(0.05, 12.0)]) / gray
+        cells = list(zip(temps.tolist(), seps.tolist()))
+        rates = experiments._cell_rates(mass, seps, temps)
+        got.append(_max_over_time(initial, rates, gray, cells)[0])
+        want.append([mp_maxima(rates.take([k]), initial, 1e-6 / gray) for k in range(2)])
+        seps = np.array([1e-4, rng.uniform(0.05, 12.0)]) / gray
+        got.append([_vacuum_max_over_time(initial, mass, seps, m) for m in BOTH])
+        want.append([mp_maxima(_vacuum_rates([spatial_factor(1.0, sep, gray)]), initial, 1e-6)
+                     for sep in seps])
+    got, want = np.concatenate(got, axis=1), np.concatenate(want).T
+    assert np.max(np.abs(got - want)) <= 1e-12, np.abs(got - want)
