@@ -67,14 +67,14 @@ def _clipped_sqrt(values):
     return np.sqrt(np.maximum(values, 0.0))
 
 
-def _concurrence_pair(pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as, root):
+def _concurrence_pair(pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as):
     """Concurrence branch values (k1, k2); concurrence is max(0, k1, k2)
-    (Wootters). `root` takes the square root of the radicands that roundoff
-    can push below zero.
+    (Wootters). The radicands that roundoff can push below zero are clipped
+    to it (see RADICAND_TOL).
     """
     total = pop_a + pop_s
-    k1 = np.hypot(pop_a - pop_s, 2.0 * im_as) - 2.0 * root(pop_g * pop_e)
-    k2 = 2.0 * abs_ge - root(total * total - 4.0 * re_as * re_as)
+    k1 = np.hypot(pop_a - pop_s, 2.0 * im_as) - 2.0 * _clipped_sqrt(pop_g * pop_e)
+    k2 = 2.0 * abs_ge - _clipped_sqrt(total * total - 4.0 * re_as * re_as)
     return k1, k2
 
 
@@ -102,7 +102,7 @@ def _negativity_of(n1, n2):
 # Every measure by name, as a function of the entries (pop_g, pop_a, pop_s,
 # pop_e, |coh_ge|, re coh_as, im coh_as). A selector is a tuple of names.
 _MEASURES = {
-    "concurrence": lambda *x: _concurrence_of(*_concurrence_pair(*x, _clipped_sqrt)),
+    "concurrence": lambda *x: _concurrence_of(*_concurrence_pair(*x)),
     "negativity": lambda *x: _negativity_of(*_negativity_pair(*x)),
 }
 BOTH = tuple(_MEASURES)
@@ -143,23 +143,20 @@ def _state_entries(state: XState):
 
 
 def entanglement(state: XState) -> EntanglementValue:
-    """Concurrence and negativity of an X state with their branch values.
-
-    Raises NotAStateError for a radicand below -RADICAND_TOL.
-    """
+    """Concurrence and negativity of an X state with their branch values."""
     entries = _state_entries(state)
-    k1, k2 = _concurrence_pair(*entries, _safe_sqrt)
+    k1, k2 = _concurrence_pair(*entries)
     n1, n2 = _negativity_pair(*entries)
     values = (_concurrence_of(k1, k2), _negativity_of(n1, n2), k1, k2, n1, n2)
     return EntanglementValue(*map(float, values))
 
 
 def concurrence(state: XState) -> float:
-    return float(_concurrence_of(*_concurrence_pair(*_state_entries(state), _safe_sqrt)))
+    return float(_MEASURES["concurrence"](*_state_entries(state)))
 
 
 def negativity(state: XState) -> float:
-    return float(_negativity_of(*_negativity_pair(*_state_entries(state))))
+    return float(_MEASURES["negativity"](*_state_entries(state)))
 
 
 def _measures_arrays(pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as, select=BOTH):
@@ -197,7 +194,7 @@ def sudden_death_condition(e: float, g: float, a: float, s: float) -> bool:
     finite time: 4*e*g < (a - s)^2 < 4*e, both strictly.
     """
     _check_diagonal_weights(e, g, a, s)
-    gap2 = (a - s) ** 2
+    gap2 = (a - s) * (a - s)
     return 4.0 * e * g < gap2 and gap2 < 4.0 * e
 
 
@@ -217,7 +214,7 @@ def lifetime(
     """
     _check_diagonal_weights(e, g, a, s)
     _check_decay(gray, g0, frozen_ok=True)
-    gap2 = (a - s) ** 2
+    gap2 = (a - s) * (a - s)
     if gap2 <= 4.0 * e * g:
         return 0.0
     if gray == 0.0:

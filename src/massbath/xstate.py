@@ -5,11 +5,12 @@ E = |11>}. X-form states (only diagonal plus anti-diagonal entries in the
 product basis) stay X-form under the rate equations used here, so a state is
 fully described by four populations and the two coherences G-E and A-S.
 
-One exact propagator, EigenPropagator, picks a route per generator: the
-identity for frozen dynamics, the closed-form cascade solution for generators
-without upward rates (the vacuum), an eigendecomposition in general, and
-matrix exponentials by uniformization for generators that do not diagonalize
-cleanly. An adaptive Runge-Kutta integrator serves as an independent oracle.
+One exact propagator, EigenPropagator, takes a RateStack to arrays (XState
+objects are built only at the public entry points) and picks a route per
+generator: the identity for frozen dynamics, the closed-form cascade solution
+for generators without upward rates (the vacuum), an eigendecomposition in
+general, and uniformized matrix exponentials for generators that do not
+diagonalize cleanly. An adaptive Runge-Kutta integrator is the oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -370,11 +371,6 @@ def _vacuum_rates(lam) -> RateStack:
     return RateStack(d_a * _CASCADE_A + d_s * _CASCADE_S, *np.ones((2, lams.size)))
 
 
-def _vacuum_propagator(lam: float) -> "EigenPropagator":
-    """EigenPropagator of the vacuum in u (see _vacuum_rates) at one lam."""
-    return EigenPropagator(RateMatrix(*_vacuum_rates(lam).take(0)))
-
-
 def closed_form_state(initial: XState, lam: float, xi: float) -> XState:
     """Vacuum-bath state at the time implied by xi = exp(-gray*Gamma0*tau).
 
@@ -382,15 +378,12 @@ def closed_form_state(initial: XState, lam: float, xi: float) -> XState:
     """
     if not 0.0 < xi <= 1.0:
         raise ValueError(f"xi must lie in (0, 1], got {xi}")
-    prop = _vacuum_propagator(lam)
-    if xi == 1.0:
-        return initial
-    return _xstates(*prop._arrays(initial, np.array([-math.log(xi)])))[0]
+    return EigenPropagator(_vacuum_rates(lam)).state(initial, -math.log(xi))
 
 
 class EigenPropagator:
-    """Exact propagator for one RateMatrix or a stack: a RateStack, or a
-    sequence of RateMatrix.
+    """Exact propagator of a RateStack of N generators (a RateMatrix is a stack
+    of one): `populations` and `evolve` return arrays, `state` one XState.
 
     Picks one route per generator, reported in `routes`: FROZEN (all rates
     zero; the identity), CLOSED_FORM (no upward rates, as in the vacuum: the
@@ -408,11 +401,10 @@ class EigenPropagator:
     routes and eigendecompositions included, without diagonalizing again.
     """
 
-    def __init__(self, rates: RateMatrix | Sequence[RateMatrix] | RateStack):
+    def __init__(self, rates: RateStack | RateMatrix):
+        if isinstance(rates, RateMatrix):
+            rates = RateStack.of([rates])
         self.rates = rates
-        self._single = isinstance(rates, RateMatrix)
-        if not isinstance(rates, RateStack):
-            rates = RateStack.of([rates] if self._single else rates)
         gens = rates.generator
         frozen = rates.frozen
         # d_a and d_s of the cascade are the G <- A and G <- S rates.
@@ -428,7 +420,6 @@ class EigenPropagator:
             self._eig = tuple(np.zeros((len(gens),) + part.shape[1:]) for part in parts)
             for full, part in zip(self._eig, parts):
                 full[rest] = part
-        self._stack = rates
         self._set_routes(codes)
 
     def _set_routes(self, codes: np.ndarray) -> None:
@@ -441,8 +432,7 @@ class EigenPropagator:
     def take(self, index: np.ndarray) -> "EigenPropagator":
         """The propagator of the stack of generators at `index`, an index array."""
         sub = copy.copy(self)
-        sub._single = False
-        sub.rates = sub._stack = self._stack.take(index)
+        sub.rates = self.rates.take(index)
         sub._eig = tuple(part[index] for part in self._eig)
         sub._set_routes(self._codes[index])
         return sub
@@ -454,8 +444,7 @@ class EigenPropagator:
         shape (4,), or one per generator, shape (N, 4). taus is one time grid
         shared by every generator, shape (K,), or per-generator grids of
         shape (N, ..., K), each row along the last axis one grid. Returns
-        taus' shape plus a trailing axis of 4 for a single RateMatrix (taus
-        of shape (K,)), else (N, ..., K, 4), a view whose [..., p] planes are C-contiguous.
+        (N, ..., K, 4), a view whose [..., p] planes are C-contiguous.
         """
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
         if not (taus.size and taus.min() >= 0.0 and taus.max() < math.inf):
@@ -479,14 +468,14 @@ class EigenPropagator:
                 out[:, index] = part
         out = out.reshape((4, count) + (taus.shape if shared else taus.shape[1:]))
         out = out.transpose(*range(1, out.ndim), 0)  # np.moveaxis(out, 0, -1), faster
-        return out[0] if self._single else out
+        return out
 
     def _fill(self, route: str, out: np.ndarray, pops0: np.ndarray, rows: np.ndarray,
               index=slice(None)) -> None:
         """Write the populations of the generators at index, all on `route`,
         into the planes out (4, n, R, K), from pops0 (4,) or (n, 4) on rows
         (n or 1, R, K)."""
-        gens = self._stack.generator[index]
+        gens = self.rates.generator[index]
         if route == FROZEN:
             out[...] = pops0.T.reshape(4, -1, 1, 1)
         elif route == CLOSED_FORM:
@@ -516,7 +505,7 @@ class EigenPropagator:
         for route, index in self._groups:
             k = slice(None) if index is None else index
             if route in (FROZEN, CLOSED_FORM):  # frozen: the cascade without rates
-                gens = self._stack.generator[k]
+                gens = self.rates.generator[k]
                 excited = sum(_cascade(pops0, gens[:, 0, 1], gens[:, 0, 2], tau)[1:])[:, None]
                 center[k] = [1.0, 0.0, 0.0, 0.0] + excited * [-0.5, 0.5, 0.5, 0.5]
                 spread[k] = 0.5 * excited[:, :, None] * np.eye(4)
@@ -531,22 +520,40 @@ class EigenPropagator:
         radius[self.routes == EXPM] = np.inf
         return center @ weights.T, radius
 
+    def evolve(self, pops0: np.ndarray, coh_ge, coh_as, taus: np.ndarray):
+        """(populations, coh_ge, coh_as) at taus: populations(pops0, taus), and
+        both coherences (N, ..., K), each faded at its generator's decay rate;
+        coh_ge and coh_as are scalars or one per generator, shape (N,)."""
+        taus = np.asarray(taus, dtype=float)
+        pops = self.populations(pops0, taus)
+        shape = (-1,) + (1,) * (pops.ndim - 2)  # per generator, against taus
+
+        def faded(coh, decay):
+            return np.reshape(coh, shape) * np.exp(-decay.reshape(shape) * taus)
+
+        return pops, faded(coh_ge, self.rates.decay_ge), faded(coh_as, self.rates.decay_as)
+
     def state(self, initial: XState, tau: float) -> XState:
-        if not self._single:
-            raise ValueError("state() needs a propagator for a single RateMatrix")
+        """The state at one time tau; needs a propagator of one generator."""
+        if len(self._codes) != 1:
+            raise ValueError(f"state() needs a propagator of one generator, got {len(self._codes)}")
         if tau < 0.0 or not math.isfinite(tau):
             raise ValueError(f"tau must be finite and >= 0, got {tau}")
         if self.routes[0] == FROZEN or tau == 0.0:
             return initial
-        return _xstates(*self._arrays(initial, np.array([tau])))[0]
+        return _xstates(*_sampler(self, initial)(np.array([tau])))[0]
 
-    def _arrays(self, initial: XState, taus: np.ndarray):
-        """(K, 4) populations and the coherences coh_ge, coh_as at taus."""
-        return (
-            self.populations(initial.populations(), taus),
-            initial.coh_ge * np.exp(-self.rates.decay_ge * taus),
-            initial.coh_as * np.exp(-self.rates.decay_as * taus),
-        )
+
+def _sampler(prop: EigenPropagator, initial: XState, rate: float = 1.0):
+    """The exact evaluator of a trajectory from initial under a one-generator
+    propagator: times (M,) -> (populations (M, 4), coh_ge, coh_as) at rate*times."""
+    pops0, coh_ge, coh_as = initial.populations(), initial.coh_ge, initial.coh_as
+
+    def at(taus):
+        out = prop.evolve(pops0, coh_ge, coh_as, rate * np.asarray(taus, dtype=float))
+        return tuple(part[0] for part in out)
+
+    return at
 
 
 def _apply(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -808,8 +815,8 @@ def integrate_ode(
     taus = np.concatenate([[0.0]] + [t for _, t, _ in passes])
     ys = np.concatenate([y0] + [y for _, _, y in passes])
     coh = ys[:, 4:].view(complex)
-    evaluator = partial(EigenPropagator(rates)._arrays, initial)
-    return Trajectory(taus, ys[:, :4], coh[:, 0], coh[:, 1], ODE, at=evaluator)
+    return Trajectory(taus, ys[:, :4], coh[:, 0], coh[:, 1], ODE,
+                      at=_sampler(EigenPropagator(rates), initial))
 
 
 def integrate_ode_many(
@@ -848,12 +855,8 @@ def closed_form_trajectory(
         raise ValueError(f"need gray in [0, 1] and g0 > 0, got gray={gray}, g0={g0}")
     if not (np.isfinite(taus).all() and (taus >= 0.0).all()):
         raise ValueError("taus must be finite and >= 0")
-    prop, rate = _vacuum_propagator(lam), gray * g0
-
-    def evaluator(t):
-        return prop._arrays(initial, rate * np.asarray(t, dtype=float))
-
-    return Trajectory(taus, *evaluator(taus), CLOSED_FORM, at=evaluator)
+    at = _sampler(EigenPropagator(_vacuum_rates(lam)), initial, gray * g0)
+    return Trajectory(taus, *at(taus), CLOSED_FORM, at=at)
 
 
 def eigen_trajectory(
@@ -861,8 +864,8 @@ def eigen_trajectory(
 ) -> Trajectory:
     """Sample the propagator on a time grid; method is the route it took."""
     prop = EigenPropagator(rates)
-    evaluator = partial(prop._arrays, initial)
-    return Trajectory(taus, *evaluator(np.asarray(taus, dtype=float)), prop.routes[0], at=evaluator)
+    at = _sampler(prop, initial)
+    return Trajectory(taus, *at(taus), prop.routes[0], at=at)
 
 
 def random_xstate(

@@ -58,7 +58,7 @@ def test_propagator_takes_the_cascade_route(lam, rng):
     prop = EigenPropagator(rates)
     assert prop.routes[0] == CLOSED_FORM
     pops0 = random_xstate(rng).populations()
-    got = prop.populations(pops0, np.array(US))
+    got = prop.populations(pops0, np.array(US))[0]
     for u, row in zip(US, got):
         expected = mp_expm_populations(rates.generator, pops0, u)
         assert np.max(np.abs(row - expected)) < 1e-12

@@ -649,13 +649,14 @@ class TestEvolveRowChecks:
         seen = {}
 
         def populations(prop, pops0, taus):
-            pops = original(prop, pops0, taus).copy()
+            out = original(prop, pops0, taus).copy()
+            pops = out[0]  # the one generator's rows
             coh_ge = (XState.bell_ge().coh_ge * np.exp(-prop.rates.decay_ge * taus))[self.K]
             pops[self.K] = edit(pops[self.K], abs(coh_ge) ** 2)
             if later_bad:
                 pops[self.K + 3, 2] = -1.0
             seen["row"] = (*pops[self.K], coh_ge)
-            return pops
+            return out
 
         monkeypatch.setattr(EigenPropagator, "populations", populations)
         return seen

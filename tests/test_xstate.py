@@ -45,6 +45,7 @@ from massbath.xstate import (
     _ode_system,
     _rkf45,
     _uniformized,
+    _vacuum_rates,
 )
 
 
@@ -346,7 +347,7 @@ class TestEigenPropagator:
                 thermal_coefficients(FieldBathConfig.from_ratios(0.9, 0.07, 0.028))
             ),
         ]
-        prop = EigenPropagator(stack)
+        prop = EigenPropagator(RateStack.of(stack))
         assert list(prop.routes) == [FROZEN, CLOSED_FORM, CLOSED_FORM, EIGEN, EXPM]
         taus = np.linspace(0.0, 8.0, 33)
         grids = np.stack([[taus / 2, taus]] * len(stack))
@@ -361,7 +362,7 @@ class TestEigenPropagator:
             assert shared.shape == (5, 33, 4) and rows.shape == (5, 2, 33, 4)
             for n, rates in enumerate(stack):
                 start = pops0 if pops0.ndim == 1 else pops0[n]
-                alone = EigenPropagator(rates).populations(start, taus)
+                alone = EigenPropagator(rates).populations(start, taus)[0]
                 assert np.max(np.abs(shared[n] - alone)) < 1e-14
                 assert np.max(np.abs(rows[n, 1] - alone)) < 1e-14
 
@@ -370,8 +371,8 @@ class TestEigenPropagator:
         (EXPM, CLOSED_FORM, FROZEN, EIGEN, CLOSED_FORM),
     ], ids="-".join)
     def test_populations_are_population_major(self, routes, rng):
-        # populations returns (..., 4) as before, a view of one contiguous
-        # plane per population.
+        # populations returns (N, ..., K, 4), a view of one contiguous plane
+        # per population; a RateMatrix is a stack of one.
         example = {
             FROZEN: build_rate_matrix(GklsCoefficients(0.0, 0.0, 0.0, 0.0)),
             CLOSED_FORM: build_rate_matrix(vacuum_like(0.3)),
@@ -381,7 +382,7 @@ class TestEigenPropagator:
                 thermal_coefficients(FieldBathConfig.from_ratios(0.9, 0.07, 0.028))),
         }
         stack = [example[route] for route in routes]
-        prop = EigenPropagator(stack)
+        prop = EigenPropagator(RateStack.of(stack))
         assert list(prop.routes) == list(routes)
         taus = np.linspace(0.0, 8.0, 33)
         grids = np.stack([[taus / 2, taus, taus * 3]] * len(stack))
@@ -392,8 +393,9 @@ class TestEigenPropagator:
             assert all(plane.flags.c_contiguous for plane in np.moveaxis(out, -1, 0))
             for n, rates in enumerate(stack):
                 alone = EigenPropagator(rates).populations(pops0[n], taus)
-                assert alone.shape == (33, 4)
+                assert alone.shape == (1, 33, 4)
                 assert all(plane.flags.c_contiguous for plane in np.moveaxis(alone, -1, 0))
+                alone = alone[0]
                 got = out[n] if times is taus else out[n, 1]
                 # Bit for bit on x86-64 with numpy 2.4 and OpenBLAS; eigen and
                 # expm go through BLAS, which may sum otherwise elsewhere.
@@ -404,7 +406,7 @@ class TestEigenPropagator:
     @pytest.mark.parametrize("shape", [(6, 4), (5, 3), (4, 4), (1, 4), (5, 4, 1)])
     def test_per_generator_populations_need_one_vector_per_generator(self, shape):
         stack = [build_rate_matrix(vacuum_like(lam)) for lam in (-0.5, 0.0, 0.2, 0.7, 1.0)]
-        prop = EigenPropagator(stack)
+        prop = EigenPropagator(RateStack.of(stack))
         message = rf"\(4,\) or \(5, 4\), got {re.escape(str(shape))}"
         with pytest.raises(ValueError, match=message):
             prop.populations(np.full(shape, 0.25), np.linspace(0.0, 1.0, 3))
@@ -442,13 +444,93 @@ class TestEigenPropagator:
             ),
             build_rate_matrix(vacuum_like(-0.6)),
         ]
-        prop = EigenPropagator(stack)
+        prop = EigenPropagator(RateStack.of(stack))
         assert list(prop.routes) == [CLOSED_FORM, EIGEN, CLOSED_FORM]
         pops0 = XState.excited().populations()
         for lead in (4, 1):
             with pytest.raises(ValueError, match=f"need 3 per-generator grids, got {lead}"):
                 prop.populations(pops0, np.zeros((lead, 1, 5)))
         assert prop.populations(pops0, np.zeros((3, 1, 5))).shape == (3, 1, 5, 4)
+
+
+class TestOneEvaluator:
+    """Every XState entry point is one `evolve` call of the propagator, bit
+    for bit, on each route; a RateMatrix is a stack of one."""
+
+    TAUS = np.linspace(0.0, 6.0, 25)
+    RATES = {
+        FROZEN: GklsCoefficients(0.0, 0.0, 0.0, 0.0),
+        CLOSED_FORM: vacuum_like(0.3),
+        EIGEN: thermal_coefficients(FieldBathConfig.from_ratios(0.5, 2.0, 0.2)),
+        EXPM: thermal_coefficients(FieldBathConfig.from_ratios(0.9, 0.07, 0.028)),
+    }
+
+    @staticmethod
+    def assert_bits(got, expected):
+        for one, other in zip(got, expected, strict=True):
+            one, other = np.asarray(one), np.asarray(other)
+            assert (one.shape, one.dtype) == (other.shape, other.dtype)
+            assert one.tobytes() == other.tobytes()
+
+    @staticmethod
+    def entries(state: XState):
+        return state.populations(), state.coh_ge, state.coh_as
+
+    @pytest.mark.parametrize("route", [FROZEN, CLOSED_FORM, EIGEN, EXPM])
+    def test_entry_points_are_one_evolve_call(self, route, rng):
+        rates = build_rate_matrix(self.RATES[route])
+        prop = EigenPropagator(rates)
+        assert list(prop.routes) == [route]
+        initial, taus = random_xstate(rng), self.TAUS
+        pops0, coh_ge, coh_as = self.entries(initial)
+        pops = prop.populations(pops0, taus)
+        assert pops.shape == (1, taus.size, 4)
+        self.assert_bits([pops], [EigenPropagator(RateStack.of([rates])).populations(pops0, taus)])
+        evolved = [part[0] for part in prop.evolve(pops0, coh_ge, coh_as, taus)]
+        self.assert_bits(evolved[:1], [pops[0]])
+        traj = eigen_trajectory(initial, rates, taus)
+        assert traj.method == route
+        self.assert_bits((traj.populations, traj.coh_ge, traj.coh_as), evolved)
+        self.assert_bits(traj.at(taus), evolved)
+        self.assert_bits(integrate_ode(initial, rates, 6.0).at(taus), evolved)
+        assert prop.state(initial, 0.0) is initial  # no propagation at tau = 0
+        for tau in (0.7, 6.0):
+            one = prop.evolve(pops0, coh_ge, coh_as, np.array([tau]))
+            self.assert_bits(self.entries(prop.state(initial, tau)), [part[0, 0] for part in one])
+
+    def test_vacuum_entry_points_are_one_evolve_call(self, rng):
+        initial, lam, gray, g0, xi = random_xstate(rng), -0.45, 0.6, 1.7, 0.37
+        pops0, coh_ge, coh_as = self.entries(initial)
+        prop = EigenPropagator(_vacuum_rates(lam))
+        assert list(prop.routes) == [CLOSED_FORM]
+        one = prop.evolve(pops0, coh_ge, coh_as, np.array([-math.log(xi)]))
+        self.assert_bits(self.entries(closed_form_state(initial, lam, xi)),
+                         [part[0, 0] for part in one])
+        taus = self.TAUS
+        evolved = [part[0] for part in prop.evolve(pops0, coh_ge, coh_as, gray * g0 * taus)]
+        traj = closed_form_trajectory(initial, lam, gray, g0, taus)
+        self.assert_bits((traj.populations, traj.coh_ge, traj.coh_as), evolved)
+        self.assert_bits(traj.at(taus), evolved)
+
+    def test_evolve_fades_each_generator_by_its_own_rates(self, rng):
+        stack = RateStack.of([build_rate_matrix(self.RATES[route]) for route in (EIGEN, EXPM)])
+        stack = stack._replace(decay_as=2.0 * stack.decay_as)  # each coherence its own rate
+        prop = EigenPropagator(stack)
+        states = [random_xstate(rng) for _ in range(2)]
+        pops0 = np.array([state.populations() for state in states])
+        coh_ge, coh_as = np.array([(s.coh_ge, s.coh_as) for s in states]).T
+        grids = np.stack([[self.TAUS, 2.0 * self.TAUS]] * 2)
+        pops, ge, as_ = prop.evolve(pops0, coh_ge, coh_as, grids)
+        assert pops.shape == (2, 2, self.TAUS.size, 4) and ge.shape == as_.shape == pops.shape[:-1]
+        self.assert_bits([pops], [prop.populations(pops0, grids)])
+        for n in range(2):
+            self.assert_bits([ge[n], as_[n]], [coh_ge[n] * np.exp(-stack.decay_ge[n] * grids[n]),
+                                               coh_as[n] * np.exp(-stack.decay_as[n] * grids[n])])
+
+    def test_state_needs_one_generator(self):
+        stack = RateStack.of([build_rate_matrix(vacuum_like(lam)) for lam in (0.3, -0.6)])
+        with pytest.raises(ValueError, match="one generator, got 2"):
+            EigenPropagator(stack).state(XState.excited(), 1.0)
 
 
 class TestUniformizedExponential:
@@ -464,7 +546,7 @@ class TestUniformizedExponential:
             build_rate_matrix(thermal_coefficients(FieldBathConfig.from_ratios(0.9, sep, temp)))
             for temp, sep in self.CELLS
         ]
-        prop = EigenPropagator(stack)
+        prop = EigenPropagator(RateStack.of(stack))
         assert set(prop.routes) == {EXPM}
         diag = random_xstate(np.random.default_rng(11), diagonal=True)
         states = (XState.excited(), XState.bell_ge(), diag)
