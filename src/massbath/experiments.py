@@ -47,6 +47,7 @@ from .xstate import (
     _generators,
     _rate_fault,
     _vacuum_rates,
+    _carve,
     _xstates,
     decay_factor,
     integrate_ode_many,
@@ -201,14 +202,18 @@ def _time_sep_measures(mass_ratio: float, temp_ratio: float | None, initial: XSt
                        seps: np.ndarray, taus: np.ndarray):
     """Concurrence and negativity, each (len(taus), len(seps)), and the route
     of every separation: one propagator, and one measure call per block of
-    separations, each block at most MAP_BLOCK (tau, sep) cells or one column."""
+    separations in one workspace, each at most MAP_BLOCK (tau, sep) cells or
+    one column."""
     prop = EigenPropagator(_cell_rates(mass_ratio, seps, temp_ratio))
     width = max(1, MAP_BLOCK // taus.size)
     rows = np.broadcast_to(taus, (width, 1, taus.size))
-    props = [prop.take(slice(i, i + width)) for i in range(0, seps.size, width)]
-    blocks = [_propagated_measures(initial, p, BOTH)(rows[:len(p.routes)]) for p in props]
-    conc, neg = np.concatenate(blocks, axis=1)
-    return conc.T, neg.T, prop.routes
+    work = _workspace(2, min(width, seps.size) * taus.size)
+    out = np.empty((2, seps.size, taus.size))
+    for i in range(0, seps.size, width):
+        block = prop.take(slice(i, i + width))
+        measures = _propagated_measures(initial, block, BOTH, work)
+        out[:, i:i + width] = measures(rows[:len(block.routes)])
+    return out[0].T, out[1].T, prop.routes
 
 
 def evolve_scan(config: SweepConfig) -> SweepResult:
@@ -242,6 +247,7 @@ def _zoom(evaluate, lo: np.ndarray, hi: np.ndarray, points: int = ZOOM_POINTS) -
     strictly concave there, or whose vertex is not inside it, keeps its best
     sample: a repeat would differ by roundoff alone."""
     values = evaluate(np.linspace(lo, hi, points, axis=-1))
+    best = values.max(axis=-1)  # before the second call, which may reuse values' memory
     mid = np.clip(np.argmax(values, axis=-1), 1, points - 2)
     three = np.take_along_axis(values, mid[..., None] + np.arange(-1, 2), axis=-1)
     left, centre, right = np.moveaxis(three, -1, 0)
@@ -250,55 +256,71 @@ def _zoom(evaluate, lo: np.ndarray, hi: np.ndarray, points: int = ZOOM_POINTS) -
     vertex = lo + (mid + shift) * ((hi - lo) / (points - 1))
     moves = (curve < 0.0) & (lo < vertex) & (vertex < hi)
     at_vertex = evaluate(np.where(moves, vertex, lo)[..., None])[..., 0]
-    return np.maximum(values.max(axis=-1), np.where(moves, at_vertex, -np.inf))
+    return np.maximum(best, np.where(moves, at_vertex, -np.inf))
 
 
 # perfbench/tracing.py times the refinement stage under its former name.
 _golden_max = _zoom
 
 
-def _faded_coherences(initial: XState, decay_ge, decay_as, taus):
-    """(|coh_ge|, re coh_as, im coh_as) at taus, in real arithmetic. A
-    coherence that starts at zero stays a scalar zero, with no exponential."""
+def _faded_coherences(initial: XState, decay_ge, decay_as, taus, out=(None,) * 3):
+    """(|coh_ge|, re coh_as, im coh_as) at taus, in real arithmetic, into out
+    if given. A coherence that starts at zero stays a scalar zero."""
     abs_ge, re_as, im_as = _coherence_parts(initial.coh_ge, initial.coh_as)
     if abs_ge:
-        abs_ge = abs_ge * np.exp(-decay_ge * taus)
+        fade = np.exp(np.multiply(-decay_ge, taus, out=out[0]), out=out[0])
+        abs_ge = np.multiply(abs_ge, fade, out=out[0])
     if re_as or im_as:
-        fade = np.exp(-decay_as * taus)
-        re_as, im_as = re_as * fade, im_as * fade
+        fade = np.exp(np.multiply(-decay_as, taus, out=out[2]), out=out[2])
+        re_as, im_as = np.multiply(re_as, fade, out=out[1]), np.multiply(im_as, fade, out=out[2])
     return abs_ge, re_as, im_as
 
 
-def _propagated_measures(initial: XState, prop: EigenPropagator, select: tuple[str, ...]):
+def _workspace(count: int, samples: int) -> tuple[np.ndarray, ...]:
+    """The workspace of _propagated_measures for `count` measures of up to
+    `samples` (cell, time) points: flat float buffers for the measure rows,
+    the population planes and two scratch chunks of four planes. Each stays
+    below numpy's 4 MiB huge-page size, so only the planes a pass touches
+    are resident."""
+    return tuple(np.empty(planes * samples) for planes in (count, 4, 4, 4))
+
+
+def _propagated_measures(initial: XState, prop: EigenPropagator, select: tuple[str, ...],
+                         work: tuple[np.ndarray, ...]):
     """measures(taus) -> (M, N, K): the M measures of `select` of the N cells
     of an EigenPropagator on a RateStack at per-cell times taus of shape
-    (N, S, K), from one populations call. One row (S = 1) is measured for
-    every selected measure; otherwise (S = M, a zoom's brackets) row s is
-    measured for select[s] only."""
+    (N, S, K), from one propagation. One row (S = 1) is measured for every
+    selected measure; otherwise (S = M, a zoom's brackets) row s is measured
+    for select[s] only. A call returns a view of work, a _workspace for
+    taus.size samples or more, valid until the next call."""
     pops0, rates = initial.populations(), prop.rates
     decay_ge, decay_as = rates.decay_ge[:, None], rates.decay_as[:, None]
 
     def measures(taus: np.ndarray) -> np.ndarray:
-        pops = prop.populations(pops0, taus).transpose(3, 0, 1, 2)  # population-major
-        rows = [select] if taus.shape[1] == 1 else [(name,) for name in select]
-        return np.concatenate([
-            _measures_arrays(
-                *(pop[:, s] for pop in pops),
-                *_faded_coherences(initial, decay_ge, decay_as, taus[:, s]),
-                select=names,
-            )
-            for s, names in enumerate(rows)
-        ])
+        cells, rows, points = taus.shape
+        values = _carve(work[0], (len(select), cells, points))
+        pops = prop._planes(pops0, taus, _carve(work[1], (4,) + taus.shape), work[2:])
+        spare, faded = _carve(work[2], (2, cells, points)), _carve(work[3], (3, cells, points))
+        names = [select] if rows == 1 else [(name,) for name in select]
+        for s, row in enumerate(names):
+            coherences = _faded_coherences(initial, decay_ge, decay_as, taus[:, s], faded)
+            _measures_arrays(*pops[:, :, s], *coherences, select=row,
+                             out=values[s:s + len(row)], spare=spare)
+        return values
 
     return measures
 
 
-def _propagated_bounds(initial: XState, prop: EigenPropagator, select, tau: float) -> np.ndarray:
+_TAIL_WEIGHTS = np.array([[0, 1, -1, 0], [0, 1, 1, 0], [1, 0, 0, -1], [1, 0, 0, 0], [0, 0, 0, 1.0]])
+
+
+def _propagated_bounds(initial: XState, prop: EigenPropagator, select, tau: float,
+                       pops0: np.ndarray) -> np.ndarray:
     """(M, N) bounds of the M measures of `select` of the N cells of an
-    EigenPropagator at all times >= tau (inf where a cell has none): tail on
-    pa - ps, pa + ps, pg - pe, pg and pe, and the coherences at tau."""
-    weights = np.array([[0, 1, -1, 0], [0, 1, 1, 0], [1, 0, 0, -1], [1, 0, 0, 0], [0, 0, 0, 1.0]])
-    center, radius = prop.tail(initial.populations(), tau, weights)
+    EigenPropagator at all times >= tau (inf where a cell has none): tail,
+    from pops0 = initial.populations(), on the _TAIL_WEIGHTS rows pa - ps,
+    pa + ps, pg - pe, pg and pe, and the coherences at tau."""
+    center, radius = prop.tail(pops0, tau, _TAIL_WEIGHTS)
     low, size = (center - radius).T, (np.abs(center) + radius).T  # size: the largest |w·p|
     coherences = _faded_coherences(initial, prop.rates.decay_ge, prop.rates.decay_as, tau)
     return _measure_bounds(size[0], low[1], size[2], low[3], low[4], *coherences, select=select)
@@ -309,19 +331,20 @@ def _search(stack, bound, cells: list[tuple], horizon: float, points: int, selec
     """The max-over-time search: (len(select), N) maxima over time of the
     measures named by `select` for N cells.
 
-    stack(ks) returns measures(taus) of the cells ks (indices into cells), as
-    _propagated_measures does, and bound(ks, tau) their bounds at all times
-    >= tau, as _propagated_bounds does; cells holds each cell's (T/omega, or
-    None in the vacuum, omega*L), used to name a cell that fails. Cells run
-    in blocks of MAP_BLOCK // points, which bounds the samples of a pass. The
-    first pass samples [0, horizon] on `points` points; each later pass
-    doubles the horizon and samples only its new half, at the doubled
-    spacing. Every pass refines the best sample of each measure between its
-    neighbours with _zoom: three propagation calls in all. A cell retires,
-    each step one array operation over the cells still active, on the first
-    pass that raised none of its maxima by tol or more, left all of them
-    above `cutoff`, or certified them all: every bound at or below its
-    maximum (expm cells have no bound). A cell still active after
+    stack(ks, work) returns measures(taus) of the cells ks (indices into
+    cells) in work, the search's one _workspace, sized for its first pass,
+    as _propagated_measures does, and bound(ks, tau) their bounds at all
+    times >= tau, as _propagated_bounds does; cells holds each cell's
+    (T/omega, or None in the vacuum, omega*L), used to name a cell that
+    fails. Cells run in blocks of MAP_BLOCK // points, which bounds the
+    samples of a pass. The first pass samples [0, horizon] on `points`
+    points; each later pass doubles the horizon and samples only its new
+    half, at the doubled spacing. Every pass refines the best sample of each
+    measure between its neighbours with _zoom: three propagation calls in
+    all. A cell retires, each step one array operation over the cells still
+    active, on the first pass that raised none of its maxima by tol or more,
+    left all of them above `cutoff`, or certified them all: every bound at or
+    below its maximum (expm cells have no bound). A cell still active after
     MAX_DOUBLINGS passes raises NonConvergedMaxError.
 
     A certified maximum cannot rise later: the search that would confirm it
@@ -333,11 +356,12 @@ def _search(stack, bound, cells: list[tuple], horizon: float, points: int, selec
     tol = 1e-6
     peaks = np.empty((len(select), len(cells)))
     width = max(1, MAP_BLOCK // points)
+    work = _workspace(len(select), min(width, len(cells)) * max(points, len(select) * ZOOM_POINTS))
     for start in range(0, len(cells), width):
         active = np.arange(start, min(start + width, len(cells)))
         best = np.full((len(select), active.size), -np.inf)
         previous = last = np.full_like(best, np.nan)
-        measures = stack(active)
+        measures = stack(active, work)
         taus, tau_max = np.linspace(0.0, horizon, points), horizon
         for _ in range(MAX_DOUBLINGS):
             grid = np.broadcast_to(taus, (len(select), active.size, taus.size))
@@ -354,7 +378,7 @@ def _search(stack, bound, cells: list[tuple], horizon: float, points: int, selec
             if not active.size:
                 break
             if stable.any():
-                measures = stack(active)
+                measures = stack(active, work)
             taus = np.linspace(tau_max, 2.0 * tau_max, points // 2 + 1)
             tau_max *= 2.0
         else:
@@ -385,8 +409,9 @@ def _propagated_search(initial: XState, prop: EigenPropagator, cells: list[tuple
     def sub(ks: np.ndarray) -> EigenPropagator:
         return prop if ks.size == len(cells) else prop.take(live[ks])
 
-    peaks[:, live] = _search(lambda ks: _propagated_measures(initial, sub(ks), select),
-                             lambda ks, tau: _propagated_bounds(initial, sub(ks), select, tau),
+    pops0 = initial.populations()
+    peaks[:, live] = _search(lambda ks, work: _propagated_measures(initial, sub(ks), select, work),
+                             lambda ks, t: _propagated_bounds(initial, sub(ks), select, t, pops0),
                              [cells[k] for k in live], horizon, points, select, cutoff=cutoff)
     return peaks
 

@@ -63,47 +63,68 @@ def _safe_sqrt(value: float) -> float:
     return math.sqrt(value)
 
 
-def _clipped_sqrt(values):
-    return np.sqrt(np.maximum(values, 0.0))
+def _clipped_sqrt(values, out=None):
+    return np.sqrt(np.maximum(values, 0.0, out=out), out=out)
 
 
-def _concurrence_pair(pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as):
+def _times(x, y, out):
+    """x * y, into out if y is an array: a zero coherence stays a scalar."""
+    return np.multiply(x, y, out=out) if isinstance(y, np.ndarray) else x * y
+
+
+def _concurrence_pair(pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as, out=(None,) * 3):
     """Concurrence branch values (k1, k2); concurrence is max(0, k1, k2)
     (Wootters). The radicands that roundoff can push below zero are clipped
-    to it (see RADICAND_TOL).
+    to it (see RADICAND_TOL). With buffers out = (k1, k2, tmp), each step
+    writes into them in the order of the allocating call (out None): same bits.
     """
-    total = pop_a + pop_s
-    k1 = np.hypot(pop_a - pop_s, 2.0 * im_as) - 2.0 * _clipped_sqrt(pop_g * pop_e)
-    k2 = 2.0 * abs_ge - _clipped_sqrt(total * total - 4.0 * re_as * re_as)
+    one, two, tmp = out
+    k1 = np.hypot(np.subtract(pop_a, pop_s, out=one), _times(2.0, im_as, tmp), out=one)
+    root = _clipped_sqrt(np.multiply(pop_g, pop_e, out=tmp), tmp)
+    k1 = np.subtract(k1, np.multiply(2.0, root, out=tmp), out=one)
+    total = np.add(pop_a, pop_s, out=two)
+    square = _times(_times(4.0, re_as, tmp), re_as, tmp)
+    radicand = np.subtract(np.multiply(total, total, out=two), square, out=two)
+    k2 = np.subtract(_times(2.0, abs_ge, tmp), _clipped_sqrt(radicand, two), out=two)
     return k1, k2
 
 
-def _negativity_pair(pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as):
+def _negativity_pair(pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as, out=(None,) * 3):
     """Negativity branch values (n1, n2), the smaller eigenvalues of the two
     blocks of the partial transpose; negativity is -2 times the sum of the
-    negative ones (Vidal & Werner).
+    negative ones (Vidal & Werner). Buffers as for _concurrence_pair.
     """
-    diff = pop_a - pop_s
-    gap = pop_g - pop_e
-    n1 = 0.5 * (pop_g + pop_e - np.sqrt(diff * diff + 4.0 * im_as * im_as + gap * gap))
-    n2 = 0.5 * (pop_a + pop_s - 2.0 * np.hypot(abs_ge, re_as))
-    return n1, n2
+    one, two, tmp = out
+    diff = np.subtract(pop_a, pop_s, out=one)
+    square = _times(_times(4.0, im_as, tmp), im_as, tmp)
+    radicand = np.add(np.multiply(diff, diff, out=one), square, out=one)
+    gap = np.subtract(pop_g, pop_e, out=tmp)
+    radicand = np.add(radicand, np.multiply(gap, gap, out=tmp), out=one)
+    n1 = np.subtract(np.add(pop_g, pop_e, out=tmp), np.sqrt(radicand, out=one), out=one)
+    arrays = isinstance(abs_ge, np.ndarray) or isinstance(re_as, np.ndarray)
+    norm = _times(2.0, np.hypot(abs_ge, re_as, out=tmp if arrays else None), tmp)
+    n2 = np.subtract(np.add(pop_a, pop_s, out=two), norm, out=two)
+    return np.multiply(0.5, n1, out=one), np.multiply(0.5, n2, out=two)
 
 
-def _concurrence_of(k1, k2):
-    return np.maximum(0.0, np.maximum(k1, k2))
+def _concurrence_of(k1, k2, out=None):
+    return np.maximum(0.0, np.maximum(k1, k2, out=out), out=out)
 
 
-def _negativity_of(n1, n2):
+def _negativity_of(n1, n2, out=(None, None)):
+    """Buffers out = (result, spare); spare may be n2 itself."""
+    result, spare = out
+    low = np.add(np.minimum(n1, 0.0, out=result), np.minimum(n2, 0.0, out=spare), out=result)
     # 0.0 - x, not -x: a zero comes out +0.0, never -0.0.
-    return 0.0 - 2.0 * (np.minimum(n1, 0.0) + np.minimum(n2, 0.0))
+    return np.subtract(0.0, np.multiply(2.0, low, out=result), out=result)
 
 
 # Every measure by name, as a function of the entries (pop_g, pop_a, pop_s,
-# pop_e, |coh_ge|, re coh_as, im coh_as). A selector is a tuple of names.
+# pop_e, |coh_ge|, re coh_as, im coh_as) and buffers (result, two spares) or
+# three Nones. A selector is a tuple of names.
 _MEASURES = {
-    "concurrence": lambda *x: _concurrence_of(*_concurrence_pair(*x)),
-    "negativity": lambda *x: _negativity_of(*_negativity_pair(*x)),
+    "concurrence": lambda *x, out: _concurrence_of(*_concurrence_pair(*x, out=out), out=out[0]),
+    "negativity": lambda *x, out: _negativity_of(*_negativity_pair(*x, out=out), out=out[:2]),
 }
 BOTH = tuple(_MEASURES)
 
@@ -152,22 +173,26 @@ def entanglement(state: XState) -> EntanglementValue:
 
 
 def concurrence(state: XState) -> float:
-    return float(_MEASURES["concurrence"](*_state_entries(state)))
+    return float(_measures_arrays(*_state_entries(state), select=("concurrence",))[0])
 
 
 def negativity(state: XState) -> float:
-    return float(_MEASURES["negativity"](*_state_entries(state)))
+    return float(_measures_arrays(*_state_entries(state), select=("negativity",))[0])
 
 
-def _measures_arrays(pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as, select=BOTH):
+def _measures_arrays(pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as, select=BOTH,
+                     out=None, spare=None):
     """Vectorized measures named by `select`, one array each, from population
     and coherence-part arrays (see _coherence_parts); scalars broadcast.
+    With buffers, measure i is written into out[i], the two planes of spare
+    its temporaries, with the bits of the allocating call.
 
     Roundoff-negative radicands are clipped; inputs are trusted to come from
     a propagator.
     """
     entries = (pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as)
-    return tuple(_MEASURES[name](*entries) for name in select)
+    buffers = [(None,) * 3] * len(select) if out is None else [(row, *spare) for row in out]
+    return tuple(_MEASURES[name](*entries, out=b) for name, b in zip(select, buffers))
 
 
 def _check_diagonal_weights(e: float, g: float, a: float, s: float) -> None:

@@ -289,22 +289,24 @@ def decay_factor(tau: float, gray: float, g0: float) -> float:
     return math.exp(-gray * g0 * tau)
 
 
-def _decay(rate, t):
-    """(exp(-rate*t), t*psi(rate*t)) with psi(z) = -expm1(-z)/z, psi(0) = 1.
+def _decay(rate, t, out):
+    """(exp(-rate*t), t*psi(rate*t)) into out = (fade, span); psi(z) = -expm1(-z)/z, psi(0) = 1.
 
     The second is the integral of exp(-rate*s) over s in [0, t].
     """
-    x = -rate * t
-    fade = np.exp(x)
+    x = np.multiply(-rate, t, out=out[1])
+    fade = np.exp(x, out=out[0])
     span = np.expm1(x, out=x)
     live = rate > 0.0
     span /= -np.where(live, rate, 1.0)
-    return fade, span if np.all(live) else np.where(live, span, t)
+    if not np.all(live):
+        np.copyto(span, t, where=~live)
+    return fade, span
 
 
 def _cascade(pops0, d_a, d_s, t, out=None):
     """Populations (pop_g, pop_a, pop_s, pop_e) of the cascade E -> A -> G,
-    E -> S -> G at times t, written into the planes out[0..3] if out is given.
+    E -> S -> G at times t, written into the planes out[0..3] (new if None).
 
     d_a = rate(E -> A) = rate(A -> G) and d_s = rate(E -> S) = rate(S -> G)
     broadcast against t. With psi(z) = -expm1(-z)/z (psi(0) = 1),
@@ -317,19 +319,19 @@ def _cascade(pops0, d_a, d_s, t, out=None):
     and at any time, however late.
     """
     g0, a0, s0, e0 = pops0
-    fade_a, span_a = _decay(d_a, t)
-    fade_s, span_s = _decay(d_s, t)
-    pop_g, pop_a, pop_s, pop_e = (None,) * 4 if out is None else out
+    out = np.empty((4,) + np.broadcast(e0, d_a, t).shape) if out is None else out
+    pop_g, pop_a, pop_s, pop_e = out
     # In place, since temporaries cost as much as the arithmetic on them.
-    pop_a = np.multiply(e0 * d_a, span_s, out=pop_a)
+    fade_a, span_a = _decay(d_a, t, (pop_g, pop_s))
+    fade_s, span_s = _decay(d_s, t, (pop_e, pop_a))
+    np.multiply(e0 * d_a, span_s, out=pop_a)
     pop_a += a0
     pop_a *= fade_a
-    pop_s = np.multiply(e0 * d_s, span_a, out=pop_s)
+    np.multiply(e0 * d_s, span_a, out=pop_s)
     pop_s += s0
     pop_s *= fade_s
-    pop_e = np.multiply(e0, fade_a, out=pop_e)
-    pop_e *= fade_s
-    pop_g = np.subtract(g0 + a0 + s0 + e0, pop_a, out=pop_g)
+    np.multiply(np.multiply(e0, fade_a, out=fade_a), fade_s, out=pop_e)
+    np.subtract(g0 + a0 + s0 + e0, pop_a, out=pop_g)
     pop_g -= pop_s
     pop_g -= pop_e
     return pop_g, pop_a, pop_s, pop_e
@@ -438,7 +440,7 @@ class EigenPropagator:
         return sub
 
     def populations(self, pops0: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        """Population vectors at each tau.
+        """Population vectors at each tau, in a fresh array.
 
         pops0 is one initial population vector shared by every generator,
         shape (4,), or one per generator, shape (N, 4). taus is one time grid
@@ -457,24 +459,31 @@ class EigenPropagator:
         if pops0.shape not in ((4,), (count, 4)):
             raise ValueError(f"pops0 must have shape (4,) or ({count}, 4), got {pops0.shape}")
         rows = taus.reshape(1 if shared else count, -1, taus.shape[-1])
-        out = np.empty((4, count) + rows.shape[1:])
+        out = self._planes(pops0, rows, np.empty((4, count) + rows.shape[1:]))
+        out = out.reshape((4, count) + (taus.shape if shared else taus.shape[1:]))
+        return out.transpose(*range(1, out.ndim), 0)  # np.moveaxis(out, 0, -1), faster
+
+    def _planes(self, pops0: np.ndarray, rows: np.ndarray, out: np.ndarray,
+                scratch=(None, None)):
+        """populations, unchecked, on time rows (N or 1, R, K) into the planes
+        out (4, N, R, K), returned. scratch holds two flat float buffers of
+        4 N R K or more, for the eigen modes and for a route's part of a mixed
+        stack (None: new ones)."""
         for route, index in self._groups:
             if index is None:  # one route: no index copies
-                self._fill(route, out, pops0, rows)
+                self._fill(route, out, pops0, rows, scratch=scratch)
             else:
-                part = np.empty((4, index.size) + rows.shape[1:])
+                part = _carve(scratch[1], (4, index.size) + rows.shape[1:])
                 self._fill(route, part, pops0 if pops0.ndim == 1 else pops0[index],
-                           rows if shared else rows[index], index)
+                           rows if len(rows) == 1 else rows[index], index, scratch)
                 out[:, index] = part
-        out = out.reshape((4, count) + (taus.shape if shared else taus.shape[1:]))
-        out = out.transpose(*range(1, out.ndim), 0)  # np.moveaxis(out, 0, -1), faster
         return out
 
     def _fill(self, route: str, out: np.ndarray, pops0: np.ndarray, rows: np.ndarray,
-              index=slice(None)) -> None:
+              index=slice(None), scratch=(None, None)) -> None:
         """Write the populations of the generators at index, all on `route`,
         into the planes out (4, n, R, K), from pops0 (4,) or (n, 4) on rows
-        (n or 1, R, K)."""
+        (n or 1, R, K); scratch as for _planes."""
         gens = self.rates.generator[index]
         if route == FROZEN:
             out[...] = pops0.T.reshape(4, -1, 1, 1)
@@ -483,7 +492,8 @@ class EigenPropagator:
             _cascade(pops0 if pops0.ndim == 1 else pops0.T[..., None, None], d_a, d_s, rows, out)
         elif route == EIGEN:
             eigvals, eigvecs, inv = (part[index] for part in self._eig)
-            modes = rows[:, :, None, :] * eigvals[:, None, :, None]
+            modes = _carve(scratch[0], out.shape[1:3] + (4, rows.shape[-1]))
+            np.multiply(rows[:, :, None, :], eigvals[:, None, :, None], out=modes)
             np.exp(modes, out=modes)
             modes *= _apply(inv, pops0)[:, None, :, None]
             np.matmul(eigvecs[:, None], modes, out=out.transpose(1, 2, 0, 3))
@@ -554,6 +564,11 @@ def _sampler(prop: EigenPropagator, initial: XState, rate: float = 1.0):
         return tuple(part[0] for part in out)
 
     return at
+
+
+def _carve(buffer, shape: tuple) -> np.ndarray:
+    """A C-contiguous array of `shape` at the start of a flat float buffer (new if None)."""
+    return np.empty(shape) if buffer is None else buffer[:math.prod(shape)].reshape(shape)
 
 
 def _apply(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:

@@ -267,14 +267,15 @@ def test_cell_value_independent_of_block_and_neighbours(monkeypatch):
 
 
 def test_search_blocks_stay_within_the_samples_budget(monkeypatch):
+    # Every propagation, the search's and the public populations', runs _planes.
     sizes = []
-    populations = EigenPropagator.populations
+    planes = EigenPropagator._planes
 
-    def recorded(self, pops0, taus):
-        sizes.append(np.size(taus))
-        return populations(self, pops0, taus)
+    def recorded(self, pops0, rows, *args):
+        sizes.append(np.size(rows))
+        return planes(self, pops0, rows, *args)
 
-    monkeypatch.setattr(EigenPropagator, "populations", recorded)
+    monkeypatch.setattr(EigenPropagator, "_planes", recorded)
     config = SweepConfig(
         mass_ratio=0.5,
         initial=XState.excited(),
@@ -417,8 +418,8 @@ def _counted_passes(monkeypatch, search):
     original = experiments._search
 
     def counted_search(stack, *args, **kwargs):
-        def counted_stack(ks):
-            measures = stack(ks)
+        def counted_stack(ks, work):
+            measures = stack(ks, work)
 
             def counted(taus):
                 calls.append(ks.tolist())
@@ -513,7 +514,7 @@ def test_zero_coherence_shortcut_is_exact(kind, monkeypatch):
     thermal = _max_over_time(initial, rates, gray, SELECTOR_CELLS)[0]
     vacuum = [_vacuum_max_over_time(initial, 0.8, VACUUM_SEPS, m) for m in BOTH]
 
-    def explicit(initial, decay_ge, decay_as, taus):
+    def explicit(initial, decay_ge, decay_as, taus, out=None):
         return _coherence_parts(
             initial.coh_ge * np.exp(-decay_ge * taus),
             initial.coh_as * np.exp(-decay_as * taus),
@@ -633,14 +634,19 @@ def _no_certificate(self, pops0, tau, weights):
     return np.zeros(shape), np.full(shape, np.inf)
 
 
+def _measured(initial, prop, taus):
+    """Both measures of the cells of prop at per-cell times taus (N, 1, K)."""
+    work = experiments._workspace(len(BOTH), taus.size)
+    return experiments._propagated_measures(initial, prop, BOTH, work)(taus)
+
+
 def _audit_tail_bound(initial, prop, tau):
     """Check the measure bounds at tau against 2001 samples on [tau, 16 tau];
     returns the (measure, cell) gaps between bound and sampled maximum."""
-    bounds = experiments._propagated_bounds(initial, prop, BOTH, tau)
+    bounds = experiments._propagated_bounds(initial, prop, BOTH, tau, initial.populations())
     grid = tau * np.linspace(1.0, 16.0, 2001)
     cells = len(prop.routes)
-    samples = experiments._propagated_measures(initial, prop, BOTH)(
-        np.broadcast_to(grid, (cells, 1, grid.size)))
+    samples = _measured(initial, prop, np.broadcast_to(grid, (cells, 1, grid.size)))
     expm = prop.routes == EXPM
     assert np.all(bounds[:, expm] == np.inf)
     assert np.all(np.isfinite(bounds[:, ~expm]))
@@ -792,8 +798,7 @@ def mp_maxima(rates: RateStack, initial: XState, start: float) -> list[float]:
     slowest = min([*spectrum[spectrum > 1e-14 * spectrum.max()], rates.decay_ge[0],
                    rates.decay_as[0]])
     taus = np.concatenate([[0.0], np.geomspace(start, 60.0 / slowest, 20000)])
-    scans = experiments._propagated_measures(initial, EigenPropagator(rates), BOTH)(
-        taus[None, None])[:, 0]
+    scans = _measured(initial, EigenPropagator(rates), taus[None, None])[:, 0]
     with mpmath.workdps(40):
         eigvals, eigvecs = mpmath.eig(mpmath.matrix(gen.tolist()))
         amps = mpmath.lu_solve(eigvecs, mpmath.matrix(initial.populations().tolist()))
