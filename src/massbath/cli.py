@@ -344,18 +344,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="massbath",
         description="Entanglement dynamics of two qubits in a massive scalar bath.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    coeffs = sub.add_parser("coeffs", help="print rate coefficients (units of Gamma0)")
+    coeffs = sub.add_parser("coeffs", help="print rate coefficients (units of Gamma0)",
+                            allow_abbrev=False)
     _add_common(coeffs)
     coeffs.add_argument("--mass-ratio", type=float, required=True)
     coeffs.add_argument("--sep", type=float, required=True)
     coeffs.add_argument("--temp-ratio", type=float, default=None)
     coeffs.set_defaults(func="cmd_coeffs")
 
-    evolve = sub.add_parser("evolve", help="trajectory CSV for one parameter point")
+    evolve = sub.add_parser("evolve", help="trajectory CSV for one parameter point",
+                            allow_abbrev=False)
     _add_common(evolve)
     evolve.add_argument(
         "--initial",
@@ -371,10 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--out", default=None, help="CSV path (default: stdout)")
     evolve.set_defaults(func="cmd_evolve")
 
-    map_parser = sub.add_parser("map", help="sweep grids as long-format CSV")
+    map_parser = sub.add_parser("map", help="sweep grids as long-format CSV", allow_abbrev=False)
     map_sub = map_parser.add_subparsers(dest="submode", required=True)
 
-    time_sep = map_sub.add_parser("time-sep", help="instantaneous measures vs (tau, L)")
+    time_sep = map_sub.add_parser("time-sep", help="instantaneous measures vs (tau, L)",
+                                  allow_abbrev=False)
     _add_common(time_sep)
     time_sep.add_argument("--mass-ratio", type=float, required=True)
     time_sep.add_argument("--temp-ratio", type=float, default=None)
@@ -384,9 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     time_sep.add_argument("--out", required=True)
     time_sep.set_defaults(func="cmd_map_time_sep")
 
-    temp_sep = map_sub.add_parser(
-        "temp-sep", help="max-over-time measures vs (T/omega, L)"
-    )
+    temp_sep = map_sub.add_parser("temp-sep", help="max-over-time measures vs (T/omega, L)",
+                                  allow_abbrev=False)
     _add_common(temp_sep)
     temp_sep.add_argument("--mass-ratio", type=float, required=True)
     temp_sep.add_argument("--initial", default="E")
@@ -395,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     temp_sep.add_argument("--out", required=True)
     temp_sep.set_defaults(func="cmd_map_temp_sep")
 
-    verify = sub.add_parser("verify", help="run the self-verification suites")
+    verify = sub.add_parser("verify", help="run the self-verification suites", allow_abbrev=False)
     _add_common(verify)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument(

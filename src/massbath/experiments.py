@@ -326,26 +326,26 @@ def _propagated_bounds(initial: XState, prop: EigenPropagator, select, tau: floa
     return _measure_bounds(size[0], low[1], size[2], low[3], low[4], *coherences, select=select)
 
 
-def _search(stack, bound, cells: list[tuple], horizon: float, points: int, select, *,
-            cutoff: float = math.inf):
+def _search(initial: XState, prop: EigenPropagator, cells: list[tuple], horizon: float,
+            points: int, select, *, cutoff: float = math.inf) -> np.ndarray:
     """The max-over-time search: (len(select), N) maxima over time of the
-    measures named by `select` for N cells.
+    measures named by `select` for the N cells of an EigenPropagator, from
+    initial; cells holds each cell's (T/omega, or None in the vacuum,
+    omega*L), used to name a cell that fails.
 
-    stack(ks, work) returns measures(taus) of the cells ks (indices into
-    cells) in work, the search's one _workspace, sized for its first pass,
-    as _propagated_measures does, and bound(ks, tau) their bounds at all
-    times >= tau, as _propagated_bounds does; cells holds each cell's
-    (T/omega, or None in the vacuum, omega*L), used to name a cell that
-    fails. Cells run in blocks of MAP_BLOCK // points, which bounds the
-    samples of a pass. The first pass samples [0, horizon] on `points`
-    points; each later pass doubles the horizon and samples only its new
-    half, at the doubled spacing. Every pass refines the best sample of each
-    measure between its neighbours with _zoom: three propagation calls in
-    all. A cell retires, each step one array operation over the cells still
+    Frozen cells keep the initial values. The others run in blocks of
+    MAP_BLOCK // points, which bounds the samples of a pass. Every pass
+    slices the block's still-active cells from prop with take and measures
+    them through _propagated_measures in the search's one _workspace, sized
+    for its first pass. The first pass samples [0, horizon] on `points` points;
+    each later pass doubles the horizon and samples only its new half, at
+    the doubled spacing. Every pass refines the best sample of each measure
+    between its neighbours with _zoom: three propagation calls in all. A
+    cell retires, each step one array operation over the cells still
     active, on the first pass that raised none of its maxima by tol or more,
-    left all of them above `cutoff`, or certified them all: every bound at or
-    below its maximum (expm cells have no bound). A cell still active after
-    MAX_DOUBLINGS passes raises NonConvergedMaxError.
+    left all of them above `cutoff`, or certified them all: every bound of
+    _propagated_bounds at or below its maximum (expm cells have no bound). A
+    cell still active after MAX_DOUBLINGS passes raises NonConvergedMaxError.
 
     A certified maximum cannot rise later: the search that would confirm it
     on the next horizon returns the same bits. Maxima never fall, so a
@@ -355,15 +355,20 @@ def _search(stack, bound, cells: list[tuple], horizon: float, points: int, selec
     """
     tol = 1e-6
     peaks = np.empty((len(select), len(cells)))
+    frozen = prop.routes == FROZEN
+    if frozen.any():
+        value = entanglement(initial)
+        peaks[:, frozen] = [[getattr(value, name)] for name in select]
+    live, pops0 = np.flatnonzero(~frozen), initial.populations()
     width = max(1, MAP_BLOCK // points)
-    work = _workspace(len(select), min(width, len(cells)) * max(points, len(select) * ZOOM_POINTS))
-    for start in range(0, len(cells), width):
-        active = np.arange(start, min(start + width, len(cells)))
+    work = _workspace(len(select), min(width, live.size) * max(points, len(select) * ZOOM_POINTS))
+    for start in range(0, live.size, width):
+        active = live[start:start + width]
         best = np.full((len(select), active.size), -np.inf)
         previous = last = np.full_like(best, np.nan)
-        measures = stack(active, work)
         taus, tau_max = np.linspace(0.0, horizon, points), horizon
         for _ in range(MAX_DOUBLINGS):
+            measures = _propagated_measures(initial, prop.take(active), select, work)
             grid = np.broadcast_to(taus, (len(select), active.size, taus.size))
             on_grid, lo, hi = _grid_peaks(measures(grid[0, :, None]), grid)
             # Each measure's bracket is one row of one propagation call.
@@ -371,14 +376,14 @@ def _search(stack, bound, cells: list[tuple], horizon: float, points: int, selec
             stable = np.all(new - best < tol, axis=0) | np.all(new > cutoff, axis=0)
             best = np.maximum(best, new)
             if not stable.all():  # the bounds of the cells still open
-                stable[~stable] = np.all(bound(active[~stable], tau_max) <= best[:, ~stable], axis=0)
+                bounds = _propagated_bounds(initial, prop.take(active[~stable]), select,
+                                            tau_max, pops0)
+                stable[~stable] = np.all(bounds <= best[:, ~stable], axis=0)
             peaks[:, active[stable]] = np.maximum(best[:, stable], 0.0)
             previous, last = last[:, ~stable], new[:, ~stable]
             active, best = active[~stable], best[:, ~stable]
             if not active.size:
                 break
-            if stable.any():
-                measures = stack(active, work)
             taus = np.linspace(tau_max, 2.0 * tau_max, points // 2 + 1)
             tau_max *= 2.0
         else:
@@ -395,38 +400,17 @@ def _search(stack, bound, cells: list[tuple], horizon: float, points: int, selec
     return peaks
 
 
-def _propagated_search(initial: XState, prop: EigenPropagator, cells: list[tuple],
-                       horizon: float, points: int, select, cutoff: float) -> np.ndarray:
-    """(len(select), N) maxima of the N cells of an EigenPropagator: frozen
-    cells keep the initial values, the others run _search on slices of prop."""
-    peaks = np.empty((len(select), len(cells)))
-    frozen = prop.routes == FROZEN
-    if frozen.any():
-        value = entanglement(initial)
-        peaks[:, frozen] = [[getattr(value, name)] for name in select]
-    live = np.flatnonzero(~frozen)
-
-    def sub(ks: np.ndarray) -> EigenPropagator:
-        return prop if ks.size == len(cells) else prop.take(live[ks])
-
-    pops0 = initial.populations()
-    peaks[:, live] = _search(lambda ks, work: _propagated_measures(initial, sub(ks), select, work),
-                             lambda ks, t: _propagated_bounds(initial, sub(ks), select, t, pops0),
-                             [cells[k] for k in live], horizon, points, select, cutoff=cutoff)
-    return peaks
-
-
 def _max_over_time(initial: XState, rates: RateStack, gray: float, cells: list[tuple],
                    select: tuple[str, ...] = BOTH,
                    cutoff: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
     """(len(select), N) maxima over Gamma0*tau of the measures named by
     `select` for the N cells of a RateStack, with grid coordinates `cells`
-    for errors, and the N propagation routes: _propagated_search on one
+    for errors, and the N propagation routes: _search on the stack's one
     EigenPropagator, 1201 points from Gamma0*tau = 20/gray, a cell stopping
-    above `cutoff` (see _search)."""
+    above `cutoff`."""
     prop = EigenPropagator(rates)
     horizon = 20.0 / gray if gray > 0.0 else 20.0
-    return _propagated_search(initial, prop, cells, horizon, 1201, select, cutoff), prop.routes
+    return _search(initial, prop, cells, horizon, 1201, select, cutoff=cutoff), prop.routes
 
 
 def thermal_scan(config: SweepConfig) -> SweepResult:
@@ -480,9 +464,9 @@ def _vacuum_max_over_time(initial: XState, mass_ratio: float, seps, measure: str
                           cutoff: float = math.inf):
     """Max over time of one measure in the vacuum at each separation in seps.
 
-    _propagated_search on the EigenPropagator of _vacuum_rates, the vacuum in
-    the decay exponent u = gray*Gamma0*tau (the closed-form cascade route),
-    1600 points from u = 40; a separation stops above `cutoff` (see _search).
+    _search on the EigenPropagator of _vacuum_rates, the vacuum in the decay
+    exponent u = gray*Gamma0*tau (the closed-form cascade route), 1600 points
+    from u = 40; a separation stops above `cutoff`.
     Needs gray > 0 and a measure name that generation_reach has checked.
     Returns a float for a scalar sep, else an array shaped like seps.
     """
@@ -490,7 +474,7 @@ def _vacuum_max_over_time(initial: XState, mass_ratio: float, seps, measure: str
     gray = gray_factor(mass_ratio, 1.0)
     prop = EigenPropagator(_vacuum_rates([spatial_factor(1.0, sep, gray) for sep in flat]))
     cells = [(None, float(sep)) for sep in flat]
-    out = _propagated_search(initial, prop, cells, 40.0, 1600, (measure,), cutoff)[0]
+    out = _search(initial, prop, cells, 40.0, 1600, (measure,), cutoff=cutoff)[0]
     return float(out[0]) if np.ndim(seps) == 0 else out.reshape(np.shape(seps))
 
 

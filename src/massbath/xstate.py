@@ -134,11 +134,13 @@ def from_product_basis(rho) -> XState:
     """Convert an X-form density matrix in the product basis {00,01,10,11}.
 
     Raises NonXFormError if any entry off the diagonal/anti-diagonal exceeds
-    1e-12, NotAStateError if the matrix is not Hermitian, unit trace and PSD.
+    1e-12, NotAStateError if the matrix is not finite, Hermitian, unit trace and PSD.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise NotAStateError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise NotAStateError("matrix has an entry that is not finite")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
         raise NotAStateError("matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > POP_TOL or abs(np.trace(rho).imag) > POP_TOL:
@@ -466,41 +468,36 @@ class EigenPropagator:
     def _planes(self, pops0: np.ndarray, rows: np.ndarray, out: np.ndarray,
                 scratch=(None, None)):
         """populations, unchecked, on time rows (N or 1, R, K) into the planes
-        out (4, N, R, K), returned. scratch holds two flat float buffers of
-        4 N R K or more, for the eigen modes and for a route's part of a mixed
-        stack (None: new ones)."""
+        out (4, N, R, K), returned: each route's formula on its generators,
+        into out itself on a one-route stack, else into that route's planes
+        in scratch[1], scattered into out. scratch holds two flat float
+        buffers of 4 N R K or more, for the eigen modes and for a route's
+        planes (None: new ones)."""
         for route, index in self._groups:
-            if index is None:  # one route: no index copies
-                self._fill(route, out, pops0, rows, scratch=scratch)
+            k = slice(None) if index is None else index  # one route: no index copies
+            planes = out if index is None else _carve(scratch[1], (4, index.size) + rows.shape[1:])
+            p0 = pops0 if pops0.ndim == 1 else pops0[k]
+            grid = rows if len(rows) == 1 else rows[k]
+            gens = self.rates.generator[k]
+            if route == FROZEN:
+                planes[...] = p0.T.reshape(4, -1, 1, 1)
+            elif route == CLOSED_FORM:
+                d_a, d_s = gens[:, 0, 1, None, None], gens[:, 0, 2, None, None]
+                _cascade(p0 if p0.ndim == 1 else p0.T[..., None, None], d_a, d_s, grid, planes)
+            elif route == EIGEN:
+                eigvals, eigvecs, inv = (part[k] for part in self._eig)
+                modes = _carve(scratch[0], planes.shape[1:3] + (4, grid.shape[-1]))
+                np.multiply(grid[:, :, None, :], eigvals[:, None, :, None], out=modes)
+                np.exp(modes, out=modes)
+                modes *= _apply(inv, p0)[:, None, :, None]
+                np.matmul(eigvecs[:, None], modes, out=planes.transpose(1, 2, 0, 3))
             else:
-                part = _carve(scratch[1], (4, index.size) + rows.shape[1:])
-                self._fill(route, part, pops0 if pops0.ndim == 1 else pops0[index],
-                           rows if len(rows) == 1 else rows[index], index, scratch)
-                out[:, index] = part
+                grids = np.broadcast_to(grid, (len(gens),) + grid.shape[1:])
+                p0 = np.broadcast_to(p0, (len(gens), 4))
+                planes[...] = np.moveaxis(_uniformized_populations(gens, p0, grids), -1, 0)
+            if index is not None:
+                out[:, index] = planes
         return out
-
-    def _fill(self, route: str, out: np.ndarray, pops0: np.ndarray, rows: np.ndarray,
-              index=slice(None), scratch=(None, None)) -> None:
-        """Write the populations of the generators at index, all on `route`,
-        into the planes out (4, n, R, K), from pops0 (4,) or (n, 4) on rows
-        (n or 1, R, K); scratch as for _planes."""
-        gens = self.rates.generator[index]
-        if route == FROZEN:
-            out[...] = pops0.T.reshape(4, -1, 1, 1)
-        elif route == CLOSED_FORM:
-            d_a, d_s = gens[:, 0, 1, None, None], gens[:, 0, 2, None, None]
-            _cascade(pops0 if pops0.ndim == 1 else pops0.T[..., None, None], d_a, d_s, rows, out)
-        elif route == EIGEN:
-            eigvals, eigvecs, inv = (part[index] for part in self._eig)
-            modes = _carve(scratch[0], out.shape[1:3] + (4, rows.shape[-1]))
-            np.multiply(rows[:, :, None, :], eigvals[:, None, :, None], out=modes)
-            np.exp(modes, out=modes)
-            modes *= _apply(inv, pops0)[:, None, :, None]
-            np.matmul(eigvecs[:, None], modes, out=out.transpose(1, 2, 0, 3))
-        else:
-            grids = np.broadcast_to(rows, (len(gens),) + rows.shape[1:])
-            pops0 = np.broadcast_to(pops0, (len(gens), 4))
-            out[...] = np.moveaxis(_uniformized_populations(gens, pops0, grids), -1, 0)
 
     def tail(self, pops0: np.ndarray, tau: float, weights: np.ndarray):
         """(center, radius), each (N, W): w·p(t) lies within center ± radius

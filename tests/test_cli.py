@@ -232,6 +232,28 @@ class TestEvolve:
         # temp-ratio came from the file
         assert table["a1"] / table["b1"] == pytest.approx(1.0 / math.tanh(1.0), rel=1e-11)
 
+    @pytest.mark.parametrize("argv, text", [
+        (["coeffs", "--config", "CFG", "--mass", "0.5", "--sep", "1"], "mass-ratio=0.9"),
+        (["coeffs", "--conf", "CFG", "--mass-ratio", "0.5", "--sep", "1"], "mass-ratio=0.9"),
+        (["evolve", "--config", "CFG", "--initial", "E", "--mass", "0.5"], "mass-ratio=0.9"),
+        (["map", "time-sep", "--config", "CFG", "--mass", "0.5", "--out", "OUT"], "mass-ratio=0.9"),
+        (["map", "temp-sep", "--config", "CFG", "--mass", "0.5", "--out", "OUT"], "mass-ratio=0.9"),
+        (["verify", "--config", "CFG", "--se", "1"], "seed=3"),
+    ], ids=["coeffs-flag", "coeffs-config", "evolve", "time-sep", "temp-sep", "verify"])
+    def test_abbreviated_flags_are_usage_errors(self, argv, text, capsys, tmp_path):
+        # The config merge matches flags by their full names, so a flag that
+        # argparse would expand from an abbreviation could lose to the file
+        # (m/omega = 0.9 here, a gray factor of 0.4359 against 0.8660), and an
+        # abbreviated --config would never read it.
+        config = tmp_path / "run.cfg"
+        config.write_text(text + "\n")
+        paths = {"CFG": str(config), "OUT": str(tmp_path / "map.csv")}
+        with pytest.raises(SystemExit) as info:
+            main([paths.get(token, token) for token in argv])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "map.csv").exists()
+
 
 class TestMap:
     def test_degenerate_grid_four_rows(self, capsys, tmp_path):

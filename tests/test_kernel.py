@@ -412,25 +412,36 @@ def _zoom_calls(brackets: int = 3) -> int:
 
 
 def _counted_passes(monkeypatch, search):
-    """search() under a stack whose measures record the cells they measure;
+    """search() with every propagator's cells tagged by their index in the
+    propagator it was built as (through __init__, kept by take) and every
+    measures call of _propagated_measures recording the cells it measures;
     returns its result and each cell's number of passes."""
     calls = []
-    original = experiments._search
+    init, take = EigenPropagator.__init__, EigenPropagator.take
+    propagated_measures = experiments._propagated_measures
 
-    def counted_search(stack, *args, **kwargs):
-        def counted_stack(ks, work):
-            measures = stack(ks, work)
+    def tagged_init(self, rates):
+        init(self, rates)
+        self.cell_ids = np.arange(len(self.routes))
 
-            def counted(taus):
-                calls.append(ks.tolist())
-                return measures(taus)
+    def tagged_take(self, index):
+        sub = take(self, index)
+        sub.cell_ids = self.cell_ids[index]
+        return sub
 
-            return counted
+    def counted_measures(initial, prop, select, work):
+        measures = propagated_measures(initial, prop, select, work)
 
-        return original(counted_stack, *args, **kwargs)
+        def counted(taus):
+            calls.append(prop.cell_ids)
+            return measures(taus)
+
+        return counted
 
     with monkeypatch.context() as patch:
-        patch.setattr(experiments, "_search", counted_search)
+        patch.setattr(EigenPropagator, "__init__", tagged_init)
+        patch.setattr(EigenPropagator, "take", tagged_take)
+        patch.setattr(experiments, "_propagated_measures", counted_measures)
         got = search()
     per_call = 1 + _zoom_calls()  # a grid and the calls of its refinement
     assert len(calls) % per_call == 0
@@ -723,6 +734,23 @@ def test_certificate_keeps_every_bit(monkeypatch):
         totals += passes.sum(), want_passes.sum()
     assert all(np.array_equal(a, b) for a, b in zip(routes[::2], routes[1::2]))
     assert totals[0] < totals[1]
+
+
+@pytest.mark.parametrize("initial, retired", [
+    (XState.excited(), [0, 572, 228]),
+    (XState.bell_ge(), [0, 799, 1]),
+], ids=["E", "bell-GE"])
+def test_default_temp_sep_map_passes_per_cell(initial, retired, monkeypatch):
+    # The default `map temp-sep` grids at m/omega = 0.9: how many of the 800
+    # cells retire after one pass and after two, as the README quotes them.
+    config = SweepConfig(
+        mass_ratio=0.9,
+        initial=initial,
+        sep_axis=GridAxis(0.05, 20.0, 40),
+        temp_axis=GridAxis(0.02, 0.4, 20),
+    )
+    _, passes = _counted_passes(monkeypatch, lambda: thermal_scan(config).concurrence.ravel())
+    assert np.bincount(passes).tolist() == retired
 
 
 def test_zoom_refines_every_bracket_in_two_calls():

@@ -160,6 +160,21 @@ class TestBasisChange:
         with pytest.raises(NotAStateError):
             from_product_basis(np.eye(4, dtype=complex))  # trace 4
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("where", ["all", "diagonal", "off-x"])
+    def test_non_finite_entries_are_not_a_state(self, bad, where):
+        # NaN fails no comparison of the later checks, and eigvalsh raises
+        # LinAlgError on it, so finiteness is checked first.
+        rho = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+        if where == "all":
+            rho[...] = bad
+        elif where == "diagonal":
+            rho[1, 1] = bad
+        else:
+            rho[0, 1] = rho[1, 0] = bad
+        with pytest.raises(NotAStateError, match="not finite"):
+            from_product_basis(rho)
+
 
 class TestRateMatrix:
     def test_zero_coefficients_freeze(self):
