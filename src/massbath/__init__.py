@@ -60,7 +60,6 @@ from .experiments import (
     CoefficientCheck,
     GridAxis,
     SuiteResult,
-    SweepConfig,
     SweepResult,
     enlargement_factor,
     evolve_scan,

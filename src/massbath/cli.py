@@ -26,12 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import MassbathError, NotAStateError, SweepCellError
+from .errors import MassbathError, NotAStateError
 from .field_bath import FieldBathConfig, coefficients, gray_factor, spatial_factor
 from .measures import _coherence_parts, _measures_arrays
 from .experiments import (
     GridAxis,
-    SweepConfig,
     evolve_scan,
     run_verification,
     thermal_scan,
@@ -262,19 +261,12 @@ def _write_map(result, command: str, params: dict, out: str) -> int:
 
 
 def cmd_map_time_sep(args) -> int:
-    initial = parse_initial(args.initial)
-    config = SweepConfig(
-        mass_ratio=args.mass_ratio,
-        initial=initial,
-        sep_axis=_axis_from_args(args, "sep"),
-        tau_axis=_axis_from_args(args, "tau"),
-        temp_ratio=args.temp_ratio,
+    # Both map commands check the state, the separation axis, the other axis
+    # and then the bath, so a line with several bad inputs names the first.
+    initial, sep_axis = parse_initial(args.initial), _axis_from_args(args, "sep")
+    result = evolve_scan(
+        args.mass_ratio, initial, args.temp_ratio, _axis_from_args(args, "tau"), sep_axis
     )
-    try:
-        result = evolve_scan(config)
-    except SweepCellError as exc:
-        print(f"sweep cell failed: {exc}", file=sys.stderr)
-        return 3
     params = {
         "initial": args.initial,
         "mass-ratio": args.mass_ratio,
@@ -286,18 +278,8 @@ def cmd_map_time_sep(args) -> int:
 
 
 def cmd_map_temp_sep(args) -> int:
-    initial = parse_initial(args.initial)
-    config = SweepConfig(
-        mass_ratio=args.mass_ratio,
-        initial=initial,
-        sep_axis=_axis_from_args(args, "sep"),
-        temp_axis=_axis_from_args(args, "temp"),
-    )
-    try:
-        result = thermal_scan(config)
-    except SweepCellError as exc:
-        print(f"sweep cell failed: {exc}", file=sys.stderr)
-        return 3
+    initial, sep_axis = parse_initial(args.initial), _axis_from_args(args, "sep")
+    result = thermal_scan(args.mass_ratio, initial, _axis_from_args(args, "temp"), sep_axis)
     params = {
         "initial": args.initial,
         "mass-ratio": args.mass_ratio,

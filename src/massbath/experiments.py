@@ -56,7 +56,6 @@ from .xstate import (
 
 __all__ = [
     "GridAxis",
-    "SweepConfig",
     "SweepResult",
     "evolve_scan",
     "thermal_scan",
@@ -109,31 +108,9 @@ class GridAxis:
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    """Parameters of a sweep over (Gamma0*tau, omega*L) or (T/omega, omega*L).
-
-    evolve_scan (instantaneous values, time-separation maps) needs tau_axis,
-    with temp_ratio fixing an optional common bath temperature; thermal_scan
-    (max over time, temperature-separation maps) needs temp_axis.
-    """
-
-    mass_ratio: float
-    initial: XState
-    sep_axis: GridAxis
-    tau_axis: GridAxis | None = None
-    temp_axis: GridAxis | None = None
-    temp_ratio: float | None = None
-
-    def __post_init__(self):
-        # Rejects a bath that no cell could take before any cell runs.
-        FieldBathConfig.from_ratios(self.mass_ratio, 0.0, self.temp_ratio)
-
-
-@dataclass(frozen=True)
 class SweepResult:
     """Grid of measure values; rows follow axis1, columns axis2 (omega*L)."""
 
-    config: SweepConfig
     axis1: np.ndarray
     axis2: np.ndarray
     concurrence: np.ndarray
@@ -141,8 +118,8 @@ class SweepResult:
     method: np.ndarray
 
 
-def _separations(config: SweepConfig) -> np.ndarray:
-    seps = config.sep_axis.values()
+def _separations(sep_axis: GridAxis) -> np.ndarray:
+    seps = sep_axis.values()
     if seps[0] < 0.0:
         raise ValueError(f"omega*L must be >= 0, got {seps[0]}")
     return seps
@@ -216,18 +193,17 @@ def _time_sep_measures(mass_ratio: float, temp_ratio: float | None, initial: XSt
     return out[0].T, out[1].T, prop.routes
 
 
-def evolve_scan(config: SweepConfig) -> SweepResult:
-    """Instantaneous measure values over a (Gamma0*tau, omega*L) grid."""
-    if config.tau_axis is None:
-        raise ValueError("evolve_scan requires a tau_axis")
-    taus = config.tau_axis.values()
-    seps = _separations(config)
+def evolve_scan(mass_ratio: float, initial: XState, temp_ratio: float | None,
+                tau_axis: GridAxis, sep_axis: GridAxis) -> SweepResult:
+    """Instantaneous measure values over a (Gamma0*tau, omega*L) grid, in a
+    vacuum (temp_ratio None) or a bath at one T/omega. A bath no cell could
+    take raises ValueError before any cell runs."""
+    FieldBathConfig.from_ratios(mass_ratio, 0.0, temp_ratio)
+    taus, seps = tau_axis.values(), _separations(sep_axis)
     if taus[0] < 0.0:
         raise ValueError(f"Gamma0*tau must be >= 0, got {taus[0]}")
-    conc, neg, routes = _time_sep_measures(
-        config.mass_ratio, config.temp_ratio, config.initial, seps, taus
-    )
-    return SweepResult(config, taus, seps, conc, neg, np.tile(routes, (taus.size, 1)))
+    conc, neg, routes = _time_sep_measures(mass_ratio, temp_ratio, initial, seps, taus)
+    return SweepResult(taus, seps, conc, neg, np.tile(routes, (taus.size, 1)))
 
 
 def _grid_peaks(values: np.ndarray, grid: np.ndarray):
@@ -413,27 +389,26 @@ def _max_over_time(initial: XState, rates: RateStack, gray: float, cells: list[t
     return _search(initial, prop, cells, horizon, 1201, select, cutoff=cutoff), prop.routes
 
 
-def thermal_scan(config: SweepConfig) -> SweepResult:
+def thermal_scan(mass_ratio: float, initial: XState, temp_axis: GridAxis,
+                 sep_axis: GridAxis) -> SweepResult:
     """Max-over-time measure values over a (T/omega, omega*L) grid.
 
-    Both measures are always computed. Raises ValueError for T/omega <= 0 or
-    omega*L < 0 before any cell runs; a failing cell raises SweepCellError or
-    NonConvergedMaxError carrying its (T/omega, omega*L).
+    Both measures are always computed. Raises ValueError for a bad mass,
+    T/omega <= 0 or omega*L < 0 before any cell runs; a failing cell raises
+    SweepCellError or NonConvergedMaxError carrying its (T/omega, omega*L).
     """
-    if config.temp_axis is None:
-        raise ValueError("thermal_scan requires a temp_axis")
-    temps = config.temp_axis.values()
-    seps = _separations(config)
+    FieldBathConfig.from_ratios(mass_ratio, 0.0)
+    temps, seps = temp_axis.values(), _separations(sep_axis)
     if not temps[0] > 0.0:
         raise ValueError(f"T/omega must be > 0, got {temps[0]}")
-    gray = gray_factor(config.mass_ratio, 1.0)
+    gray = gray_factor(mass_ratio, 1.0)
     cell_temps, cell_seps = np.repeat(temps, seps.size), np.tile(seps, temps.size)
     cells = list(zip(cell_temps.tolist(), cell_seps.tolist()))
-    rates = _cell_rates(config.mass_ratio, cell_seps, cell_temps)
-    peaks, routes = _max_over_time(config.initial, rates, gray, cells)
+    rates = _cell_rates(mass_ratio, cell_seps, cell_temps)
+    peaks, routes = _max_over_time(initial, rates, gray, cells)
     shape = (temps.size, seps.size)
     conc, neg = peaks.reshape((2,) + shape)
-    return SweepResult(config, temps, seps, conc, neg, routes.reshape(shape))
+    return SweepResult(temps, seps, conc, neg, routes.reshape(shape))
 
 
 def scaling_check(
@@ -453,8 +428,8 @@ def scaling_check(
         raise ValueError(f"mass_ratio must lie in [0, 1), got {mass_ratio}")
     gray = gray_factor(mass_ratio, 1.0)
     # A sweep's own checks reject a bad bath or separation before any cell.
-    config = SweepConfig(mass_ratio, initial, sep_axis, tau_axis, temp_ratio=temp_ratio)
-    seps, taus = _separations(config), tau_axis.values()
+    FieldBathConfig.from_ratios(mass_ratio, 0.0, temp_ratio)
+    seps, taus = _separations(sep_axis), tau_axis.values()
     massive = _time_sep_measures(mass_ratio, temp_ratio, initial, seps, taus)[:2]
     massless = _time_sep_measures(0.0, temp_ratio, initial, gray * seps, gray * taus)[:2]
     return float(np.max(np.abs(np.subtract(massive, massless))))

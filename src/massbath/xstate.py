@@ -800,9 +800,11 @@ def _ode_system(initials: Sequence[XState], rates: Sequence[RateMatrix] | RateSt
 def _ode_times(tau_ends: Sequence[float], tol: float) -> np.ndarray:
     """tau_ends as an array, once they and tol are checked."""
     tau_ends = np.asarray(tau_ends, dtype=float)
-    bad = np.flatnonzero(~(tau_ends > 0.0))
+    bad = np.flatnonzero(~((tau_ends > 0.0) & (tau_ends < math.inf)))
     if bad.size:
-        raise ValueError(f"tau_end must be > 0, got {tau_ends[bad[0]]} (system {bad[0]})")
+        raise ValueError(
+            f"tau_end must be finite and > 0, got {tau_ends[bad[0]]} (system {bad[0]})"
+        )
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError(f"tol must lie in [1e-13, 1e-6], got {tol}")
     return tau_ends

@@ -13,7 +13,6 @@ from massbath import (
     EigenPropagator,
     FieldBathConfig,
     GridAxis,
-    SweepConfig,
     XState,
     build_rate_matrix,
     coefficients,
@@ -232,6 +231,18 @@ class TestEvolve:
         # temp-ratio came from the file
         assert table["a1"] / table["b1"] == pytest.approx(1.0 / math.tanh(1.0), rel=1e-11)
 
+    def test_config_file_holds_flags_of_its_own_subcommand_only(self, capsys, tmp_path):
+        # Every key becomes a flag of the subcommand the file is passed to, so
+        # verify's seed is an unrecognized argument of coeffs.
+        config = tmp_path / "run.cfg"
+        config.write_text("mass-ratio=0.6\nsep=1.0\nseed=0\n")
+        with pytest.raises(SystemExit) as info:
+            main(["coeffs", "--config", str(config)])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --seed 0" in err
+
     @pytest.mark.parametrize("argv, text", [
         (["coeffs", "--config", "CFG", "--mass", "0.5", "--sep", "1"], "mass-ratio=0.9"),
         (["coeffs", "--conf", "CFG", "--mass-ratio", "0.5", "--sep", "1"], "mass-ratio=0.9"),
@@ -280,10 +291,9 @@ class TestMap:
             capsys,
         )
         assert code == 0
-        result = evolve_scan(SweepConfig(
-            mass_ratio=0.4, initial=XState.bell_ge(), temp_ratio=0.3,
-            tau_axis=GridAxis(0.05, 20.0, 3), sep_axis=GridAxis(0.05, 20.0, 2),
-        ))
+        result = evolve_scan(
+            0.4, XState.bell_ge(), 0.3, GridAxis(0.05, 20.0, 3), GridAxis(0.05, 20.0, 2)
+        )
         expected = [MAP_HEADER] + [
             ",".join((repr(float(tau)), repr(float(sep)),
                       repr(float(result.concurrence[i, j])),
@@ -563,7 +573,7 @@ class TestNumericalFailureExit:
         import massbath.cli as cli
         from massbath.errors import SweepCellError
 
-        def boom(config):
+        def boom(*args):
             raise SweepCellError("sweep failed at separation 1.0", axis2=1.0)
 
         monkeypatch.setattr(cli, "evolve_scan", boom)
@@ -573,6 +583,8 @@ class TestNumericalFailureExit:
         )
         assert code == 3
         assert "separation 1.0" in err
+        # main's MassbathError handler prints it; the map commands have none.
+        assert err == "error: sweep failed at separation 1.0\n"
 
     def test_non_positive_temperature_exits_2(self, capsys, tmp_path):
         out = tmp_path / "t.csv"

@@ -10,7 +10,6 @@ from massbath import (
     NoGenerationError,
     NonConvergedMaxError,
     SweepCellError,
-    SweepConfig,
     XState,
     build_rate_matrix,
     closed_form_state,
@@ -64,76 +63,59 @@ class TestGridAxis:
 
 
 class TestEvolveScan:
-    def make_config(self, mass_ratio, initial=None, temp_ratio=None, seps=None):
-        return SweepConfig(
-            mass_ratio=mass_ratio,
-            initial=initial or XState.excited(),
-            tau_axis=GridAxis(0.1, 8.0, 12),
-            sep_axis=seps or GridAxis(0.2, 6.0, 10),
-            temp_ratio=temp_ratio,
+    def scan(self, mass_ratio, initial=None, temp_ratio=None, seps=None):
+        return evolve_scan(
+            mass_ratio, initial or XState.excited(), temp_ratio,
+            GridAxis(0.1, 8.0, 12), seps or GridAxis(0.2, 6.0, 10),
         )
 
     def test_frozen_grid_is_zero(self):
-        result = evolve_scan(self.make_config(1.2))
+        result = self.scan(1.2)
         assert np.all(result.concurrence == 0.0)
         assert np.all(result.negativity == 0.0)
         assert np.all(result.method == "frozen")
 
     def test_generation_occurs_at_subwavelength(self):
-        config = SweepConfig(
-            mass_ratio=0.0,
-            initial=XState.excited(),
-            tau_axis=GridAxis(0.5, 10.0, 30),
-            sep_axis=GridAxis(0.5, 1.5, 3),
+        result = evolve_scan(
+            0.0, XState.excited(), None, GridAxis(0.5, 10.0, 30), GridAxis(0.5, 1.5, 3)
         )
-        result = evolve_scan(config)
         assert result.concurrence.max() > 1e-3
 
     def test_mass_rescaling_cell_by_cell(self):
         gray = gray_factor(0.995, 1.0)
         taus = GridAxis(0.5, 60.0, 8)
         seps = GridAxis(0.5, 12.0, 6)
-        massive = evolve_scan(
-            SweepConfig(
-                mass_ratio=0.995,
-                initial=XState.excited(),
-                tau_axis=taus,
-                sep_axis=seps,
-            )
-        )
+        massive = evolve_scan(0.995, XState.excited(), None, taus, seps)
         massless = evolve_scan(
-            SweepConfig(
-                mass_ratio=0.0,
-                initial=XState.excited(),
-                tau_axis=GridAxis(0.5 * gray, 60.0 * gray, 8),
-                sep_axis=GridAxis(0.5 * gray, 12.0 * gray, 6),
-            )
+            0.0,
+            XState.excited(),
+            None,
+            GridAxis(0.5 * gray, 60.0 * gray, 8),
+            GridAxis(0.5 * gray, 12.0 * gray, 6),
         )
         assert np.max(np.abs(massive.concurrence - massless.concurrence)) < 1e-12
         assert np.max(np.abs(massive.negativity - massless.negativity)) < 1e-12
 
     def test_deterministic(self):
-        config = self.make_config(0.4, temp_ratio=0.2)
-        first = evolve_scan(config)
-        second = evolve_scan(config)
+        first = self.scan(0.4, temp_ratio=0.2)
+        second = self.scan(0.4, temp_ratio=0.2)
         assert np.array_equal(first.concurrence, second.concurrence)
         assert np.array_equal(first.negativity, second.negativity)
 
     def test_methods_recorded(self):
-        result = evolve_scan(self.make_config(0.0))
+        result = self.scan(0.0)
         assert set(np.unique(result.method)) <= {"closed_form", "eigen", "frozen"}
         assert np.all(result.method == "closed_form")
-        thermal = evolve_scan(self.make_config(0.0, temp_ratio=0.5))
+        thermal = self.scan(0.0, temp_ratio=0.5)
         assert np.all(thermal.method == "eigen")
 
     def test_requires_tau_axis(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="tau_axis"):
             evolve_scan(
-                SweepConfig(
-                    mass_ratio=0.0,
-                    initial=XState.excited(),
-                    sep_axis=GridAxis(0.1, 1.0, 3),
-                )
+                mass_ratio=0.0,
+                initial=XState.excited(),
+                temp_ratio=None,
+                sep_axis=GridAxis(0.1, 1.0, 3),
             )
 
     @pytest.mark.parametrize(
@@ -153,9 +135,7 @@ class TestEvolveScan:
             initial = random_xstate(np.random.default_rng(11))
         else:
             initial = getattr(XState, kind)()
-        result = evolve_scan(self.make_config(
-            mass, initial, temp_ratio=temp, seps=GridAxis(sep_min, 3.0, 8)
-        ))
+        result = self.scan(mass, initial, temp_ratio=temp, seps=GridAxis(sep_min, 3.0, 8))
         assert set(result.method.ravel()) == routes
         for j, sep in enumerate(result.axis2):
             config = FieldBathConfig.from_ratios(mass, sep, temp)
@@ -173,12 +153,10 @@ class TestEvolveScan:
     def test_separation_blocks_give_the_one_block_map(self, monkeypatch, block):
         """MAP_BLOCK // 12 taus separations per call (at least one), which
         splits the thermal map's expm and eigen columns across calls."""
-        config = self.make_config(
-            0.9, XState.bell_ge(), temp_ratio=0.028, seps=GridAxis(0.065, 3.0, 8)
-        )
-        whole = evolve_scan(config)
+        args = (0.9, XState.bell_ge(), 0.028, GridAxis(0.065, 3.0, 8))
+        whole = self.scan(*args)
         monkeypatch.setattr(experiments, "MAP_BLOCK", block)
-        blocked = evolve_scan(config)
+        blocked = self.scan(*args)
         for name in ("concurrence", "negativity", "method"):
             assert np.array_equal(getattr(blocked, name), getattr(whole, name))
 
@@ -197,20 +175,17 @@ class TestSweepCellErrors:
 
         monkeypatch.setattr(experiments, "spatial_factor", spatial_factor)
 
-    def config(self, **axis):
-        return SweepConfig(
-            mass_ratio=0.6, initial=XState.excited(), sep_axis=GridAxis(0.5, 2.0, 4), **axis
-        )
+    SEPS = GridAxis(0.5, 2.0, 4)
 
     def test_time_sep_names_the_separation(self):
         with pytest.raises(SweepCellError, match="separation 1.5: injected") as info:
-            evolve_scan(self.config(tau_axis=GridAxis(0.0, 5.0, 6), temp_ratio=0.2))
+            evolve_scan(0.6, XState.excited(), 0.2, GridAxis(0.0, 5.0, 6), self.SEPS)
         assert (info.value.axis1, info.value.axis2) == (None, 1.5)
         assert isinstance(info.value.__cause__, FloatingPointError)
 
     def test_temp_sep_names_the_cell(self):
         with pytest.raises(SweepCellError, match=r"\(T/omega=0.1, omega\*L=1.5\)") as info:
-            thermal_scan(self.config(temp_axis=GridAxis(0.1, 0.2, 2)))
+            thermal_scan(0.6, XState.excited(), GridAxis(0.1, 0.2, 2), self.SEPS)
         assert (info.value.axis1, info.value.axis2) == (0.1, 1.5)
         assert isinstance(info.value.__cause__, FloatingPointError)
 
@@ -226,20 +201,17 @@ class TestOverflowingCell:
     """At T/omega = 1e308, coth(omega/2T) overflows and a1 = inf: a cell that
     fails for real, with nothing patched."""
 
-    def config(self, **axis):
-        return SweepConfig(
-            mass_ratio=0.6, initial=XState.excited(), sep_axis=GridAxis(0.5, 2.0, 4), **axis
-        )
+    SEPS = GridAxis(0.5, 2.0, 4)
 
     def test_temp_sep_names_the_first_failing_cell(self):
         with pytest.raises(SweepCellError, match=r"\(T/omega=1e\+308, omega\*L=0.5\)") as info:
-            thermal_scan(self.config(temp_axis=GridAxis(0.1, 1e308, 2)))
+            thermal_scan(0.6, XState.excited(), GridAxis(0.1, 1e308, 2), self.SEPS)
         assert (info.value.axis1, info.value.axis2) == (1e308, 0.5)
         assert isinstance(info.value.__cause__, ValueError)
 
     def test_time_sep_names_the_first_separation(self):
         with pytest.raises(SweepCellError, match="separation 0.5: rates must be finite") as info:
-            evolve_scan(self.config(tau_axis=GridAxis(0.0, 5.0, 6), temp_ratio=1e308))
+            evolve_scan(0.6, XState.excited(), 1e308, GridAxis(0.0, 5.0, 6), self.SEPS)
         assert (info.value.axis1, info.value.axis2) == (None, 0.5)
         assert isinstance(info.value.__cause__, ValueError)
 
@@ -280,45 +252,23 @@ class TestCellRates:
 
 class TestThermalScan:
     def test_zero_temperature_limit_matches_vacuum(self):
-        config = SweepConfig(
-            mass_ratio=0.0,
-            initial=XState.excited(),
-            sep_axis=GridAxis(0.5, 2.0, 3),
-            temp_axis=GridAxis(0.01, 0.014, 2),
+        result = thermal_scan(
+            0.0, XState.excited(), GridAxis(0.01, 0.014, 2), GridAxis(0.5, 2.0, 3)
         )
-        result = thermal_scan(config)
         for j, sep in enumerate(result.axis2):
             vacuum_max = _vacuum_max_over_time(XState.excited(), 0.0, sep, "concurrence")
             assert result.concurrence[0, j] == pytest.approx(vacuum_max, abs=2e-4)
 
     def test_high_temperature_kills_generation(self):
-        config = SweepConfig(
-            mass_ratio=0.0,
-            initial=XState.excited(),
-            sep_axis=GridAxis(0.2, 4.0, 6),
-            temp_axis=GridAxis(0.5, 1.0, 2),
-        )
-        result = thermal_scan(config)
+        result = thermal_scan(0.0, XState.excited(), GridAxis(0.5, 1.0, 2), GridAxis(0.2, 4.0, 6))
         assert result.concurrence.max() < 1e-3
 
     def test_mass_rescales_separation_axis(self):
         gray = gray_factor(0.8, 1.0)
         temp_axis = GridAxis(0.05, 0.15, 2)
-        massive = thermal_scan(
-            SweepConfig(
-                mass_ratio=0.8,
-                initial=XState.excited(),
-                sep_axis=GridAxis(1.0, 3.0, 3),
-                temp_axis=temp_axis,
-            )
-        )
+        massive = thermal_scan(0.8, XState.excited(), temp_axis, GridAxis(1.0, 3.0, 3))
         massless = thermal_scan(
-            SweepConfig(
-                mass_ratio=0.0,
-                initial=XState.excited(),
-                sep_axis=GridAxis(gray, 3.0 * gray, 3),
-                temp_axis=temp_axis,
-            )
+            0.0, XState.excited(), temp_axis, GridAxis(gray, 3.0 * gray, 3)
         )
         assert np.max(np.abs(massive.concurrence - massless.concurrence)) < 1e-6
 
@@ -458,6 +408,22 @@ class TestCutoffDecidedSearches:
         # omega*L = 1.25 (1.28e-3), and the coarse value is the fine one.
         coarse = np.geomspace(0.05, 6.0, 6)
         assert thermal_generation_threshold(sep_values=coarse) == 0.2318359375
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the log-separation zoom brackets the argmax of grid maxima that are "
+        "all roundoff near the threshold, so the coarse threshold moves with "
+        "the mass (0.2271484375 at m/omega = 0.5, 0.2283203125 at 0.9); "
+        "mended by maximizing the signed margin (ROADMAP item 4)"))
+    def test_coarse_threshold_is_independent_of_the_mass(self):
+        # The same six separations in units of 1/gray at every mass; the
+        # default 24-separation grid gives 0.2318359375 at every mass.
+        coarse = np.geomspace(0.05, 6.0, 6)
+        massless = thermal_generation_threshold(0.0, sep_values=coarse)
+        massive = {
+            mass: thermal_generation_threshold(mass, sep_values=coarse / gray_factor(mass, 1.0))
+            for mass in (0.5, 0.9)
+        }
+        assert massive == {0.5: massless, 0.9: massless}
 
     def test_reach_and_enlargement_values(self):
         expected = {

@@ -20,7 +20,6 @@ from massbath import (
     GklsCoefficients,
     GridAxis,
     NonConvergedMaxError,
-    SweepConfig,
     XState,
     build_rate_matrix,
     coefficients,
@@ -249,17 +248,11 @@ def test_cell_value_independent_of_block_and_neighbours(monkeypatch):
     assert np.max(np.abs(together - reversed_order)) <= 1e-12
     # The search's blocks hold MAP_BLOCK // points cells: one cell per block,
     # then every cell in one block.
-    config = SweepConfig(
-        mass_ratio=0.9,
-        initial=initial,
-        sep_axis=GridAxis(0.5, 6.0, 4),
-        temp_axis=GridAxis(0.05, 0.3, 3),
-    )
     seps = np.arange(1, 521) * 0.05 / gray_factor(0.9, 1.0)
     maps, scans = [], []
     for budget in (1, 1 << 30):
         monkeypatch.setattr(experiments, "MAP_BLOCK", budget)
-        result = thermal_scan(config)
+        result = thermal_scan(0.9, initial, GridAxis(0.05, 0.3, 3), GridAxis(0.5, 6.0, 4))
         maps.append(np.stack([result.concurrence, result.negativity]))
         scans.append(_vacuum_max_over_time(initial, 0.9, seps, "concurrence"))
     assert np.array_equal(maps[0], maps[1])
@@ -276,13 +269,7 @@ def test_search_blocks_stay_within_the_samples_budget(monkeypatch):
         return planes(self, pops0, rows, *args)
 
     monkeypatch.setattr(EigenPropagator, "_planes", recorded)
-    config = SweepConfig(
-        mass_ratio=0.5,
-        initial=XState.excited(),
-        sep_axis=GridAxis(0.05, 20.0, 40, "log"),
-        temp_axis=GridAxis(0.02, 0.4, 20),
-    )
-    thermal_scan(config)
+    thermal_scan(0.5, XState.excited(), GridAxis(0.02, 0.4, 20), GridAxis(0.05, 20.0, 40, "log"))
     assert max(sizes) <= experiments.MAP_BLOCK
     # The first pass fills blocks of MAP_BLOCK // 1201 cells.
     assert max(sizes) == (experiments.MAP_BLOCK // 1201) * 1201
@@ -336,26 +323,14 @@ def test_vacuum_non_converged_separation_is_named(monkeypatch):
 
 def test_thermal_scan_names_non_converged_cell(monkeypatch):
     monkeypatch.setattr(experiments, "MAX_DOUBLINGS", 1)
-    config = SweepConfig(
-        mass_ratio=0.0,
-        initial=XState.excited(),
-        sep_axis=GridAxis(1.0, 2.0, 2),
-        temp_axis=GridAxis(0.1, 0.2, 2),
-    )
     with pytest.raises(NonConvergedMaxError) as info:
-        thermal_scan(config)
+        thermal_scan(0.0, XState.excited(), GridAxis(0.1, 0.2, 2), GridAxis(1.0, 2.0, 2))
     assert (info.value.axis1, info.value.axis2) == (0.1, 1.0)
 
 
 def test_thermal_scan_rejects_non_positive_temperature():
-    config = SweepConfig(
-        mass_ratio=0.0,
-        initial=XState.excited(),
-        sep_axis=GridAxis(1.0, 2.0, 2),
-        temp_axis=GridAxis(-0.1, 0.2, 2),
-    )
     with pytest.raises(ValueError, match="T/omega"):
-        thermal_scan(config)
+        thermal_scan(0.0, XState.excited(), GridAxis(-0.1, 0.2, 2), GridAxis(1.0, 2.0, 2))
 
 
 # One initial state of each kind for the measure-selector tests: no
@@ -743,13 +718,8 @@ def test_certificate_keeps_every_bit(monkeypatch):
 def test_default_temp_sep_map_passes_per_cell(initial, retired, monkeypatch):
     # The default `map temp-sep` grids at m/omega = 0.9: how many of the 800
     # cells retire after one pass and after two, as the README quotes them.
-    config = SweepConfig(
-        mass_ratio=0.9,
-        initial=initial,
-        sep_axis=GridAxis(0.05, 20.0, 40),
-        temp_axis=GridAxis(0.02, 0.4, 20),
-    )
-    _, passes = _counted_passes(monkeypatch, lambda: thermal_scan(config).concurrence.ravel())
+    grid = (0.9, initial, GridAxis(0.02, 0.4, 20), GridAxis(0.05, 20.0, 40))
+    _, passes = _counted_passes(monkeypatch, lambda: thermal_scan(*grid).concurrence.ravel())
     assert np.bincount(passes).tolist() == retired
 
 

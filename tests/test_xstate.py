@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ from massbath import (
     to_product_basis,
     vacuum_coefficients,
 )
+import massbath
 from massbath.xstate import (
     CLOSED_FORM,
     EIGEN,
@@ -750,6 +755,33 @@ class TestIntegrateOde:
             integrate_ode(XState.excited(), rates, 1.0, tol=1e-14)
         with pytest.raises(ValueError):
             integrate_ode(XState.excited(), rates, 0.0)
+
+    def test_infinite_end_is_rejected_not_integrated(self):
+        # In a child with a timeout, so an oracle that steps towards
+        # tau_end = inf fails this test instead of hanging the suite.
+        child = textwrap.dedent("""
+            import math
+            from massbath import (FieldBathConfig, XState, build_rate_matrix,
+                                  coefficients, integrate_ode, integrate_ode_many)
+            rates = build_rate_matrix(coefficients(FieldBathConfig.from_ratios(0.5, 1.0)))
+            calls = [lambda: integrate_ode(XState.excited(), rates, math.inf),
+                     lambda: integrate_ode_many([XState.excited()] * 2, [rates] * 2,
+                                                [1.0, math.inf])]
+            for call in calls:
+                try:
+                    call()
+                except ValueError as exc:
+                    print(exc)
+        """)
+        src = os.path.dirname(os.path.dirname(massbath.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                             text=True, timeout=30, check=True).stdout
+        assert out.splitlines() == [
+            "tau_end must be finite and > 0, got inf (system 0)",
+            "tau_end must be finite and > 0, got inf (system 1)",
+        ]
 
 
 class TestTrajectory:
