@@ -58,7 +58,6 @@ from .measures import (
 )
 from .experiments import (
     CoefficientCheck,
-    GridAxis,
     SuiteResult,
     SweepResult,
     enlargement_factor,

@@ -29,12 +29,7 @@ from . import __version__
 from .errors import MassbathError, NotAStateError
 from .field_bath import FieldBathConfig, coefficients, gray_factor, spatial_factor
 from .measures import _coherence_parts, _measures_arrays
-from .experiments import (
-    GridAxis,
-    evolve_scan,
-    run_verification,
-    thermal_scan,
-)
+from .experiments import evolve_scan, run_verification, thermal_scan
 from .xstate import XState, build_rate_matrix, eigen_trajectory
 
 EVOLVE_HEADER = (
@@ -238,13 +233,21 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def _axis_from_args(args, prefix: str) -> GridAxis:
-    return GridAxis(
-        start=getattr(args, f"{prefix}_min"),
-        stop=getattr(args, f"{prefix}_max"),
-        count=getattr(args, f"{prefix}_count"),
-        scale=getattr(args, f"{prefix}_scale"),
-    )
+def _grid_from_args(args, prefix: str) -> np.ndarray:
+    """np.linspace, or np.geomspace on the log scale, from the flags
+    --{prefix}-{min,max,count,scale}; a bad flag raises ValueError naming it."""
+    start, stop, count, scale = (getattr(args, f"{prefix}_{key}")
+                                 for key in ("min", "max", "count", "scale"))
+    if count < 2:
+        raise ValueError(f"--{prefix}-count must be >= 2, got {count}")
+    for key, value in (("min", start), ("max", stop)):
+        if not np.isfinite(value):
+            raise ValueError(f"--{prefix}-{key} must be finite, got {value}")
+    if not start < stop:
+        raise ValueError(f"--{prefix}-min must be < --{prefix}-max, got {start}, {stop}")
+    if scale == "log" and start <= 0.0:
+        raise ValueError(f"--{prefix}-scale log requires --{prefix}-min > 0, got {start}")
+    return (np.geomspace if scale == "log" else np.linspace)(start, stop, count)
 
 
 def _write_map(result, command: str, params: dict, out: str) -> int:
@@ -263,9 +266,9 @@ def _write_map(result, command: str, params: dict, out: str) -> int:
 def cmd_map_time_sep(args) -> int:
     # Both map commands check the state, the separation axis, the other axis
     # and then the bath, so a line with several bad inputs names the first.
-    initial, sep_axis = parse_initial(args.initial), _axis_from_args(args, "sep")
+    initial, seps = parse_initial(args.initial), _grid_from_args(args, "sep")
     result = evolve_scan(
-        args.mass_ratio, initial, args.temp_ratio, _axis_from_args(args, "tau"), sep_axis
+        args.mass_ratio, initial, args.temp_ratio, _grid_from_args(args, "tau"), seps
     )
     params = {
         "initial": args.initial,
@@ -278,8 +281,8 @@ def cmd_map_time_sep(args) -> int:
 
 
 def cmd_map_temp_sep(args) -> int:
-    initial, sep_axis = parse_initial(args.initial), _axis_from_args(args, "sep")
-    result = thermal_scan(args.mass_ratio, initial, _axis_from_args(args, "temp"), sep_axis)
+    initial, seps = parse_initial(args.initial), _grid_from_args(args, "sep")
+    result = thermal_scan(args.mass_ratio, initial, _grid_from_args(args, "temp"), seps)
     params = {
         "initial": args.initial,
         "mass-ratio": args.mass_ratio,

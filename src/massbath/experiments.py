@@ -55,7 +55,6 @@ from .xstate import (
 )
 
 __all__ = [
-    "GridAxis",
     "SweepResult",
     "evolve_scan",
     "thermal_scan",
@@ -81,33 +80,6 @@ SEP_ZOOM_POINTS = 8
 
 
 @dataclass(frozen=True)
-class GridAxis:
-    """One sweep axis: count points from start to stop, linear or log."""
-
-    start: float
-    stop: float
-    count: int
-    scale: str = "linear"
-
-    def __post_init__(self):
-        if self.count < 2:
-            raise ValueError(f"axis count must be >= 2, got {self.count}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValueError(f"axis ends must be finite, got {self.start}, {self.stop}")
-        if not self.start < self.stop:
-            raise ValueError(f"axis needs start < stop, got {self.start}, {self.stop}")
-        if self.scale not in ("linear", "log"):
-            raise ValueError(f"axis scale must be linear or log, got {self.scale!r}")
-        if self.scale == "log" and self.start <= 0.0:
-            raise ValueError("log axis requires start > 0")
-
-    def values(self) -> np.ndarray:
-        if self.scale == "log":
-            return np.geomspace(self.start, self.stop, self.count)
-        return np.linspace(self.start, self.stop, self.count)
-
-
-@dataclass(frozen=True)
 class SweepResult:
     """Grid of measure values; rows follow axis1, columns axis2 (omega*L)."""
 
@@ -118,19 +90,19 @@ class SweepResult:
     method: np.ndarray
 
 
-def _separations(sep_axis: GridAxis) -> np.ndarray:
-    seps = sep_axis.values()
-    if seps[0] < 0.0:
-        raise ValueError(f"omega*L must be >= 0, got {seps[0]}")
-    return seps
-
-
-def _require_positive(**named) -> None:
-    """Raise ValueError unless every entry of each named value is finite and > 0."""
-    for name, values in named.items():
-        array = np.asarray(values, dtype=float)
-        if not (array.size and np.all(np.isfinite(array) & (array > 0.0))):
-            raise ValueError(f"{name} must be finite and > 0, got {values}")
+def _positive(name: str, values, allow_zero: bool = False) -> np.ndarray:
+    """values as a 1-D float array (a scalar is one entry). Raises ValueError
+    naming `name` unless it is non-empty and at most 1-D, and one naming its
+    first bad entry unless every entry is finite and > 0 (>= 0 if allow_zero)."""
+    array = np.atleast_1d(np.asarray(values, dtype=float))
+    if array.ndim != 1 or not array.size:
+        raise ValueError(f"{name} must be a non-empty 1-D grid, got shape {array.shape}")
+    bad = ~np.isfinite(array) | (array < 0.0 if allow_zero else array <= 0.0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"{name} must be finite and {'>=' if allow_zero else '>'} 0, "
+                         f"got {array[k]} at entry {k}")
+    return array
 
 
 def _per_value(fn, values: np.ndarray):
@@ -194,14 +166,13 @@ def _time_sep_measures(mass_ratio: float, temp_ratio: float | None, initial: XSt
 
 
 def evolve_scan(mass_ratio: float, initial: XState, temp_ratio: float | None,
-                tau_axis: GridAxis, sep_axis: GridAxis) -> SweepResult:
-    """Instantaneous measure values over a (Gamma0*tau, omega*L) grid, in a
-    vacuum (temp_ratio None) or a bath at one T/omega. A bath no cell could
-    take raises ValueError before any cell runs."""
+                taus, seps) -> SweepResult:
+    """Instantaneous measure values over the grids taus (Gamma0*tau) and seps
+    (omega*L), in a vacuum (temp_ratio None) or a bath at one T/omega. A bath
+    or grid entry no cell could take raises ValueError before any cell runs."""
     FieldBathConfig.from_ratios(mass_ratio, 0.0, temp_ratio)
-    taus, seps = tau_axis.values(), _separations(sep_axis)
-    if taus[0] < 0.0:
-        raise ValueError(f"Gamma0*tau must be >= 0, got {taus[0]}")
+    seps = _positive("seps (omega*L)", seps, allow_zero=True)
+    taus = _positive("taus (Gamma0*tau)", taus, allow_zero=True)
     conc, neg, routes = _time_sep_measures(mass_ratio, temp_ratio, initial, seps, taus)
     return SweepResult(taus, seps, conc, neg, np.tile(routes, (taus.size, 1)))
 
@@ -389,18 +360,16 @@ def _max_over_time(initial: XState, rates: RateStack, gray: float, cells: list[t
     return _search(initial, prop, cells, horizon, 1201, select, cutoff=cutoff), prop.routes
 
 
-def thermal_scan(mass_ratio: float, initial: XState, temp_axis: GridAxis,
-                 sep_axis: GridAxis) -> SweepResult:
-    """Max-over-time measure values over a (T/omega, omega*L) grid.
+def thermal_scan(mass_ratio: float, initial: XState, temps, seps) -> SweepResult:
+    """Max-over-time measure values over the grids temps (T/omega) and seps (omega*L).
 
-    Both measures are always computed. Raises ValueError for a bad mass,
-    T/omega <= 0 or omega*L < 0 before any cell runs; a failing cell raises
-    SweepCellError or NonConvergedMaxError carrying its (T/omega, omega*L).
+    Both measures are always computed. Raises ValueError for a bad mass or
+    grid entry before any cell runs; a failing cell raises SweepCellError
+    or NonConvergedMaxError carrying its (T/omega, omega*L).
     """
     FieldBathConfig.from_ratios(mass_ratio, 0.0)
-    temps, seps = temp_axis.values(), _separations(sep_axis)
-    if not temps[0] > 0.0:
-        raise ValueError(f"T/omega must be > 0, got {temps[0]}")
+    seps = _positive("seps (omega*L)", seps, allow_zero=True)
+    temps = _positive("temps (T/omega)", temps)
     gray = gray_factor(mass_ratio, 1.0)
     cell_temps, cell_seps = np.repeat(temps, seps.size), np.tile(seps, temps.size)
     cells = list(zip(cell_temps.tolist(), cell_seps.tolist()))
@@ -411,14 +380,10 @@ def thermal_scan(mass_ratio: float, initial: XState, temp_axis: GridAxis,
     return SweepResult(temps, seps, conc, neg, routes.reshape(shape))
 
 
-def scaling_check(
-    mass_ratio: float,
-    initial: XState,
-    temp_ratio: float | None,
-    tau_axis: GridAxis,
-    sep_axis: GridAxis,
-) -> float:
-    """Max deviation of the mass-rescaling identity over the grid.
+def scaling_check(mass_ratio: float, initial: XState, temp_ratio: float | None,
+                  taus, seps) -> float:
+    """Max deviation of the mass-rescaling identity over the grids of
+    evolve_scan.
 
     Compares both measures of the massive system at (L, tau) against the
     massless one at (gray*L, gray*tau); the identity holds exactly, so the
@@ -427,9 +392,10 @@ def scaling_check(
     if not 0.0 <= mass_ratio < 1.0:
         raise ValueError(f"mass_ratio must lie in [0, 1), got {mass_ratio}")
     gray = gray_factor(mass_ratio, 1.0)
-    # A sweep's own checks reject a bad bath or separation before any cell.
+    # A sweep's own checks reject a bad bath or grid before any cell.
     FieldBathConfig.from_ratios(mass_ratio, 0.0, temp_ratio)
-    seps, taus = _separations(sep_axis), tau_axis.values()
+    seps = _positive("seps (omega*L)", seps, allow_zero=True)
+    taus = _positive("taus (Gamma0*tau)", taus, allow_zero=True)
     massive = _time_sep_measures(mass_ratio, temp_ratio, initial, seps, taus)[:2]
     massless = _time_sep_measures(0.0, temp_ratio, initial, gray * seps, gray * taus)[:2]
     return float(np.max(np.abs(np.subtract(massive, massless))))
@@ -469,7 +435,7 @@ def generation_reach(
     """
     _selector(measure)  # an unknown name fails before any search
     initial = XState.excited() if initial is None else initial
-    _require_positive(cutoff=cutoff)
+    _positive("cutoff", cutoff)
     gray = gray_factor(mass_ratio, 1.0)
     if gray == 0.0:
         raise NoGenerationError("frozen dynamics: no separation dependence at all")
@@ -575,10 +541,12 @@ def thermal_generation_threshold(
     the grid already exceeds cutoff. Only `> cutoff` is asked of each
     temperature, so every cell's search stops at its first pass above cutoff.
     Raises ValueError before any cell runs unless cutoff, tol, both bracket
-    ends (lo < hi) and every sep_values entry are finite and > 0.
+    ends (lo < hi) and every sep_values entry are finite and > 0, and
+    sep_values is a non-empty 1-D grid (a scalar is one separation).
     """
     initial = XState.excited() if initial is None else initial
-    _require_positive(cutoff=cutoff, tol=tol, bracket=bracket)
+    for name, value in (("cutoff", cutoff), ("tol", tol), ("bracket", bracket)):
+        _positive(name, value)
     if not bracket[0] < bracket[1]:
         raise ValueError(f"bracket must have lo < hi, got {bracket}")
     gray = gray_factor(mass_ratio, 1.0)
@@ -586,16 +554,13 @@ def thermal_generation_threshold(
         raise NoGenerationError("frozen dynamics: nothing is ever generated")
     if sep_values is None:
         sep_values = np.geomspace(0.05, 6.0, 24) / gray
-    sep_values = np.asarray(sep_values, dtype=float)
-    _require_positive(sep_values=sep_values)
+    sep_values = _positive("sep_values", sep_values)
 
     def generates(temp: float) -> bool:
-        def peaks(seps: np.ndarray) -> np.ndarray:
-            flat = seps.ravel()
-            cells = [(temp, sep) for sep in flat.tolist()]
-            rates = _cell_rates(mass_ratio, flat, np.full(flat.size, temp))
-            conc = _max_over_time(initial, rates, gray, cells, ("concurrence",), cutoff)[0][0]
-            return conc.reshape(seps.shape)
+        def peaks(seps: np.ndarray) -> np.ndarray:  # seps 1-D, as the zoom's grids
+            cells = [(temp, sep) for sep in seps.tolist()]
+            rates = _cell_rates(mass_ratio, seps, np.full(seps.size, temp))
+            return _max_over_time(initial, rates, gray, cells, ("concurrence",), cutoff)[0][0]
 
         values = peaks(sep_values)
         if values.max() > cutoff:
@@ -696,18 +661,17 @@ def run_verification(seed: int = 0, perturb: float = 0.0) -> list[SuiteResult]:
     rng = np.random.default_rng(seed)
     results = []
 
-    tau_axis = GridAxis(0.05, 6.0, 8)
-    sep_axis = GridAxis(0.1, 12.0, 8)
+    grid = np.linspace(0.05, 6.0, 8), np.linspace(0.1, 12.0, 8)  # taus, seps
     initials = [XState.excited(), XState.antisymmetric(), XState.bell_ge()]
     dev = max(
-        scaling_check(mass, initial, None, tau_axis, sep_axis)
+        scaling_check(mass, initial, None, *grid)
         for mass in (0.3, 0.8, 0.995)
         for initial in initials
     )
     results.append(SuiteResult("scaling-vacuum", dev, 1e-10))
 
     dev = max(
-        scaling_check(0.8, initial, temp, tau_axis, sep_axis)
+        scaling_check(0.8, initial, temp, *grid)
         for temp in (0.05, 0.2)
         for initial in initials
     )

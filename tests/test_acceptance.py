@@ -22,7 +22,6 @@ from conftest import (
 from massbath import (
     CONCURRENCE_CUTOFF,
     FieldBathConfig,
-    GridAxis,
     RateMatrix,
     XState,
     build_rate_matrix,
@@ -58,15 +57,15 @@ INITIALS = {
     "A": XState.antisymmetric(),
     "bell-GE": XState.bell_ge(),
 }
-TAU_AXIS = GridAxis(0.05, 8.0, 20)
-SEP_AXIS = GridAxis(0.05, 20.0, 20)
+TAUS = np.linspace(0.05, 8.0, 20)
+SEPS = np.linspace(0.05, 20.0, 20)
 
 
 def test_criterion_01_vacuum_scaling_identity():
     worst = 0.0
     for mass in MASSES:
         for initial in INITIALS.values():
-            worst = max(worst, scaling_check(mass, initial, None, TAU_AXIS, SEP_AXIS))
+            worst = max(worst, scaling_check(mass, initial, None, TAUS, SEPS))
     assert worst < 1e-10
     print(f"\nACCEPTANCE 1 vacuum scaling identity: max dev {worst:.3e} < 1e-10 PASS")
 
@@ -77,7 +76,7 @@ def test_criterion_02_thermal_scaling_identity():
         for temp in (0.05, 0.1, 0.2):
             for initial in INITIALS.values():
                 worst = max(
-                    worst, scaling_check(mass, initial, temp, TAU_AXIS, SEP_AXIS)
+                    worst, scaling_check(mass, initial, temp, TAUS, SEPS)
                 )
     assert worst < 1e-9
     print(f"ACCEPTANCE 2 thermal scaling identity: max dev {worst:.3e} < 1e-9 PASS")

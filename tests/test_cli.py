@@ -12,7 +12,6 @@ from conftest import mp_reference_state
 from massbath import (
     EigenPropagator,
     FieldBathConfig,
-    GridAxis,
     XState,
     build_rate_matrix,
     coefficients,
@@ -292,7 +291,7 @@ class TestMap:
         )
         assert code == 0
         result = evolve_scan(
-            0.4, XState.bell_ge(), 0.3, GridAxis(0.05, 20.0, 3), GridAxis(0.05, 20.0, 2)
+            0.4, XState.bell_ge(), 0.3, np.linspace(0.05, 20.0, 3), np.linspace(0.05, 20.0, 2)
         )
         expected = [MAP_HEADER] + [
             ",".join((repr(float(tau)), repr(float(sep)),
@@ -791,6 +790,70 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("usage error:") and err.count("\n") == 1
         assert str(out) in err
+
+
+class TestAxisFlags:
+    """Each map grid comes from --{p}-{min,max,count,scale}: np.linspace, or
+    np.geomspace on the log scale. A bad axis flag exits 2 naming the flag."""
+
+    AXES = [("time-sep", "tau"), ("time-sep", "sep"), ("temp-sep", "temp"), ("temp-sep", "sep")]
+
+    @pytest.mark.parametrize("command, p", AXES)
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ({"count": "1"}, "--{p}-count must be >= 2, got 1"),
+            ({"count": "0"}, "--{p}-count must be >= 2, got 0"),
+            ({"min": "nan"}, "--{p}-min must be finite, got nan"),
+            ({"min": "-inf"}, "--{p}-min must be finite, got -inf"),
+            ({"max": "inf"}, "--{p}-max must be finite, got inf"),
+            ({"min": "0", "max": "inf"}, "--{p}-max must be finite, got inf"),
+            ({"min": "2", "max": "1"}, "--{p}-min must be < --{p}-max, got 2.0, 1.0"),
+            ({"min": "1", "max": "1"}, "--{p}-min must be < --{p}-max, got 1.0, 1.0"),
+            ({"min": "0", "scale": "log"}, "--{p}-scale log requires --{p}-min > 0, got 0.0"),
+        ],
+        ids=["count-1", "count-0", "min-nan", "min-minus-inf", "max-inf", "max-inf-from-0",
+             "min-above-max", "min-equals-max", "log-from-0"],
+    )
+    def test_bad_axis_exits_2_naming_its_flag(self, capsys, tmp_path, command, p, flags, message):
+        out = tmp_path / "x.csv"
+        axis = [f"--{p}-{key}={value}" for key, value in flags.items()]
+        code, _, err = run_cli(
+            ["map", command, "--mass-ratio", "0.5", *axis, "--out", str(out)], capsys)
+        assert code == 2
+        assert err == f"usage error: {message.format(p=p)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, other", [("time-sep", "tau"), ("temp-sep", "temp")])
+    def test_separation_axis_is_checked_first(self, capsys, tmp_path, command, other):
+        code, _, err = run_cli(
+            ["map", command, "--mass-ratio", "-1", f"--{other}-count", "1", "--sep-count", "1",
+             "--out", str(tmp_path / "x.csv")], capsys)
+        assert (code, err) == (2, "usage error: --sep-count must be >= 2, got 1\n")
+
+    @pytest.mark.parametrize("command, p", AXES)
+    def test_unknown_scale_is_an_argparse_error(self, capsys, command, p):
+        with pytest.raises(SystemExit) as info:
+            main(["map", command, "--mass-ratio", "0.5", f"--{p}-scale", "cubic",
+                  "--out", "unused.csv"])
+        assert info.value.code == 2
+        assert f"argument --{p}-scale: invalid choice: 'cubic'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale, spaced", [("linear", np.linspace), ("log", np.geomspace)])
+    @pytest.mark.parametrize("command, p", AXES)
+    def test_axis_values_are_linspace_or_geomspace(self, capsys, tmp_path, command, p,
+                                                   scale, spaced):
+        out = tmp_path / "map.csv"
+        ends = {"tau": (0.5, 50.0), "sep": (0.1, 10.0), "temp": (0.05, 0.4)}[p]
+        other = {"time-sep": {"tau", "sep"}, "temp-sep": {"temp", "sep"}}[command] - {p}
+        argv = ["map", command, "--mass-ratio", "0.5", f"--{p}-min={ends[0]}",
+                f"--{p}-max={ends[1]}", f"--{p}-count=3", f"--{p}-scale={scale}",
+                f"--{other.pop()}-count=2", "--out", str(out)]
+        assert run_cli(argv, capsys)[0] == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        column = 1 if p == "sep" else 0
+        values = list(dict.fromkeys(float(row[column]) for row in rows))
+        assert values == spaced(*ends, 3).tolist()
 
 
 # Runs the CLI with scipy unimportable: the package needs only numpy.

@@ -6,7 +6,6 @@ import pytest
 from conftest import propagate_eigen, state_distance, vacuum_like
 from massbath import (
     FieldBathConfig,
-    GridAxis,
     NoGenerationError,
     NonConvergedMaxError,
     SweepCellError,
@@ -39,34 +38,11 @@ from massbath.xstate import RateStack
 from paper_formulas import scalar_lifetime_by_bisection
 
 
-class TestGridAxis:
-    def test_linear_and_log(self):
-        lin = GridAxis(1.0, 3.0, 3).values()
-        assert np.allclose(lin, [1.0, 2.0, 3.0])
-        log = GridAxis(1.0, 100.0, 3, scale="log").values()
-        assert np.allclose(log, [1.0, 10.0, 100.0])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GridAxis(0.0, 1.0, 1)
-        with pytest.raises(ValueError):
-            GridAxis(2.0, 1.0, 5)
-        with pytest.raises(ValueError):
-            GridAxis(0.0, 1.0, 5, scale="log")
-        with pytest.raises(ValueError):
-            GridAxis(0.0, 1.0, 5, scale="cubic")
-
-    @pytest.mark.parametrize("start, stop", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)])
-    def test_rejects_non_finite_ends(self, start, stop):
-        with pytest.raises(ValueError, match="finite"):
-            GridAxis(start, stop, 5)
-
-
 class TestEvolveScan:
     def scan(self, mass_ratio, initial=None, temp_ratio=None, seps=None):
         return evolve_scan(
             mass_ratio, initial or XState.excited(), temp_ratio,
-            GridAxis(0.1, 8.0, 12), seps or GridAxis(0.2, 6.0, 10),
+            np.linspace(0.1, 8.0, 12), np.linspace(0.2, 6.0, 10) if seps is None else seps,
         )
 
     def test_frozen_grid_is_zero(self):
@@ -77,21 +53,21 @@ class TestEvolveScan:
 
     def test_generation_occurs_at_subwavelength(self):
         result = evolve_scan(
-            0.0, XState.excited(), None, GridAxis(0.5, 10.0, 30), GridAxis(0.5, 1.5, 3)
+            0.0, XState.excited(), None, np.linspace(0.5, 10.0, 30), np.linspace(0.5, 1.5, 3)
         )
         assert result.concurrence.max() > 1e-3
 
     def test_mass_rescaling_cell_by_cell(self):
         gray = gray_factor(0.995, 1.0)
-        taus = GridAxis(0.5, 60.0, 8)
-        seps = GridAxis(0.5, 12.0, 6)
+        taus = np.linspace(0.5, 60.0, 8)
+        seps = np.linspace(0.5, 12.0, 6)
         massive = evolve_scan(0.995, XState.excited(), None, taus, seps)
         massless = evolve_scan(
             0.0,
             XState.excited(),
             None,
-            GridAxis(0.5 * gray, 60.0 * gray, 8),
-            GridAxis(0.5 * gray, 12.0 * gray, 6),
+            np.linspace(0.5 * gray, 60.0 * gray, 8),
+            np.linspace(0.5 * gray, 12.0 * gray, 6),
         )
         assert np.max(np.abs(massive.concurrence - massless.concurrence)) < 1e-12
         assert np.max(np.abs(massive.negativity - massless.negativity)) < 1e-12
@@ -110,12 +86,12 @@ class TestEvolveScan:
         assert np.all(thermal.method == "eigen")
 
     def test_requires_tau_axis(self):
-        with pytest.raises(TypeError, match="tau_axis"):
+        with pytest.raises(TypeError, match="taus"):
             evolve_scan(
                 mass_ratio=0.0,
                 initial=XState.excited(),
                 temp_ratio=None,
-                sep_axis=GridAxis(0.1, 1.0, 3),
+                seps=np.linspace(0.1, 1.0, 3),
             )
 
     @pytest.mark.parametrize(
@@ -135,7 +111,7 @@ class TestEvolveScan:
             initial = random_xstate(np.random.default_rng(11))
         else:
             initial = getattr(XState, kind)()
-        result = self.scan(mass, initial, temp_ratio=temp, seps=GridAxis(sep_min, 3.0, 8))
+        result = self.scan(mass, initial, temp_ratio=temp, seps=np.linspace(sep_min, 3.0, 8))
         assert set(result.method.ravel()) == routes
         for j, sep in enumerate(result.axis2):
             config = FieldBathConfig.from_ratios(mass, sep, temp)
@@ -153,12 +129,101 @@ class TestEvolveScan:
     def test_separation_blocks_give_the_one_block_map(self, monkeypatch, block):
         """MAP_BLOCK // 12 taus separations per call (at least one), which
         splits the thermal map's expm and eigen columns across calls."""
-        args = (0.9, XState.bell_ge(), 0.028, GridAxis(0.065, 3.0, 8))
+        args = (0.9, XState.bell_ge(), 0.028, np.linspace(0.065, 3.0, 8))
         whole = self.scan(*args)
         monkeypatch.setattr(experiments, "MAP_BLOCK", block)
         blocked = self.scan(*args)
         for name in ("concurrence", "negativity", "method"):
             assert np.array_equal(getattr(blocked, name), getattr(whole, name))
+
+
+class TestGridArrays:
+    """The scans, scaling_check and the threshold take their grids as arrays:
+    any non-empty 1-D grid, each cell independent of its neighbours. A bad
+    grid fails before any cell, naming the argument and its first bad entry."""
+
+    @pytest.fixture
+    def no_cells(self, monkeypatch):
+        def cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "_cell_rates", cell)
+
+    GOOD = np.linspace(0.1, 1.0, 3)
+    # Each call takes (its other grid, seps), and names that other grid so.
+    SCANS = {
+        "evolve_scan": (lambda grid, seps: evolve_scan(0.5, XState.excited(), 0.2, grid, seps),
+                        "taus (Gamma0*tau)", ">="),
+        "scaling_check": (lambda grid, seps: scaling_check(0.5, XState.excited(), 0.2, grid, seps),
+                          "taus (Gamma0*tau)", ">="),
+        "thermal_scan": (lambda grid, seps: thermal_scan(0.5, XState.excited(), grid, seps),
+                         "temps (T/omega)", ">"),
+    }
+
+    @pytest.mark.parametrize("scan", sorted(SCANS))
+    @pytest.mark.parametrize("which", ["grid", "seps"])
+    @pytest.mark.parametrize("bad, got", [
+        ([0.5, -1.0, 2.0], "got -1.0 at entry 1"),
+        ([0.1, np.nan], "got nan at entry 1"),
+        ([0.1, 0.2, -np.inf], "got -inf at entry 2"),
+        ([], "must be a non-empty 1-D grid, got shape (0,)"),
+        (np.ones((2, 3)), "must be a non-empty 1-D grid, got shape (2, 3)"),
+    ], ids=["negative", "nan", "inf", "empty", "2-D"])
+    def test_bad_entry_anywhere_fails_before_any_cell(self, no_cells, scan, which, bad, got):
+        call, grid_name, bound = self.SCANS[scan]
+        grids = {"grid": self.GOOD, "seps": self.GOOD, which: bad}
+        name, bound = (grid_name, bound) if which == "grid" else ("seps (omega*L)", ">=")
+        with pytest.raises(ValueError) as info:
+            call(grids["grid"], grids["seps"])
+        message = str(info.value)
+        assert message.startswith(name) and message.endswith(got)
+        if "entry" in got:
+            assert f"must be finite and {bound} 0" in message
+
+    def test_zero_is_in_range_for_times_and_separations_only(self, no_cells):
+        for name in ("evolve_scan", "scaling_check"):
+            with pytest.raises(AssertionError, match="a cell ran"):
+                self.SCANS[name][0]([0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match=r"^temps \(T/omega\) .* got 0.0 at entry 0$"):
+            thermal_scan(0.5, XState.excited(), [0.0, 1.0], [0.0, 1.0])
+
+    def test_separations_are_checked_before_the_other_grid(self, no_cells):
+        for call, *_ in self.SCANS.values():
+            with pytest.raises(ValueError, match=r"^seps \(omega\*L\)"):
+                call([-1.0], [-1.0])
+
+    @pytest.mark.parametrize("sep_values, message", [
+        ([0.5, -1.0, 2.0], "sep_values must be finite and > 0, got -1.0 at entry 1"),
+        ([0.5, 0.0], "sep_values must be finite and > 0, got 0.0 at entry 1"),
+        ([], r"sep_values must be a non-empty 1-D grid, got shape \(0,\)"),
+        (np.geomspace(0.05, 6.0, 24).reshape(4, 6),
+         r"sep_values must be a non-empty 1-D grid, got shape \(4, 6\)"),
+    ], ids=["negative", "zero", "empty", "2-D"])
+    def test_threshold_rejects_a_bad_grid_before_any_cell(self, no_cells, sep_values, message):
+        with pytest.raises(ValueError, match=message):
+            thermal_generation_threshold(0.0, sep_values=sep_values)
+
+    def test_threshold_takes_a_scalar_as_a_one_point_grid(self):
+        scalar = thermal_generation_threshold(0.0, tol=0.02, sep_values=1.2)
+        assert scalar == thermal_generation_threshold(0.0, tol=0.02, sep_values=[1.2])
+        assert type(scalar) is float and 0.1 < scalar < 0.4
+
+    def test_non_uniform_grid_gives_the_matching_cells(self):
+        seps = np.array([0.3, 1.1, 4.0])
+        picked = thermal_scan(0.5, XState.bell_ge(), [0.05, 0.2], seps)
+        full = thermal_scan(0.5, XState.bell_ge(), np.linspace(0.05, 0.2, 4), seps)
+        for name in ("concurrence", "negativity", "method"):
+            assert np.array_equal(getattr(picked, name), getattr(full, name)[[0, 3]]), name
+        assert picked.axis1.tolist() == [0.05, 0.2]
+
+    def test_time_grid_in_any_order_gives_the_matching_cells(self):
+        seps = np.array([0.3, 1.1, 4.0])
+        taus = np.array([7.5, 0.0, 2.25, 0.5])
+        shuffled = evolve_scan(0.5, XState.excited(), 0.2, taus, seps)
+        ordered = evolve_scan(0.5, XState.excited(), 0.2, np.sort(taus), seps)
+        order = np.argsort(taus)
+        for name in ("concurrence", "negativity", "method"):
+            assert np.array_equal(getattr(shuffled, name)[order], getattr(ordered, name)), name
 
 
 class TestSweepCellErrors:
@@ -175,17 +240,17 @@ class TestSweepCellErrors:
 
         monkeypatch.setattr(experiments, "spatial_factor", spatial_factor)
 
-    SEPS = GridAxis(0.5, 2.0, 4)
+    SEPS = np.linspace(0.5, 2.0, 4)
 
     def test_time_sep_names_the_separation(self):
         with pytest.raises(SweepCellError, match="separation 1.5: injected") as info:
-            evolve_scan(0.6, XState.excited(), 0.2, GridAxis(0.0, 5.0, 6), self.SEPS)
+            evolve_scan(0.6, XState.excited(), 0.2, np.linspace(0.0, 5.0, 6), self.SEPS)
         assert (info.value.axis1, info.value.axis2) == (None, 1.5)
         assert isinstance(info.value.__cause__, FloatingPointError)
 
     def test_temp_sep_names_the_cell(self):
         with pytest.raises(SweepCellError, match=r"\(T/omega=0.1, omega\*L=1.5\)") as info:
-            thermal_scan(0.6, XState.excited(), GridAxis(0.1, 0.2, 2), self.SEPS)
+            thermal_scan(0.6, XState.excited(), np.linspace(0.1, 0.2, 2), self.SEPS)
         assert (info.value.axis1, info.value.axis2) == (0.1, 1.5)
         assert isinstance(info.value.__cause__, FloatingPointError)
 
@@ -201,17 +266,17 @@ class TestOverflowingCell:
     """At T/omega = 1e308, coth(omega/2T) overflows and a1 = inf: a cell that
     fails for real, with nothing patched."""
 
-    SEPS = GridAxis(0.5, 2.0, 4)
+    SEPS = np.linspace(0.5, 2.0, 4)
 
     def test_temp_sep_names_the_first_failing_cell(self):
         with pytest.raises(SweepCellError, match=r"\(T/omega=1e\+308, omega\*L=0.5\)") as info:
-            thermal_scan(0.6, XState.excited(), GridAxis(0.1, 1e308, 2), self.SEPS)
+            thermal_scan(0.6, XState.excited(), np.linspace(0.1, 1e308, 2), self.SEPS)
         assert (info.value.axis1, info.value.axis2) == (1e308, 0.5)
         assert isinstance(info.value.__cause__, ValueError)
 
     def test_time_sep_names_the_first_separation(self):
         with pytest.raises(SweepCellError, match="separation 0.5: rates must be finite") as info:
-            evolve_scan(0.6, XState.excited(), 1e308, GridAxis(0.0, 5.0, 6), self.SEPS)
+            evolve_scan(0.6, XState.excited(), 1e308, np.linspace(0.0, 5.0, 6), self.SEPS)
         assert (info.value.axis1, info.value.axis2) == (None, 0.5)
         assert isinstance(info.value.__cause__, ValueError)
 
@@ -253,22 +318,22 @@ class TestCellRates:
 class TestThermalScan:
     def test_zero_temperature_limit_matches_vacuum(self):
         result = thermal_scan(
-            0.0, XState.excited(), GridAxis(0.01, 0.014, 2), GridAxis(0.5, 2.0, 3)
+            0.0, XState.excited(), np.linspace(0.01, 0.014, 2), np.linspace(0.5, 2.0, 3)
         )
         for j, sep in enumerate(result.axis2):
             vacuum_max = _vacuum_max_over_time(XState.excited(), 0.0, sep, "concurrence")
             assert result.concurrence[0, j] == pytest.approx(vacuum_max, abs=2e-4)
 
     def test_high_temperature_kills_generation(self):
-        result = thermal_scan(0.0, XState.excited(), GridAxis(0.5, 1.0, 2), GridAxis(0.2, 4.0, 6))
+        result = thermal_scan(0.0, XState.excited(), np.linspace(0.5, 1.0, 2), np.linspace(0.2, 4.0, 6))
         assert result.concurrence.max() < 1e-3
 
     def test_mass_rescales_separation_axis(self):
         gray = gray_factor(0.8, 1.0)
-        temp_axis = GridAxis(0.05, 0.15, 2)
-        massive = thermal_scan(0.8, XState.excited(), temp_axis, GridAxis(1.0, 3.0, 3))
+        temps = np.linspace(0.05, 0.15, 2)
+        massive = thermal_scan(0.8, XState.excited(), temps, np.linspace(1.0, 3.0, 3))
         massless = thermal_scan(
-            0.0, XState.excited(), temp_axis, GridAxis(gray, 3.0 * gray, 3)
+            0.0, XState.excited(), temps, np.linspace(gray, 3.0 * gray, 3)
         )
         assert np.max(np.abs(massive.concurrence - massless.concurrence)) < 1e-6
 
@@ -279,8 +344,8 @@ class TestScalingCheck:
             0.8,
             XState.excited(),
             None,
-            GridAxis(0.1, 8.0, 20),
-            sep_axis=GridAxis(0.1, 15.0, 20),
+            np.linspace(0.1, 8.0, 20),
+            seps=np.linspace(0.1, 15.0, 20),
         )
         assert deviation < 1e-10
 
@@ -289,8 +354,8 @@ class TestScalingCheck:
             0.8,
             XState.excited(),
             0.1,
-            GridAxis(0.1, 8.0, 10),
-            sep_axis=GridAxis(0.1, 15.0, 10),
+            np.linspace(0.1, 8.0, 10),
+            seps=np.linspace(0.1, 15.0, 10),
         )
         assert deviation < 1e-10
 
@@ -299,8 +364,8 @@ class TestScalingCheck:
             0.0,
             XState.bell_ge(),
             None,
-            GridAxis(0.1, 5.0, 5),
-            sep_axis=GridAxis(0.1, 5.0, 5),
+            np.linspace(0.1, 5.0, 5),
+            seps=np.linspace(0.1, 5.0, 5),
         )
         assert deviation == 0.0
 

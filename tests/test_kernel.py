@@ -18,7 +18,6 @@ import massbath.experiments as experiments
 from massbath import (
     FieldBathConfig,
     GklsCoefficients,
-    GridAxis,
     NonConvergedMaxError,
     XState,
     build_rate_matrix,
@@ -252,7 +251,7 @@ def test_cell_value_independent_of_block_and_neighbours(monkeypatch):
     maps, scans = [], []
     for budget in (1, 1 << 30):
         monkeypatch.setattr(experiments, "MAP_BLOCK", budget)
-        result = thermal_scan(0.9, initial, GridAxis(0.05, 0.3, 3), GridAxis(0.5, 6.0, 4))
+        result = thermal_scan(0.9, initial, np.linspace(0.05, 0.3, 3), np.linspace(0.5, 6.0, 4))
         maps.append(np.stack([result.concurrence, result.negativity]))
         scans.append(_vacuum_max_over_time(initial, 0.9, seps, "concurrence"))
     assert np.array_equal(maps[0], maps[1])
@@ -269,7 +268,7 @@ def test_search_blocks_stay_within_the_samples_budget(monkeypatch):
         return planes(self, pops0, rows, *args)
 
     monkeypatch.setattr(EigenPropagator, "_planes", recorded)
-    thermal_scan(0.5, XState.excited(), GridAxis(0.02, 0.4, 20), GridAxis(0.05, 20.0, 40, "log"))
+    thermal_scan(0.5, XState.excited(), np.linspace(0.02, 0.4, 20), np.geomspace(0.05, 20.0, 40))
     assert max(sizes) <= experiments.MAP_BLOCK
     # The first pass fills blocks of MAP_BLOCK // 1201 cells.
     assert max(sizes) == (experiments.MAP_BLOCK // 1201) * 1201
@@ -324,13 +323,13 @@ def test_vacuum_non_converged_separation_is_named(monkeypatch):
 def test_thermal_scan_names_non_converged_cell(monkeypatch):
     monkeypatch.setattr(experiments, "MAX_DOUBLINGS", 1)
     with pytest.raises(NonConvergedMaxError) as info:
-        thermal_scan(0.0, XState.excited(), GridAxis(0.1, 0.2, 2), GridAxis(1.0, 2.0, 2))
+        thermal_scan(0.0, XState.excited(), np.linspace(0.1, 0.2, 2), np.linspace(1.0, 2.0, 2))
     assert (info.value.axis1, info.value.axis2) == (0.1, 1.0)
 
 
 def test_thermal_scan_rejects_non_positive_temperature():
     with pytest.raises(ValueError, match="T/omega"):
-        thermal_scan(0.0, XState.excited(), GridAxis(-0.1, 0.2, 2), GridAxis(1.0, 2.0, 2))
+        thermal_scan(0.0, XState.excited(), np.linspace(-0.1, 0.2, 2), np.linspace(1.0, 2.0, 2))
 
 
 # One initial state of each kind for the measure-selector tests: no
@@ -718,7 +717,7 @@ def test_certificate_keeps_every_bit(monkeypatch):
 def test_default_temp_sep_map_passes_per_cell(initial, retired, monkeypatch):
     # The default `map temp-sep` grids at m/omega = 0.9: how many of the 800
     # cells retire after one pass and after two, as the README quotes them.
-    grid = (0.9, initial, GridAxis(0.02, 0.4, 20), GridAxis(0.05, 20.0, 40))
+    grid = (0.9, initial, np.linspace(0.02, 0.4, 20), np.linspace(0.05, 20.0, 40))
     _, passes = _counted_passes(monkeypatch, lambda: thermal_scan(*grid).concurrence.ravel())
     assert np.bincount(passes).tolist() == retired
 
