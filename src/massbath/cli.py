@@ -252,9 +252,11 @@ def _grid_from_args(args, prefix: str) -> np.ndarray:
 
 def _write_map(result, command: str, params: dict, out: str) -> int:
     rows, cols = result.concurrence.shape
+    # Each axis label is formatted once per map, then repeated.
+    axis1, axis2 = (np.array(_text(axis), dtype=object) for axis in (result.axis1, result.axis2))
     columns = (
-        np.repeat(result.axis1, cols),
-        np.tile(result.axis2, rows),
+        np.repeat(axis1, cols),
+        np.tile(axis2, rows),
         result.concurrence.ravel(),
         result.negativity.ravel(),
         result.method.ravel(),

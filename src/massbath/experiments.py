@@ -36,7 +36,6 @@ from .measures import (
     _measure_bounds,
     _measures_arrays,
     _selector,
-    entanglement,
     lifetime,
 )
 from .xstate import (
@@ -261,103 +260,93 @@ def _propagated_measures(initial: XState, prop: EigenPropagator, select: tuple[s
 _TAIL_WEIGHTS = np.array([[0, 1, -1, 0], [0, 1, 1, 0], [1, 0, 0, -1], [1, 0, 0, 0], [0, 0, 0, 1.0]])
 
 
-def _propagated_bounds(initial: XState, prop: EigenPropagator, select, tau: float,
-                       pops0: np.ndarray) -> np.ndarray:
+def _propagated_bounds(initial: XState, prop: EigenPropagator, select, tau: float) -> np.ndarray:
     """(M, N) bounds of the M measures of `select` of the N cells of an
     EigenPropagator at all times >= tau (inf where a cell has none): tail,
-    from pops0 = initial.populations(), on the _TAIL_WEIGHTS rows pa - ps,
-    pa + ps, pg - pe, pg and pe, and the coherences at tau."""
-    center, radius = prop.tail(pops0, tau, _TAIL_WEIGHTS)
+    from initial's populations, on the _TAIL_WEIGHTS rows pa - ps, pa + ps,
+    pg - pe, pg and pe, and the coherences at tau."""
+    center, radius = prop.tail(initial.populations(), tau, _TAIL_WEIGHTS)
     low, size = (center - radius).T, (np.abs(center) + radius).T  # size: the largest |w·p|
     coherences = _faded_coherences(initial, prop.rates.decay_ge, prop.rates.decay_as, tau)
     return _measure_bounds(size[0], low[1], size[2], low[3], low[4], *coherences, select=select)
 
 
 def _search(initial: XState, prop: EigenPropagator, cells: list[tuple], horizon: float,
-            points: int, select, *, cutoff: float = math.inf) -> np.ndarray:
+            points: int, select) -> np.ndarray:
     """The max-over-time search: (len(select), N) maxima over time of the
     measures named by `select` for the N cells of an EigenPropagator, from
     initial; cells holds each cell's (T/omega, or None in the vacuum,
     omega*L), used to name a cell that fails.
 
-    Frozen cells keep the initial values. The others run in blocks of
-    MAP_BLOCK // points, which bounds the samples of a pass. Every pass
-    slices the block's still-active cells from prop with take and measures
-    them through _propagated_measures in the search's one _workspace, sized
-    for its first pass. The first pass samples [0, horizon] on `points` points;
-    each later pass doubles the horizon and samples only its new half, at
-    the doubled spacing. Every pass refines the best sample of each measure
-    between its neighbours with _zoom: three propagation calls in all. A
-    cell retires, each step one array operation over the cells still
-    active, on the first pass that raised none of its maxima by tol or more,
-    left all of them above `cutoff`, or certified them all: every bound of
-    _propagated_bounds at or below its maximum (expm cells have no bound). A
-    cell still active after MAX_DOUBLINGS passes raises NonConvergedMaxError.
-
-    A certified maximum cannot rise later: the search that would confirm it
-    on the next horizon returns the same bits. Maxima never fall, so a
-    maximum retired above `cutoff` stays above it, at or below its full
-    search's value: every `> cutoff` test gives the full search's answer. A
-    cell whose maxima never exceed `cutoff` runs as with no cutoff.
+    Frozen cells keep the initial values. The others are open. The first
+    pass samples [0, horizon] on `points` points; each later pass doubles
+    the horizon and samples only its new half, at the doubled spacing. A
+    pass measures the open cells in chunks of MAP_BLOCK // points, which
+    bounds its samples: it slices a chunk from prop with take and measures
+    it through _propagated_measures in the search's one _workspace, sized
+    for the first chunk, then refines the best sample of each measure
+    between its neighbours with _zoom: three propagation calls a chunk. A
+    cell retires, each step one array operation over a chunk, on the first
+    pass that raised none of its maxima by tol or more, or certified them
+    all: every bound of _propagated_bounds at or below its maximum (expm
+    cells have no bound). A certified maximum cannot rise later: the search
+    that would confirm it on the next horizon returns the same bits. A cell
+    still open after MAX_DOUBLINGS passes raises NonConvergedMaxError, the
+    first in grid order.
     """
     tol = 1e-6
-    peaks = np.empty((len(select), len(cells)))
+    best = np.full((len(select), len(cells)), -np.inf)
     frozen = prop.routes == FROZEN
-    if frozen.any():
-        value = entanglement(initial)
-        peaks[:, frozen] = [[getattr(value, name)] for name in select]
-    live, pops0 = np.flatnonzero(~frozen), initial.populations()
+    entries = (*initial.populations(), *_coherence_parts(initial.coh_ge, initial.coh_as))
+    best[:, frozen] = np.array(_measures_arrays(*entries, select=select))[:, None]
+    previous, last = np.full_like(best, np.nan), np.full_like(best, np.nan)
+    active = np.flatnonzero(~frozen)
     width = max(1, MAP_BLOCK // points)
-    work = _workspace(len(select), min(width, live.size) * max(points, len(select) * ZOOM_POINTS))
-    for start in range(0, live.size, width):
-        active = live[start:start + width]
-        best = np.full((len(select), active.size), -np.inf)
-        previous = last = np.full_like(best, np.nan)
-        taus, tau_max = np.linspace(0.0, horizon, points), horizon
-        for _ in range(MAX_DOUBLINGS):
-            measures = _propagated_measures(initial, prop.take(active), select, work)
-            grid = np.broadcast_to(taus, (len(select), active.size, taus.size))
+    work = _workspace(len(select), min(width, active.size) * max(points, len(select) * ZOOM_POINTS))
+    taus, tau_max = np.linspace(0.0, horizon, points), horizon
+    for _ in range(MAX_DOUBLINGS):
+        still_open = np.zeros(len(cells), dtype=bool)
+        for start in range(0, active.size, width):
+            chunk = active[start:start + width]
+            measures = _propagated_measures(initial, prop.take(chunk), select, work)
+            grid = np.broadcast_to(taus, (len(select), chunk.size, taus.size))
             on_grid, lo, hi = _grid_peaks(measures(grid[0, :, None]), grid)
             # Each measure's bracket is one row of one propagation call.
             new = np.maximum(on_grid, _zoom(lambda g: measures(np.swapaxes(g, 0, 1)), lo, hi))
-            stable = np.all(new - best < tol, axis=0) | np.all(new > cutoff, axis=0)
-            best = np.maximum(best, new)
-            if not stable.all():  # the bounds of the cells still open
-                bounds = _propagated_bounds(initial, prop.take(active[~stable]), select,
-                                            tau_max, pops0)
-                stable[~stable] = np.all(bounds <= best[:, ~stable], axis=0)
-            peaks[:, active[stable]] = np.maximum(best[:, stable], 0.0)
-            previous, last = last[:, ~stable], new[:, ~stable]
-            active, best = active[~stable], best[:, ~stable]
-            if not active.size:
-                break
-            taus = np.linspace(tau_max, 2.0 * tau_max, points // 2 + 1)
-            tau_max *= 2.0
-        else:
-            axis1, axis2 = cells[int(active[0])]
-            where = f"omega*L={axis2}" if axis1 is None else f"(T/omega={axis1}, omega*L={axis2})"
-            raise NonConvergedMaxError(
-                f"max-over-time did not stabilize below {tol} at {where}",
-                axis1=axis1,
-                axis2=axis2,
-                doublings=MAX_DOUBLINGS,
-                maxima={name: (float(previous[i, 0]), float(last[i, 0]))
-                        for i, name in enumerate(select)},
-            )
-    return peaks
+            stable = np.all(new - best[:, chunk] < tol, axis=0)
+            best[:, chunk] = np.maximum(best[:, chunk], new)
+            previous[:, chunk], last[:, chunk] = last[:, chunk], new
+            rest = chunk[~stable]
+            if rest.size:  # the bounds of the cells still open
+                bounds = _propagated_bounds(initial, prop.take(rest), select, tau_max)
+                still_open[rest] = ~np.all(bounds <= best[:, rest], axis=0)
+        active = np.flatnonzero(still_open)
+        if not active.size:
+            return best
+        taus = np.linspace(tau_max, 2.0 * tau_max, points // 2 + 1)
+        tau_max *= 2.0
+    k = int(active[0])
+    axis1, axis2 = cells[k]
+    where = f"omega*L={axis2}" if axis1 is None else f"(T/omega={axis1}, omega*L={axis2})"
+    raise NonConvergedMaxError(
+        f"max-over-time did not stabilize below {tol} at {where}",
+        axis1=axis1,
+        axis2=axis2,
+        doublings=MAX_DOUBLINGS,
+        maxima={name: (float(previous[i, k]), float(last[i, k]))
+                for i, name in enumerate(select)},
+    )
 
 
 def _max_over_time(initial: XState, rates: RateStack, gray: float, cells: list[tuple],
-                   select: tuple[str, ...] = BOTH,
-                   cutoff: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
+                   select: tuple[str, ...] = BOTH) -> tuple[np.ndarray, np.ndarray]:
     """(len(select), N) maxima over Gamma0*tau of the measures named by
     `select` for the N cells of a RateStack, with grid coordinates `cells`
     for errors, and the N propagation routes: _search on the stack's one
-    EigenPropagator, 1201 points from Gamma0*tau = 20/gray, a cell stopping
-    above `cutoff`."""
+    EigenPropagator, 1201 points from Gamma0*tau = 20/gray."""
     prop = EigenPropagator(rates)
     horizon = 20.0 / gray if gray > 0.0 else 20.0
-    return _search(initial, prop, cells, horizon, 1201, select, cutoff=cutoff), prop.routes
+    return _search(initial, prop, cells, horizon, 1201, select), prop.routes
 
 
 def thermal_scan(mass_ratio: float, initial: XState, temps, seps) -> SweepResult:
@@ -401,13 +390,12 @@ def scaling_check(mass_ratio: float, initial: XState, temp_ratio: float | None,
     return float(np.max(np.abs(np.subtract(massive, massless))))
 
 
-def _vacuum_max_over_time(initial: XState, mass_ratio: float, seps, measure: str,
-                          cutoff: float = math.inf):
+def _vacuum_max_over_time(initial: XState, mass_ratio: float, seps, measure: str):
     """Max over time of one measure in the vacuum at each separation in seps.
 
     _search on the EigenPropagator of _vacuum_rates, the vacuum in the decay
     exponent u = gray*Gamma0*tau (the closed-form cascade route), 1600 points
-    from u = 40; a separation stops above `cutoff`.
+    from u = 40.
     Needs gray > 0 and a measure name that generation_reach has checked.
     Returns a float for a scalar sep, else an array shaped like seps.
     """
@@ -415,7 +403,7 @@ def _vacuum_max_over_time(initial: XState, mass_ratio: float, seps, measure: str
     gray = gray_factor(mass_ratio, 1.0)
     prop = EigenPropagator(_vacuum_rates([spatial_factor(1.0, sep, gray) for sep in flat]))
     cells = [(None, float(sep)) for sep in flat]
-    out = _search(initial, prop, cells, 40.0, 1600, (measure,), cutoff=cutoff)[0]
+    out = _search(initial, prop, cells, 40.0, 1600, (measure,))[0]
     return float(out[0]) if np.ndim(seps) == 0 else out.reshape(np.shape(seps))
 
 
@@ -429,9 +417,8 @@ def generation_reach(
 
     Vacuum bath. Scans separations out to gray*omega*L = 26 (beyond which the
     cross-qubit coupling is far too weak for any practical cutoff) and refines
-    the last crossing by bisection to 1e-4 relative. Both ask only whether a
-    maximum exceeds cutoff, so each separation's search stops at its first
-    pass above cutoff.
+    the last crossing by bisection to 1e-4 relative; both test each
+    separation's full max-over-time search against cutoff.
     """
     _selector(measure)  # an unknown name fails before any search
     initial = XState.excited() if initial is None else initial
@@ -441,7 +428,7 @@ def generation_reach(
         raise NoGenerationError("frozen dynamics: no separation dependence at all")
 
     def max_measure(sep):
-        return _vacuum_max_over_time(initial, mass_ratio, sep, measure, cutoff)
+        return _vacuum_max_over_time(initial, mass_ratio, sep, measure)
 
     step = 0.05
     x_grid = np.arange(step, 26.0 + step / 2, step)
@@ -538,11 +525,10 @@ def thermal_generation_threshold(
     Bisects on temperature until the bracket is at most tol wide or its ends
     are adjacent floats; at each temperature the max-over-time concurrence
     is maximized over a separation grid, refined around the best point unless
-    the grid already exceeds cutoff. Only `> cutoff` is asked of each
-    temperature, so every cell's search stops at its first pass above cutoff.
-    Raises ValueError before any cell runs unless cutoff, tol, both bracket
-    ends (lo < hi) and every sep_values entry are finite and > 0, and
-    sep_values is a non-empty 1-D grid (a scalar is one separation).
+    the grid already exceeds cutoff. Raises ValueError before any cell runs
+    unless cutoff, tol, both bracket ends (lo < hi) and every sep_values
+    entry are finite and > 0, and sep_values is a non-empty 1-D grid (a
+    scalar is one separation).
     """
     initial = XState.excited() if initial is None else initial
     for name, value in (("cutoff", cutoff), ("tol", tol), ("bracket", bracket)):
@@ -560,7 +546,7 @@ def thermal_generation_threshold(
         def peaks(seps: np.ndarray) -> np.ndarray:  # seps 1-D, as the zoom's grids
             cells = [(temp, sep) for sep in seps.tolist()]
             rates = _cell_rates(mass_ratio, seps, np.full(seps.size, temp))
-            return _max_over_time(initial, rates, gray, cells, ("concurrence",), cutoff)[0][0]
+            return _max_over_time(initial, rates, gray, cells, ("concurrence",))[0][0]
 
         values = peaks(sep_values)
         if values.max() > cutoff:

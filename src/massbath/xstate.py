@@ -433,8 +433,12 @@ class EigenPropagator:
         self._groups = [(_ROUTES[c], None if sizes[c] == codes.size else np.flatnonzero(codes == c))
                         for c in np.flatnonzero(sizes)]
 
-    def take(self, index: np.ndarray) -> "EigenPropagator":
-        """The propagator of the stack of generators at `index`, an index array."""
+    def take(self, index) -> "EigenPropagator":
+        """The propagator of the stack of generators at `index`, an index
+        array or a slice: itself when that selects every generator in order."""
+        every = np.arange(len(self._codes))
+        if np.array_equal(every[index], every):
+            return self
         sub = copy.copy(self)
         sub.rates = self.rates.take(index)
         sub._eig = tuple(part[index] for part in self._eig)

@@ -162,7 +162,7 @@ def physical_reach(mass_ratio: float) -> float:
         seps, rates = _vacuum_cells(mass_ratio, seps)
         cells = [(None, sep) for sep in seps.tolist()]
         select = ("concurrence",)
-        maxima, _ = _max_over_time(XState.excited(), rates, gray, cells, select, CONCURRENCE_CUTOFF)
+        maxima, _ = _max_over_time(XState.excited(), rates, gray, cells, select)
         return maxima[0]
 
     grid = np.geomspace(0.1, 400.0, 500)

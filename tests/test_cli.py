@@ -282,25 +282,28 @@ class TestMap:
         assert all(len(line.split(",")) == 5 for line in lines[1:])
 
     def test_rows_match_a_per_cell_loop(self, capsys, tmp_path):
-        out_path = tmp_path / "map.csv"
-        code, _, _ = run_cli(
-            ["map", "time-sep", "--mass-ratio", "0.4", "--initial", "bell-GE",
-             "--temp-ratio", "0.3", "--tau-count", "3", "--sep-count", "2",
-             "--out", str(out_path)],
-            capsys,
-        )
-        assert code == 0
-        result = evolve_scan(
-            0.4, XState.bell_ge(), 0.3, np.linspace(0.05, 20.0, 3), np.linspace(0.05, 20.0, 2)
-        )
-        expected = [MAP_HEADER] + [
-            ",".join((repr(float(tau)), repr(float(sep)),
-                      repr(float(result.concurrence[i, j])),
-                      repr(float(result.negativity[i, j])), result.method[i, j]))
-            for i, tau in enumerate(result.axis1)
-            for j, sep in enumerate(result.axis2)
-        ]
-        assert out_path.read_text() == "\n".join(expected) + "\n"
+        # 3 x 2 fits one CSV block; 40 x 60 is 2,400 rows in three blocks,
+        # whose edges fall inside a tau's row, so labels repeat across blocks.
+        assert 2 * cli._CSV_BLOCK < 40 * 60 and cli._CSV_BLOCK % 60
+        for tau_count, sep_count in ((3, 2), (40, 60)):
+            out_path = tmp_path / f"map-{tau_count}.csv"
+            code, _, _ = run_cli(
+                ["map", "time-sep", "--mass-ratio", "0.4", "--initial", "bell-GE",
+                 "--temp-ratio", "0.3", "--tau-count", str(tau_count),
+                 "--sep-count", str(sep_count), "--out", str(out_path)],
+                capsys,
+            )
+            assert code == 0
+            result = evolve_scan(0.4, XState.bell_ge(), 0.3, np.linspace(0.05, 20.0, tau_count),
+                                 np.linspace(0.05, 20.0, sep_count))
+            expected = [MAP_HEADER] + [
+                ",".join((repr(float(tau)), repr(float(sep)),
+                          repr(float(result.concurrence[i, j])),
+                          repr(float(result.negativity[i, j])), result.method[i, j]))
+                for i, tau in enumerate(result.axis1)
+                for j, sep in enumerate(result.axis2)
+            ]
+            assert out_path.read_text() == "\n".join(expected) + "\n"
 
     def test_massive_map_shows_long_range_generation(self, capsys, tmp_path):
         out_path = tmp_path / "massive.csv"

@@ -511,106 +511,44 @@ def test_zero_coherence_shortcut_is_exact(kind, monkeypatch):
         assert np.array_equal(_vacuum_max_over_time(initial, 0.8, VACUUM_SEPS, m), values)
 
 
-# Initial states of the cutoff tests: E (generation only), bell-GE (maximally
-# entangled at tau = 0) and a random X state.
-CUTOFF_STATES = {
-    "E": XState.excited(),
-    "bell-GE": XState.bell_ge(),
-    "random": random_xstate(np.random.default_rng(23)),
-}
-CUTOFFS = (1e-6, 1e-3, 1e-1)
-
-
-def assert_cutoff_decides(full, cut, cutoff):
-    """The > cutoff answer of every entry is the full search's; an entry at or
-    below the cutoff is bit-identical, one above it at most the full value."""
-    assert np.array_equal(cut > cutoff, full > cutoff)
-    below = full <= cutoff
-    assert np.array_equal(cut[below], full[below])
-    assert np.all(cut[~below] <= full[~below])
-    return int(np.count_nonzero(below)), int(np.count_nonzero(~below))
-
-
-def test_vacuum_cutoff_keeps_every_answer():
-    rng = np.random.default_rng(29)
-    counts = np.zeros(2, dtype=int)
-    for initial in CUTOFF_STATES.values():
-        mass = float(rng.uniform(0.0, 0.95))
-        seps = np.concatenate([[1e-4], rng.uniform(0.05, 12.0, 15)])
-        for measure in BOTH:
-            full = _vacuum_max_over_time(initial, mass, seps, measure)
-            for cutoff in CUTOFFS:
-                cut = _vacuum_max_over_time(initial, mass, seps, measure, cutoff)
-                counts += assert_cutoff_decides(full, cut, cutoff)
-    assert counts.min() > 0
-
-
-@pytest.mark.parametrize("select", [("concurrence",), BOTH], ids="-".join)
-def test_thermal_cutoff_keeps_every_answer(select):
-    rng = np.random.default_rng(31)
-    counts = np.zeros(2, dtype=int)
-    for initial in CUTOFF_STATES.values():
-        mass = float(rng.uniform(0.0, 0.95))
-        cells = [(float(rng.uniform(0.02, 0.4)), float(rng.uniform(0.05, 12.0)))
-                 for _ in range(8)]
-        temps, seps = np.array(cells).T
-        rates = experiments._cell_rates(mass, seps, temps)
-        gray = gray_factor(mass, 1.0)
-        full, routes = _max_over_time(initial, rates, gray, cells, select)
-        for cutoff in CUTOFFS:
-            cut, cut_routes = _max_over_time(initial, rates, gray, cells, select, cutoff)
-            counts += assert_cutoff_decides(full, cut, cutoff)
-            assert np.array_equal(cut_routes, routes)
-            # A cell with one measure at or below the cutoff runs on in full.
-            partly = np.any(full <= cutoff, axis=0)
-            assert np.array_equal(cut[:, partly], full[:, partly])
-    assert counts.min() > 0
-
-
-@pytest.mark.parametrize("select", [("concurrence",), ("negativity",), BOTH], ids="-".join)
-def test_late_peak_cutoff_keeps_every_answer(select):
-    # From G the late-peak cell's maxima rise from (0.51, 0.21) on the first
-    # pass to (0.80, 0.62): a cell stops only once every selected maximum is
-    # above the cutoff, and the maxima below it go on rising.
-    rates, cells = RateStack.of([_late_peak_rates()]), [(None, None)]
-    full, _ = _max_over_time(XState.ground(), rates, 0.1, cells, select)
-    for cutoff in (0.4, 0.7):
-        cut, _ = _max_over_time(XState.ground(), rates, 0.1, cells, select, cutoff=cutoff)
-        assert_cutoff_decides(full, cut, cutoff)
-
-
 def test_cell_above_cutoff_retires_after_its_first_pass(monkeypatch):
     # Vacuum at m/omega = 0.8 from E: the concurrence at omega*L = 1e-4 stays
-    # near 3e-10 and peaks past the first horizon; the others pass 1e-3 early.
+    # near 3e-10 and peaks past the first horizon; the others pass 1e-3 early,
+    # and the tail bound certifies their peaks after one pass.
     initial, seps = XState.excited(), np.array([1e-4, 0.3, 1.5, 4.0])
-    full, full_passes = _counted_passes(
-        monkeypatch, lambda: _vacuum_max_over_time(initial, 0.8, seps, "concurrence"))
-    cut, passes = _counted_passes(
-        monkeypatch, lambda: _vacuum_max_over_time(initial, 0.8, seps, "concurrence", 1e-3))
+
+    def vacuum():
+        return _vacuum_max_over_time(initial, 0.8, seps, "concurrence")
+
+    full, passes = _counted_passes(monkeypatch, vacuum)
     above = full > 1e-3
     assert above.tolist() == [False, True, True, True]
     assert np.all(passes[above] == 1)
-    # Below the cutoff the one-sided rule still checks a second horizon.
-    assert passes[0] == full_passes[0] >= 2 and cut[0] == full[0]
+    # The plateau is not certified: the one-sided rule checks a second horizon.
+    assert passes[0] >= 2
+    # Without the certificate every cell checks a second horizon, with the same bits.
+    with monkeypatch.context() as patch:
+        patch.setattr(EigenPropagator, "tail", _no_certificate)
+        uncertified, uncertified_passes = _counted_passes(monkeypatch, vacuum)
+    assert np.all(uncertified_passes >= 2) and np.array_equal(uncertified, full)
     # Thermal cells at m/omega = 0.6 from E: a concurrence peak above 1e-3
     # (the first three cells) or near 5e-9 (the last).
     gray = gray_factor(0.6, 1.0)
     rates = RateStack.of([thermal_rates(0.6, sep, temp) for temp, sep in SELECTOR_CELLS])
     select = ("concurrence",)
 
-    def search(cutoff=math.inf):
-        return _max_over_time(initial, rates, gray, SELECTOR_CELLS, select, cutoff)[0]
+    def search():
+        return _max_over_time(initial, rates, gray, SELECTOR_CELLS, select)[0]
 
-    full, full_passes = _counted_passes(monkeypatch, search)
-    cut, passes = _counted_passes(monkeypatch, lambda: search(1e-3))
+    full, passes = _counted_passes(monkeypatch, search)
     assert (full[0] > 1e-3).tolist() == [True, True, True, False]
     assert passes.tolist()[:3] == [1, 1, 1]
     # Below the cutoff the tail bound certifies the 5e-9 cell after one pass,
     # with the bits of the search that checks a second horizon.
     monkeypatch.setattr(EigenPropagator, "tail", _no_certificate)
     uncertified, uncertified_passes = _counted_passes(monkeypatch, search)
-    assert passes[3] == full_passes[3] == 1 and uncertified_passes[3] >= 2
-    assert cut[0, 3] == full[0, 3] == uncertified[0, 3]
+    assert passes[3] == 1 and uncertified_passes[3] >= 2
+    assert full[0, 3] == uncertified[0, 3]
 
 
 def _no_certificate(self, pops0, tau, weights):
@@ -628,7 +566,7 @@ def _measured(initial, prop, taus):
 def _audit_tail_bound(initial, prop, tau):
     """Check the measure bounds at tau against 2001 samples on [tau, 16 tau];
     returns the (measure, cell) gaps between bound and sampled maximum."""
-    bounds = experiments._propagated_bounds(initial, prop, BOTH, tau, initial.populations())
+    bounds = experiments._propagated_bounds(initial, prop, BOTH, tau)
     grid = tau * np.linspace(1.0, 16.0, 2001)
     cells = len(prop.routes)
     samples = _measured(initial, prop, np.broadcast_to(grid, (cells, 1, grid.size)))
@@ -681,22 +619,19 @@ def test_certificate_keeps_every_bit(monkeypatch):
     anchor_rates = experiments._cell_rates(0.9, anchor_seps, anchor_temps)
     routes = []
 
-    def thermal(initial, rates, gray, cells, cutoff):
+    def thermal(initial, rates, gray, cells):
         def search():
-            peaks, cell_routes = _max_over_time(initial, rates, gray, cells, BOTH, cutoff)
+            peaks, cell_routes = _max_over_time(initial, rates, gray, cells, BOTH)
             routes.append(cell_routes)
             return peaks
         return search
 
     searches = []
     for initial in SELECTOR_STATES.values():
-        for cutoff in (math.inf, *CUTOFFS):
-            searches.append(thermal(initial, selector_rates, gray, SELECTOR_CELLS, cutoff))
-            searches.append(thermal(initial, anchor_rates, gray_factor(0.9, 1.0), anchor_cells,
-                                    cutoff))
-            for measure in BOTH:
-                searches.append(partial(_vacuum_max_over_time, initial, 0.8, VACUUM_SEPS, measure,
-                                        cutoff))
+        searches.append(thermal(initial, selector_rates, gray, SELECTOR_CELLS))
+        searches.append(thermal(initial, anchor_rates, gray_factor(0.9, 1.0), anchor_cells))
+        for measure in BOTH:
+            searches.append(partial(_vacuum_max_over_time, initial, 0.8, VACUUM_SEPS, measure))
     totals = np.zeros(2, dtype=int)
     for search in searches:
         got, passes = _counted_passes(monkeypatch, search)
@@ -710,16 +645,50 @@ def test_certificate_keeps_every_bit(monkeypatch):
     assert totals[0] < totals[1]
 
 
-@pytest.mark.parametrize("initial, retired", [
-    (XState.excited(), [0, 572, 228]),
-    (XState.bell_ge(), [0, 799, 1]),
+@pytest.mark.parametrize("initial, retired, grid_calls", [
+    (XState.excited(), [0, 572, 228], 15 + 5),
+    (XState.bell_ge(), [0, 799, 1], 15 + 1),
 ], ids=["E", "bell-GE"])
-def test_default_temp_sep_map_passes_per_cell(initial, retired, monkeypatch):
+def test_default_temp_sep_map_passes_per_cell(initial, retired, grid_calls, monkeypatch):
     # The default `map temp-sep` grids at m/omega = 0.9: how many of the 800
     # cells retire after one pass and after two, as the README quotes them.
+    # Each pass measures every open cell in chunks of MAP_BLOCK // 1201 = 54,
+    # one grid measure call each: 15 for the 800 cells, then 5 or 1.
     grid = (0.9, initial, np.linspace(0.02, 0.4, 20), np.linspace(0.05, 20.0, 40))
+    sizes, grid_peaks = [], experiments._grid_peaks
+
+    def recorded(values, *args):
+        sizes.append(values.shape[1])
+        return grid_peaks(values, *args)
+
+    monkeypatch.setattr(experiments, "_grid_peaks", recorded)
     _, passes = _counted_passes(monkeypatch, lambda: thermal_scan(*grid).concurrence.ravel())
     assert np.bincount(passes).tolist() == retired
+    assert len(sizes) == grid_calls and max(sizes) == experiments.MAP_BLOCK // 1201
+    assert sum(sizes) == 800 + retired[2]
+
+
+def test_first_open_cell_in_grid_order_is_named_across_chunks(monkeypatch):
+    # Two cells a chunk, so the six cells of the scan take three chunks. The
+    # first four cells retire on their first pass and the last two do not,
+    # so the first open cell opens the third chunk.
+    temps, seps = np.array([0.3, 0.02]), np.array([5.0, 10.0, 20.0])
+    monkeypatch.setattr(experiments, "MAP_BLOCK", 2 * 1201)
+    monkeypatch.setattr(experiments, "MAX_DOUBLINGS", 1)
+
+    def error(temps, seps):
+        with pytest.raises(NonConvergedMaxError) as info:
+            thermal_scan(0.0, XState.excited(), temps, seps)
+        return info.value
+
+    got, alone = error(temps, seps), error(temps[1:], seps[1:2])
+    assert (got.axis1, got.axis2) == (alone.axis1, alone.axis2) == (0.02, 10.0)
+    assert "(T/omega=0.02, omega*L=10.0)" in str(got)
+    assert got.doublings == 1 and set(got.maxima) == set(BOTH)
+    for name, (previous, last) in got.maxima.items():
+        # One pass leaves no earlier maximum; the last is the cell's own.
+        assert math.isnan(previous) and math.isfinite(last)
+        assert last == alone.maxima[name][1]
 
 
 def test_zoom_refines_every_bracket_in_two_calls():

@@ -352,11 +352,11 @@ class TestEigenPropagator:
         oracle = integrate_ode(XState.excited(), rates, 1.0, tol=1e-12).states[-1]
         assert state_distance(out, oracle) < 1e-9
 
-    def test_stack_matches_single_propagators(self, rng):
-        # One stack mixing every route: frozen, the cascade (vacuum, lam = 1
-        # and 0.3), eigen (thermal) and expm (thermal slow corner), on a
-        # shared grid and on per-generator rows.
-        stack = [
+    @staticmethod
+    def every_route_stack():
+        """One stack mixing every route: frozen, the cascade (vacuum, lam = 1
+        and 0.3), eigen (thermal) and expm (thermal slow corner)."""
+        return [
             build_rate_matrix(GklsCoefficients(0.0, 0.0, 0.0, 0.0)),
             build_rate_matrix(vacuum_like(1.0)),
             build_rate_matrix(vacuum_like(0.3)),
@@ -367,6 +367,10 @@ class TestEigenPropagator:
                 thermal_coefficients(FieldBathConfig.from_ratios(0.9, 0.07, 0.028))
             ),
         ]
+
+    def test_stack_matches_single_propagators(self, rng):
+        # The every-route stack on a shared grid and on per-generator rows.
+        stack = self.every_route_stack()
         prop = EigenPropagator(RateStack.of(stack))
         assert list(prop.routes) == [FROZEN, CLOSED_FORM, CLOSED_FORM, EIGEN, EXPM]
         taus = np.linspace(0.0, 8.0, 33)
@@ -385,6 +389,29 @@ class TestEigenPropagator:
                 alone = EigenPropagator(rates).populations(start, taus)[0]
                 assert np.max(np.abs(shared[n] - alone)) < 1e-14
                 assert np.max(np.abs(rows[n, 1] - alone)) < 1e-14
+
+    def test_take_of_every_generator_in_order_is_the_propagator(self, rng):
+        # An index array, a boolean mask or a slice that selects every
+        # generator in order gives the propagator itself: the routes, and the
+        # bits of populations and tail, of one built afresh on the stack.
+        stack = RateStack.of(self.every_route_stack())
+        prop, fresh = EigenPropagator(stack), EigenPropagator(stack)
+        pops0, taus, weights = random_xstate(rng).populations(), np.linspace(0.0, 8.0, 33), np.eye(4)
+        for index in (np.arange(5), np.ones(5, dtype=bool), slice(None), slice(0, 9)):
+            full = prop.take(index)
+            assert full is prop
+            assert list(full.routes) == list(fresh.routes)
+            assert np.array_equal(full.populations(pops0, taus), fresh.populations(pops0, taus))
+            for got, want in zip(full.tail(pops0, 3.0, weights), fresh.tail(pops0, 3.0, weights)):
+                assert np.array_equal(got, want)
+        # A strict subset, or every generator out of order, is a new propagator
+        # of those generators (bound as in test_stack_matches_single_propagators).
+        every = fresh.populations(pops0, taus)
+        for index in (np.array([0, 3, 4]), slice(1, 5), np.arange(5)[::-1], np.array([2])):
+            sub = prop.take(index)
+            assert sub is not prop and np.array_equal(sub.routes, prop.routes[index])
+            assert np.max(np.abs(sub.populations(pops0, taus) - every[index])) < 1e-14
+            assert np.array_equal(sub.rates.generator, stack.generator[index])
 
     @pytest.mark.parametrize("routes", [
         (FROZEN, FROZEN), (CLOSED_FORM, CLOSED_FORM), (EIGEN, EIGEN), (EXPM, EXPM),
