@@ -18,11 +18,13 @@ import massbath.experiments as experiments
 from massbath import (
     FieldBathConfig,
     GklsCoefficients,
+    NoGenerationError,
     NonConvergedMaxError,
     XState,
     build_rate_matrix,
     coefficients,
     entanglement,
+    generation_reach,
     gray_factor,
     random_xstate,
     spatial_factor,
@@ -509,6 +511,90 @@ def test_zero_coherence_shortcut_is_exact(kind, monkeypatch):
     assert np.array_equal(_max_over_time(initial, rates, gray, SELECTOR_CELLS)[0], thermal)
     for m, values in zip(BOTH, vacuum):
         assert np.array_equal(_vacuum_max_over_time(initial, 0.8, VACUUM_SEPS, m), values)
+
+
+# Initial states of the cutoff tests: E (generation only), bell-GE (maximally
+# entangled at tau = 0) and a random X state.
+CUTOFF_STATES = {
+    "E": XState.excited(),
+    "bell-GE": XState.bell_ge(),
+    "random": random_xstate(np.random.default_rng(23)),
+}
+CUTOFFS = (1e-6, 1e-3, 1e-1)
+
+
+def test_vacuum_cutoff_keeps_every_answer():
+    # generation_reach answers its cutoff from the full search's maxima on
+    # its scan grid: never above, above out to the window's end, or a reach
+    # bracketed by the last crossing. Every outcome occurs.
+    rng = np.random.default_rng(29)
+    outcomes = {"never": 0, "beyond": 0, "reach": 0}
+    for initial in CUTOFF_STATES.values():
+        mass = float(rng.uniform(0.0, 0.95))
+        gray = gray_factor(mass, 1.0)
+        x_grid = np.arange(0.05, 26.0 + 0.025, 0.05)
+        for measure in BOTH:
+            full = _vacuum_max_over_time(initial, mass, x_grid / gray, measure)
+            for cutoff in CUTOFFS:
+                above = np.nonzero(full > cutoff)[0]
+                if above.size == 0:
+                    outcomes["never"] += 1
+                    with pytest.raises(NoGenerationError, match="never exceeds"):
+                        generation_reach(mass, initial, cutoff, measure)
+                elif above[-1] == x_grid.size - 1:
+                    outcomes["beyond"] += 1
+                    with pytest.raises(NoGenerationError, match="beyond the scan window"):
+                        generation_reach(mass, initial, cutoff, measure)
+                else:
+                    outcomes["reach"] += 1
+                    reach = generation_reach(mass, initial, cutoff, measure)
+                    assert x_grid[above[-1]] / gray <= reach <= x_grid[above[-1] + 1] / gray
+    assert min(outcomes.values()) > 0
+
+
+@pytest.mark.parametrize("select", [("concurrence",), BOTH], ids="-".join)
+def test_thermal_cutoff_keeps_every_answer(select):
+    # The threshold's > cutoff test reads _max_over_time on the concurrence
+    # alone: every selected maximum is the one thermal_scan gives for that
+    # cell, with the routes of the search of both measures.
+    rng = np.random.default_rng(31)
+    counts = np.zeros(2, dtype=int)
+    for initial in CUTOFF_STATES.values():
+        mass = float(rng.uniform(0.0, 0.95))
+        cells = [(float(rng.uniform(0.02, 0.4)), float(rng.uniform(0.05, 12.0)))
+                 for _ in range(8)]
+        temps, seps = np.array(cells).T
+        rates = experiments._cell_rates(mass, seps, temps)
+        gray = gray_factor(mass, 1.0)
+        full, routes = _max_over_time(initial, rates, gray, cells, select)
+        scanned = [thermal_scan(mass, initial, [temp], [sep]) for temp, sep in cells]
+        for row, measure in zip(full, select):
+            assert np.array_equal(row, [getattr(s, measure)[0, 0] for s in scanned])
+        assert np.array_equal(routes, _max_over_time(initial, rates, gray, cells, BOTH)[1])
+        for cutoff in CUTOFFS:
+            above = int(np.count_nonzero(full > cutoff))
+            counts += (full.size - above, above)
+    assert counts.min() > 0
+
+
+@pytest.mark.parametrize("select", [("concurrence",), ("negativity",), BOTH], ids="-".join)
+def test_late_peak_cutoff_keeps_every_answer(select):
+    # From G the late-peak cell's maxima rise from (0.51, 0.21) on the first
+    # pass to (0.80, 0.62): the search runs on past the first pass whatever a
+    # cutoff would ask, so the > 0.4 and > 0.7 answers are the late peak's.
+    rates, cells = RateStack.of([_late_peak_rates()]), [(None, None)]
+    both, _ = _max_over_time(XState.ground(), rates, 0.1, cells)
+    full, _ = _max_over_time(XState.ground(), rates, 0.1, cells, select)
+    assert np.array_equal(full, both[[BOTH.index(m) for m in select]])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "MAX_DOUBLINGS", 1)
+        with pytest.raises(NonConvergedMaxError) as info:
+            _max_over_time(XState.ground(), rates, 0.1, cells, select)
+    first = np.array([[info.value.maxima[m][1]] for m in select])
+    assert np.all(first < full)
+    expected = {"concurrence": (True, True), "negativity": (True, False)}
+    for row, measure in zip(full, select):
+        assert (bool(row[0] > 0.4), bool(row[0] > 0.7)) == expected[measure]
 
 
 def test_cell_above_cutoff_retires_after_its_first_pass(monkeypatch):
