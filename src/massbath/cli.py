@@ -169,6 +169,14 @@ def _emit(text: str, stream, digest=None) -> None:
     digest.update(data)
 
 
+def _params(args, **extra) -> dict:
+    """A manifest's params: every flag the command parsed, under its name and
+    with the values read from --config, except --config and --out; then extra."""
+    skip = {"command", "submode", "func", "config", "out"}
+    return {key.replace("_", "-"): value for key, value in vars(args).items()
+            if key not in skip} | extra
+
+
 def _write_csv(command: str, params: dict, blocks, out: str | None) -> None:
     """Write CSV blocks as they come: to stdout when `out` is None, else to the
     file `out`, hashing the bytes written, followed by its manifest."""
@@ -220,15 +228,7 @@ def cmd_evolve(args) -> int:
         taus, *pops, coh_ge.real, coh_ge.imag, coh_as.real, coh_as.imag,
         *_measures_arrays(*pops, *_coherence_parts(coh_ge, coh_as)),
     )
-    params = {
-        "initial": args.initial,
-        "mass-ratio": args.mass_ratio,
-        "sep": args.sep,
-        "temp-ratio": args.temp_ratio,
-        "tmax": args.tmax,
-        "steps": args.steps,
-        "method": traj.method,
-    }
+    params = _params(args, method=traj.method)
     _write_csv("evolve", params, _csv(EVOLVE_HEADER, columns), args.out)
     return 0
 
@@ -250,18 +250,20 @@ def _grid_from_args(args, prefix: str) -> np.ndarray:
     return (np.geomspace if scale == "log" else np.linspace)(start, stop, count)
 
 
-def _write_map(result, command: str, params: dict, out: str) -> int:
+def _write_map(result, args, axis1: str) -> int:
+    """The long-format CSV of a map command's result, rows of axis1 by sep."""
     rows, cols = result.concurrence.shape
     # Each axis label is formatted once per map, then repeated.
-    axis1, axis2 = (np.array(_text(axis), dtype=object) for axis in (result.axis1, result.axis2))
+    text1, text2 = (np.array(_text(axis), dtype=object) for axis in (result.axis1, result.axis2))
     columns = (
-        np.repeat(axis1, cols),
-        np.tile(axis2, rows),
+        np.repeat(text1, cols),
+        np.tile(text2, rows),
         result.concurrence.ravel(),
         result.negativity.ravel(),
         result.method.ravel(),
     )
-    _write_csv(command, params, _csv(MAP_HEADER, columns), out)
+    params = _params(args, axis1=axis1, axis2="sep")
+    _write_csv(f"map {args.submode}", params, _csv(MAP_HEADER, columns), args.out)
     return 0
 
 
@@ -272,26 +274,13 @@ def cmd_map_time_sep(args) -> int:
     result = evolve_scan(
         args.mass_ratio, initial, args.temp_ratio, _grid_from_args(args, "tau"), seps
     )
-    params = {
-        "initial": args.initial,
-        "mass-ratio": args.mass_ratio,
-        "temp-ratio": args.temp_ratio,
-        "axis1": "tau",
-        "axis2": "sep",
-    }
-    return _write_map(result, "map time-sep", params, args.out)
+    return _write_map(result, args, "tau")
 
 
 def cmd_map_temp_sep(args) -> int:
     initial, seps = parse_initial(args.initial), _grid_from_args(args, "sep")
     result = thermal_scan(args.mass_ratio, initial, _grid_from_args(args, "temp"), seps)
-    params = {
-        "initial": args.initial,
-        "mass-ratio": args.mass_ratio,
-        "axis1": "temp-ratio",
-        "axis2": "sep",
-    }
-    return _write_map(result, "map temp-sep", params, args.out)
+    return _write_map(result, args, "temp-ratio")
 
 
 def cmd_verify(args) -> int:
@@ -307,11 +296,16 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+def _command(parent, name: str, help: str, handler: str) -> argparse.ArgumentParser:
+    """A subcommand of the subparsers `parent` that takes no abbreviated flag,
+    reads --config and runs the function of this module named `handler`."""
+    command = parent.add_parser(name, help=help, allow_abbrev=False)
+    command.add_argument(
         "--config",
         help="flat key=value file whose keys mirror flag names; flags override",
     )
+    command.set_defaults(func=handler)
+    return command
 
 
 def _add_axis(parser, prefix: str, lo: float, hi: float, count: int) -> None:
@@ -336,17 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    coeffs = sub.add_parser("coeffs", help="print rate coefficients (units of Gamma0)",
-                            allow_abbrev=False)
-    _add_common(coeffs)
+    coeffs = _command(sub, "coeffs", "print rate coefficients (units of Gamma0)", "cmd_coeffs")
     coeffs.add_argument("--mass-ratio", type=float, required=True)
     coeffs.add_argument("--sep", type=float, required=True)
     coeffs.add_argument("--temp-ratio", type=float, default=None)
-    coeffs.set_defaults(func="cmd_coeffs")
 
-    evolve = sub.add_parser("evolve", help="trajectory CSV for one parameter point",
-                            allow_abbrev=False)
-    _add_common(evolve)
+    evolve = _command(sub, "evolve", "trajectory CSV for one parameter point", "cmd_evolve")
     evolve.add_argument(
         "--initial",
         required=True,
@@ -359,34 +348,28 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--tmax", type=float, default=10.0)
     evolve.add_argument("--steps", type=int, default=200)
     evolve.add_argument("--out", default=None, help="CSV path (default: stdout)")
-    evolve.set_defaults(func="cmd_evolve")
 
     map_parser = sub.add_parser("map", help="sweep grids as long-format CSV", allow_abbrev=False)
     map_sub = map_parser.add_subparsers(dest="submode", required=True)
 
-    time_sep = map_sub.add_parser("time-sep", help="instantaneous measures vs (tau, L)",
-                                  allow_abbrev=False)
-    _add_common(time_sep)
+    time_sep = _command(map_sub, "time-sep", "instantaneous measures vs (tau, L)",
+                        "cmd_map_time_sep")
     time_sep.add_argument("--mass-ratio", type=float, required=True)
     time_sep.add_argument("--temp-ratio", type=float, default=None)
     time_sep.add_argument("--initial", default="E")
     _add_axis(time_sep, "tau", 0.05, 20.0, 40)
     _add_axis(time_sep, "sep", 0.05, 20.0, 40)
     time_sep.add_argument("--out", required=True)
-    time_sep.set_defaults(func="cmd_map_time_sep")
 
-    temp_sep = map_sub.add_parser("temp-sep", help="max-over-time measures vs (T/omega, L)",
-                                  allow_abbrev=False)
-    _add_common(temp_sep)
+    temp_sep = _command(map_sub, "temp-sep", "max-over-time measures vs (T/omega, L)",
+                        "cmd_map_temp_sep")
     temp_sep.add_argument("--mass-ratio", type=float, required=True)
     temp_sep.add_argument("--initial", default="E")
     _add_axis(temp_sep, "temp", 0.02, 0.4, 20)
     _add_axis(temp_sep, "sep", 0.05, 20.0, 40)
     temp_sep.add_argument("--out", required=True)
-    temp_sep.set_defaults(func="cmd_map_temp_sep")
 
-    verify = sub.add_parser("verify", help="run the self-verification suites", allow_abbrev=False)
-    _add_common(verify)
+    verify = _command(sub, "verify", "run the self-verification suites", "cmd_verify")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument(
         "--perturb",
@@ -394,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="fault-injection hook: perturb the coefficient comparison",
     )
-    verify.set_defaults(func="cmd_verify")
     return parser
 
 

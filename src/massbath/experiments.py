@@ -104,17 +104,10 @@ def _positive(name: str, values, allow_zero: bool = False) -> np.ndarray:
     return array
 
 
-def _per_value(fn, values: np.ndarray):
-    """fn at each distinct entry of values, spread back over values, and the
-    exception each entry raised (None where fn returned; the value is nan)."""
+def _per_value(fn, values: np.ndarray) -> np.ndarray:
+    """fn at each distinct entry of values, spread back over values."""
     distinct, inverse = np.unique(values, return_inverse=True)
-    out, errors = np.full(distinct.size, np.nan), np.full(distinct.size, None)
-    for i, value in enumerate(distinct.tolist()):
-        try:
-            out[i] = fn(value)
-        except Exception as exc:
-            errors[i] = exc
-    return out[inverse], errors[inverse]
+    return np.array([fn(value) for value in distinct.tolist()])[inverse]
 
 
 def _cell_rates(mass_ratio: float, seps: np.ndarray, temps=None) -> RateStack:
@@ -127,31 +120,34 @@ def _cell_rates(mass_ratio: float, seps: np.ndarray, temps=None) -> RateStack:
     order raises SweepCellError carrying its grid coordinates."""
     gray = gray_factor(mass_ratio, 1.0)
     same = 0.25 * gray * FieldBathConfig.from_ratios(mass_ratio, 0.0).gamma0
-    lam, *errors = _per_value(lambda sep: spatial_factor(1.0, sep, gray), seps)
+    lam = _per_value(lambda sep: spatial_factor(1.0, sep, gray), seps)
     coth = 1.0  # the vacuum's a1 = b1
     if temps is not None:
         cell_temps = np.broadcast_to(temps, seps.shape)
-        coth, temp_errors = _per_value(lambda temp: 1.0 / math.tanh(0.5 / temp), cell_temps)
-        errors.append(temp_errors)
+        coth = _per_value(lambda temp: 1.0 / math.tanh(0.5 / temp), cell_temps)
     with np.errstate(invalid="ignore", over="ignore"):
         gens, rate = _generators(*_weights(same, lam, coth))
     rates = RateStack(gens, *np.broadcast_arrays(rate, rate, lam)[:2])
     fault = _rate_fault(*rates)
     if fault is not None:
         k, message = fault
-        cause = next((e[k] for e in errors if e[k] is not None), ValueError(message))
         temp, sep = None if np.ndim(temps) == 0 else float(temps[k]), float(seps[k])
         where = f"separation {sep}" if temp is None else f"(T/omega={temp}, omega*L={sep})"
-        raise SweepCellError(f"sweep failed at {where}: {cause}", axis1=temp, axis2=sep) from cause
+        raise SweepCellError(f"sweep failed at {where}: {message}",
+                             axis1=temp, axis2=sep) from ValueError(message)
     return rates
 
 
-def _time_sep_measures(mass_ratio: float, temp_ratio: float | None, initial: XState,
-                       seps: np.ndarray, taus: np.ndarray):
-    """Concurrence and negativity, each (len(taus), len(seps)), and the route
-    of every separation: one propagator, and one measure call per block of
-    separations in one workspace, each at most MAP_BLOCK (tau, sep) cells or
-    one column."""
+def evolve_scan(mass_ratio: float, initial: XState, temp_ratio: float | None,
+                taus, seps) -> SweepResult:
+    """Instantaneous measure values over the grids taus (Gamma0*tau) and seps
+    (omega*L), in a vacuum (temp_ratio None) or a bath at one T/omega. A bath
+    or grid entry no cell could take raises ValueError before any cell runs.
+    One propagator, and one measure call per block of separations in one
+    workspace, each at most MAP_BLOCK (tau, sep) cells or one column."""
+    FieldBathConfig.from_ratios(mass_ratio, 0.0, temp_ratio)
+    seps = _positive("seps (omega*L)", seps, allow_zero=True)
+    taus = _positive("taus (Gamma0*tau)", taus, allow_zero=True)
     prop = EigenPropagator(_cell_rates(mass_ratio, seps, temp_ratio))
     width = max(1, MAP_BLOCK // taus.size)
     rows = np.broadcast_to(taus, (width, 1, taus.size))
@@ -161,19 +157,7 @@ def _time_sep_measures(mass_ratio: float, temp_ratio: float | None, initial: XSt
         block = prop.take(slice(i, i + width))
         measures = _propagated_measures(initial, block, BOTH, work)
         out[:, i:i + width] = measures(rows[:len(block.routes)])
-    return out[0].T, out[1].T, prop.routes
-
-
-def evolve_scan(mass_ratio: float, initial: XState, temp_ratio: float | None,
-                taus, seps) -> SweepResult:
-    """Instantaneous measure values over the grids taus (Gamma0*tau) and seps
-    (omega*L), in a vacuum (temp_ratio None) or a bath at one T/omega. A bath
-    or grid entry no cell could take raises ValueError before any cell runs."""
-    FieldBathConfig.from_ratios(mass_ratio, 0.0, temp_ratio)
-    seps = _positive("seps (omega*L)", seps, allow_zero=True)
-    taus = _positive("taus (Gamma0*tau)", taus, allow_zero=True)
-    conc, neg, routes = _time_sep_measures(mass_ratio, temp_ratio, initial, seps, taus)
-    return SweepResult(taus, seps, conc, neg, np.tile(routes, (taus.size, 1)))
+    return SweepResult(taus, seps, out[0].T, out[1].T, np.tile(prop.routes, (taus.size, 1)))
 
 
 def _grid_peaks(values: np.ndarray, grid: np.ndarray):
@@ -375,19 +359,16 @@ def scaling_check(mass_ratio: float, initial: XState, temp_ratio: float | None,
     evolve_scan.
 
     Compares both measures of the massive system at (L, tau) against the
-    massless one at (gray*L, gray*tau); the identity holds exactly, so the
-    returned deviation is pure numerical noise.
+    massless one at (gray*L, gray*tau), each from one evolve_scan; the identity
+    holds exactly, so the returned deviation is pure numerical noise.
     """
     if not 0.0 <= mass_ratio < 1.0:
         raise ValueError(f"mass_ratio must lie in [0, 1), got {mass_ratio}")
+    massive = evolve_scan(mass_ratio, initial, temp_ratio, taus, seps)
     gray = gray_factor(mass_ratio, 1.0)
-    # A sweep's own checks reject a bad bath or grid before any cell.
-    FieldBathConfig.from_ratios(mass_ratio, 0.0, temp_ratio)
-    seps = _positive("seps (omega*L)", seps, allow_zero=True)
-    taus = _positive("taus (Gamma0*tau)", taus, allow_zero=True)
-    massive = _time_sep_measures(mass_ratio, temp_ratio, initial, seps, taus)[:2]
-    massless = _time_sep_measures(0.0, temp_ratio, initial, gray * seps, gray * taus)[:2]
-    return float(np.max(np.abs(np.subtract(massive, massless))))
+    massless = evolve_scan(0.0, initial, temp_ratio, gray * massive.axis1, gray * massive.axis2)
+    return float(max(np.max(np.abs(getattr(massive, name) - getattr(massless, name)))
+                     for name in ("concurrence", "negativity")))
 
 
 def _vacuum_max_over_time(initial: XState, mass_ratio: float, seps, measure: str):

@@ -357,6 +357,64 @@ class TestMap:
         assert json.loads(first)["outputs"][0]["sha256"] == json.loads(second)["outputs"][0]["sha256"]
 
 
+class TestManifestParams:
+    """A manifest's params hold every flag the command parsed, under its name
+    and with the values read from --config, except --config and --out; evolve
+    adds its method, and a map its axis names."""
+
+    # command: (flags on the line, the --config file, the params expected)
+    CASES = {
+        "evolve": (
+            ["evolve", "--initial", "bell-GE", "--tmax", "2"], "mass-ratio=0.5\nsteps=3\n",
+            {"initial": "bell-GE", "mass-ratio": 0.5, "sep": 0.0, "temp-ratio": None,
+             "tmax": 2.0, "steps": 3, "method": "closed_form"},
+        ),
+        "time-sep": (
+            ["map", "time-sep", "--mass-ratio", "0.5", "--tau-count", "3"],
+            "temp-ratio=0.3\nsep-count=4\ntau-scale=log\n",
+            {"initial": "E", "mass-ratio": 0.5, "temp-ratio": 0.3,
+             "tau-min": 0.05, "tau-max": 20.0, "tau-count": 3, "tau-scale": "log",
+             "sep-min": 0.05, "sep-max": 20.0, "sep-count": 4, "sep-scale": "linear",
+             "axis1": "tau", "axis2": "sep"},
+        ),
+        "temp-sep": (
+            ["map", "temp-sep", "--initial", "bell-GE", "--temp-count", "2"],
+            "mass-ratio=0.9\nsep-count=3\nsep-scale=log\ntemp-max=0.3\n",
+            {"initial": "bell-GE", "mass-ratio": 0.9,
+             "temp-min": 0.02, "temp-max": 0.3, "temp-count": 2, "temp-scale": "linear",
+             "sep-min": 0.05, "sep-max": 20.0, "sep-count": 3, "sep-scale": "log",
+             "axis1": "temp-ratio", "axis2": "sep"},
+        ),
+    }
+    EXTRAS = {"method", "axis1", "axis2"}
+
+    @staticmethod
+    def run(argv, config_text, folder):
+        """The params of the manifest that argv, with --config and --out, writes."""
+        folder.mkdir()
+        config, out = folder / "run.cfg", folder / "out.csv"
+        config.write_text(config_text)
+        assert main(argv + ["--config", str(config), "--out", str(out)]) == 0
+        return json.loads((folder / "out.csv.manifest.json").read_text())["params"]
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_params_are_every_parsed_flag(self, name, tmp_path):
+        argv, config_text, expected = self.CASES[name]
+        params = self.run(argv, config_text, tmp_path / name)
+        assert params == expected
+        # The expected flags are all that the parser holds for the command.
+        full = argv + ["--config", str(tmp_path / name / "run.cfg"), "--out", "x.csv"]
+        parsed = vars(cli.build_parser().parse_args(cli._merge_config(full)))
+        flags = {key.replace("_", "-") for key in parsed} - {"command", "submode", "func"}
+        assert set(params) - self.EXTRAS == flags - {"config", "out"}
+
+    def test_maps_differing_in_sep_count_record_it(self, tmp_path):
+        argv = ["map", "time-sep", "--mass-ratio", "0.5", "--tau-count", "3", "--sep-count"]
+        ten, thirty = (self.run(argv + [count], "", tmp_path / count) for count in ("10", "30"))
+        assert (ten["sep-count"], thirty["sep-count"]) == (10, 30)
+        assert {key for key in ten if ten[key] != thirty[key]} == {"sep-count"}
+
+
 def reference_row(mass_ratio, sep, initial, tau):
     """Evolve-CSV entries and both measures from a 40-digit expm."""
     rates = build_rate_matrix(coefficients(FieldBathConfig.from_ratios(mass_ratio, sep)))

@@ -226,45 +226,9 @@ class TestGridArrays:
             assert np.array_equal(getattr(shuffled, name)[order], getattr(ordered, name)), name
 
 
-class TestSweepCellErrors:
-    """A cell whose rates cannot be built names its grid coordinates."""
-
-    @pytest.fixture(autouse=True)
-    def fail_at_separation(self, monkeypatch):
-        real = experiments.spatial_factor
-
-        def spatial_factor(omega, separation, gray):
-            if separation == 1.5:
-                raise FloatingPointError("injected")
-            return real(omega, separation, gray)
-
-        monkeypatch.setattr(experiments, "spatial_factor", spatial_factor)
-
-    SEPS = np.linspace(0.5, 2.0, 4)
-
-    def test_time_sep_names_the_separation(self):
-        with pytest.raises(SweepCellError, match="separation 1.5: injected") as info:
-            evolve_scan(0.6, XState.excited(), 0.2, np.linspace(0.0, 5.0, 6), self.SEPS)
-        assert (info.value.axis1, info.value.axis2) == (None, 1.5)
-        assert isinstance(info.value.__cause__, FloatingPointError)
-
-    def test_temp_sep_names_the_cell(self):
-        with pytest.raises(SweepCellError, match=r"\(T/omega=0.1, omega\*L=1.5\)") as info:
-            thermal_scan(0.6, XState.excited(), np.linspace(0.1, 0.2, 2), self.SEPS)
-        assert (info.value.axis1, info.value.axis2) == (0.1, 1.5)
-        assert isinstance(info.value.__cause__, FloatingPointError)
-
-    def test_threshold_names_the_cell(self):
-        # The bisection starts at the bracket's low end, T/omega = 0.1.
-        with pytest.raises(SweepCellError, match=r"\(T/omega=0.1, omega\*L=1.5\)") as info:
-            thermal_generation_threshold(0.6, sep_values=np.array([0.5, 1.5, 2.0]))
-        assert (info.value.axis1, info.value.axis2) == (0.1, 1.5)
-        assert isinstance(info.value.__cause__, FloatingPointError)
-
-
 class TestOverflowingCell:
     """At T/omega = 1e308, coth(omega/2T) overflows and a1 = inf: a cell that
-    fails for real, with nothing patched."""
+    fails for real, with nothing patched, names its grid coordinates."""
 
     SEPS = np.linspace(0.5, 2.0, 4)
 
@@ -278,6 +242,15 @@ class TestOverflowingCell:
         with pytest.raises(SweepCellError, match="separation 0.5: rates must be finite") as info:
             evolve_scan(0.6, XState.excited(), 1e308, np.linspace(0.0, 5.0, 6), self.SEPS)
         assert (info.value.axis1, info.value.axis2) == (None, 0.5)
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_threshold_names_the_first_failing_cell(self):
+        # T/omega = 0.1 generates; the bracket's high end then fails.
+        with pytest.raises(SweepCellError, match=r"\(T/omega=1e\+308, omega\*L=0.5\): "
+                           "rates must be finite") as info:
+            thermal_generation_threshold(0.6, bracket=(0.1, 1e308),
+                                         sep_values=np.array([0.5, 1.5, 2.0]))
+        assert (info.value.axis1, info.value.axis2) == (1e308, 0.5)
         assert isinstance(info.value.__cause__, ValueError)
 
 
