@@ -137,25 +137,24 @@ def _write_manifest(
 _CSV_BLOCK = 1024
 
 
-def _text(values: np.ndarray) -> list[str]:
-    """str of every element; floats format each distinct bit pattern once."""
-    if values.dtype != np.float64:
-        return list(map(str, values.tolist()))
-    bits, where = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array(list(map(str, bits.view(np.float64).tolist())), dtype=object)
-    return text[where.ravel()].tolist()
-
-
 def _csv(header: str, columns):
     """CSV text in pieces: the header line, then row k from element k of every
-    column, as str (a float's shortest round-trip repr). Rows come _CSV_BLOCK
-    at a time, and a block is formatted only when the previous one has been
-    taken, so a consumer that writes each block holds one block of text."""
+    column. str labels are written as held; a block's float64 columns share one
+    shortest round-trip repr per distinct 64-bit pattern (-0.0 and 0.0 stay
+    apart). Rows come _CSV_BLOCK at a time, each made once the last is taken."""
     columns = [np.asarray(column) for column in columns]
+    floats = [k for k, column in enumerate(columns) if column.dtype == np.float64]
     yield header + "\n"
     for start in range(0, len(columns[0]), _CSV_BLOCK):
-        cells = [_text(column[start:start + _CSV_BLOCK]) for column in columns]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        cells = [column[start:start + _CSV_BLOCK] for column in columns]
+        if floats:
+            # A 1-D input keeps return_inverse flat on numpy 1.x and 2.x alike.
+            flat = np.concatenate([cells[k].view(np.int64) for k in floats])
+            bits, where = np.unique(flat, return_inverse=True)
+            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            for k, row in zip(floats, text[where].reshape(len(floats), -1)):
+                cells[k] = row
+        yield "\n".join(map(",".join, zip(*(column.tolist() for column in cells)))) + "\n"
 
 
 def _emit(text: str, stream, digest=None) -> None:
@@ -254,7 +253,8 @@ def _write_map(result, args, axis1: str) -> int:
     """The long-format CSV of a map command's result, rows of axis1 by sep."""
     rows, cols = result.concurrence.shape
     # Each axis label is formatted once per map, then repeated.
-    text1, text2 = (np.array(_text(axis), dtype=object) for axis in (result.axis1, result.axis2))
+    text1, text2 = (np.array(list(map(repr, axis.tolist())), dtype=object)
+                    for axis in (result.axis1, result.axis2))
     columns = (
         np.repeat(text1, cols),
         np.tile(text2, rows),

@@ -281,21 +281,37 @@ class TestMap:
         assert len(lines) == 5
         assert all(len(line.split(",")) == 5 for line in lines[1:])
 
-    def test_rows_match_a_per_cell_loop(self, capsys, tmp_path):
+    @pytest.mark.parametrize("mass, initial, temp, shared", [
+        ("0.4", "bell-GE", "0.3", False),
+        ("0.5", "A", None, False),
+        # In these two every cell's concurrence and negativity have one bit
+        # pattern (bell-GE in vacuum near omega; E above the thermal
+        # threshold, where both are 0.0), so the block's two measure columns
+        # share each formatted value.
+        ("0.995", "bell-GE", None, True),
+        ("0.4", "E", "0.3", True),
+    ])
+    def test_rows_match_a_per_cell_loop(self, capsys, tmp_path, mass, initial, temp, shared):
         # 3 x 2 fits one CSV block; 40 x 60 is 2,400 rows in three blocks,
         # whose edges fall inside a tau's row, so labels repeat across blocks.
         assert 2 * cli._CSV_BLOCK < 40 * 60 and cli._CSV_BLOCK % 60
+        thermal = [] if temp is None else ["--temp-ratio", temp]
         for tau_count, sep_count in ((3, 2), (40, 60)):
             out_path = tmp_path / f"map-{tau_count}.csv"
             code, _, _ = run_cli(
-                ["map", "time-sep", "--mass-ratio", "0.4", "--initial", "bell-GE",
-                 "--temp-ratio", "0.3", "--tau-count", str(tau_count),
-                 "--sep-count", str(sep_count), "--out", str(out_path)],
+                ["map", "time-sep", "--mass-ratio", mass, "--initial", initial, *thermal,
+                 "--tau-count", str(tau_count), "--sep-count", str(sep_count),
+                 "--out", str(out_path)],
                 capsys,
             )
             assert code == 0
-            result = evolve_scan(0.4, XState.bell_ge(), 0.3, np.linspace(0.05, 20.0, tau_count),
+            result = evolve_scan(float(mass), parse_initial(initial),
+                                 None if temp is None else float(temp),
+                                 np.linspace(0.05, 20.0, tau_count),
                                  np.linspace(0.05, 20.0, sep_count))
+            if shared:
+                assert np.array_equal(result.concurrence.view(np.int64),
+                                      result.negativity.view(np.int64))
             expected = [MAP_HEADER] + [
                 ",".join((repr(float(tau)), repr(float(sep)),
                           repr(float(result.concurrence[i, j])),
@@ -304,6 +320,9 @@ class TestMap:
                 for j, sep in enumerate(result.axis2)
             ]
             assert out_path.read_text() == "\n".join(expected) + "\n"
+            manifest = json.loads((tmp_path / f"{out_path.name}.manifest.json").read_text())
+            digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+            assert manifest["outputs"] == [{"path": out_path.name, "sha256": digest}]
 
     def test_massive_map_shows_long_range_generation(self, capsys, tmp_path):
         out_path = tmp_path / "massive.csv"
@@ -508,6 +527,36 @@ class TestCsvDistinctValues:
             np.resize(np.array(["eigen", "closed_form", "frozen"], dtype=object), n),
         )
         assert "".join(cli._csv("h", columns)) == repr_csv("h", columns)
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 1024])
+    def test_float_columns_share_one_repr_per_bit_pattern(self, monkeypatch, block):
+        """A block's float columns share their formatting: a value in two
+        columns is formatted once, while -0.0 beside 0.0, and a NaN payload
+        beside the default NaN, stay two bit patterns formatted apart."""
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        formatted = []
+        monkeypatch.setattr(cli, "repr", lambda v: formatted.append(v) or repr(v), raising=False)
+        rng = np.random.default_rng(13)
+        n = 2500
+        shared = np.array([-0.0, 0.0, np.nan, -np.nan, self.SPECIAL[-1], 1 / 3])
+        same = rng.standard_normal(n)
+        columns = (
+            np.resize(np.array(["0.0", "-0.0", "nan"], dtype=object), n),
+            same,
+            same.copy(),
+            np.resize([-0.0, 0.0], n),
+            np.resize([0.0, -0.0], n),
+            np.resize([self.SPECIAL[-1], np.nan], n),
+            np.resize([np.nan, self.SPECIAL[-1]], n),
+            rng.choice(shared, n),
+            rng.choice(shared, n),
+            np.resize(np.array(["eigen", "closed_form", "frozen"], dtype=object), n),
+        )
+        assert "".join(cli._csv("h", columns)) == repr_csv("h", columns)
+        floats = [column.view(np.int64) for column in columns[1:-1]]
+        per_block = [np.unique(np.concatenate([bits[start:start + block] for bits in floats]))
+                     for start in range(0, n, block)]
+        assert np.array_equal(np.array(formatted).view(np.int64), np.concatenate(per_block))
 
 
 class TestStreamedOutput:
