@@ -284,6 +284,10 @@ def cmd_map_temp_sep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    if not np.isfinite(args.perturb):
+        raise ValueError(f"--perturb must be finite, got {args.perturb}")
     results = run_verification(seed=args.seed, perturb=args.perturb)
     failed = False
     for suite in results:

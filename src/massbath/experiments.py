@@ -353,6 +353,13 @@ def thermal_scan(mass_ratio: float, initial: XState, temps, seps) -> SweepResult
     return SweepResult(temps, seps, conc, neg, routes.reshape(shape))
 
 
+def _worst(deviations) -> float:
+    """The largest of some deviations, NaN if any is NaN: Python's max drops
+    a NaN that does not come first, so a broken check would read as a pass."""
+    values = list(deviations)
+    return math.nan if any(map(math.isnan, values)) else float(max(values))
+
+
 def scaling_check(mass_ratio: float, initial: XState, temp_ratio: float | None,
                   taus, seps) -> float:
     """Max deviation of the mass-rescaling identity over the grids of
@@ -367,8 +374,8 @@ def scaling_check(mass_ratio: float, initial: XState, temp_ratio: float | None,
     massive = evolve_scan(mass_ratio, initial, temp_ratio, taus, seps)
     gray = gray_factor(mass_ratio, 1.0)
     massless = evolve_scan(0.0, initial, temp_ratio, gray * massive.axis1, gray * massive.axis2)
-    return float(max(np.max(np.abs(getattr(massive, name) - getattr(massless, name)))
-                     for name in ("concurrence", "negativity")))
+    return _worst(np.max(np.abs(getattr(massive, name) - getattr(massless, name)))
+                  for name in ("concurrence", "negativity"))
 
 
 def _vacuum_max_over_time(initial: XState, mass_ratio: float, seps, measure: str):
@@ -452,8 +459,8 @@ class CoefficientCheck:
 
 def _relative(x: float, y: float) -> float:
     scale = max(abs(x), abs(y))
-    if scale == 0.0:
-        return 0.0
+    if scale == 0.0:  # both zero, or a NaN that max dropped
+        return 0.0 if x == y else math.nan
     return abs(x - y) / scale
 
 
@@ -478,18 +485,18 @@ def verify_coefficients(
     if not config.is_thermal:
         oracle = (mu2_4 * (gs_pos + gs_neg), oracle_b1, mu2_4 * (gc_pos + gc_neg), oracle_b2)
         direct = (direct.a1, direct.b1, direct.a2, direct.b2)
-        dev = max(_relative(x * factor, y) for x, y in zip(direct, oracle))
+        dev = _worst(_relative(x * factor, y) for x, y in zip(direct, oracle))
         return CoefficientCheck(max_relative_deviation=dev, kms_deviation=None)
     coth = 1.0 / math.tanh(0.5 * config.omega / config.temperature)
-    dev = max(
+    dev = _worst((
         _relative(direct.b1 * factor, oracle_b1),
         _relative(direct.b2 * factor, oracle_b2),
-    )
+    ))
     kms = 0.0
     if direct.b1 > 0.0:
         kms = abs(direct.a1 * factor / direct.b1 - coth) / coth
     if direct.b2 != 0.0:
-        kms = max(kms, abs(direct.a2 * factor / direct.b2 - coth) / coth)
+        kms = _worst((kms, abs(direct.a2 * factor / direct.b2 - coth) / coth))
     return CoefficientCheck(max_relative_deviation=dev, kms_deviation=kms)
 
 
@@ -601,7 +608,7 @@ class SuiteResult:
 
 def _state_distance(x: XState, y: XState) -> float:
     fields = ("pop_g", "pop_a", "pop_s", "pop_e", "coh_ge", "coh_as")
-    return max(abs(getattr(x, name) - getattr(y, name)) for name in fields)
+    return _worst(abs(getattr(x, name) - getattr(y, name)) for name in fields)
 
 
 def _sudden_death_draws(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -630,14 +637,14 @@ def run_verification(seed: int = 0, perturb: float = 0.0) -> list[SuiteResult]:
 
     grid = np.linspace(0.05, 6.0, 8), np.linspace(0.1, 12.0, 8)  # taus, seps
     initials = [XState.excited(), XState.antisymmetric(), XState.bell_ge()]
-    dev = max(
+    dev = _worst(
         scaling_check(mass, initial, None, *grid)
         for mass in (0.3, 0.8, 0.995)
         for initial in initials
     )
     results.append(SuiteResult("scaling-vacuum", dev, 1e-10))
 
-    dev = max(
+    dev = _worst(
         scaling_check(0.8, initial, temp, *grid)
         for temp in (0.05, 0.2)
         for initial in initials
@@ -676,7 +683,7 @@ def run_verification(seed: int = 0, perturb: float = 0.0) -> list[SuiteResult]:
         pops0[cut], coh_ge[cut], coh_as[cut], u[:, None])
     closed = _xstates(*(part[:, 0] for part in out))
     odes = integrate_ode_many(states, rates, taus, tol=1e-10)
-    dev = max(*map(_state_distance, closed, eigens), *map(_state_distance, eigens, odes))
+    dev = _worst([*map(_state_distance, closed, eigens), *map(_state_distance, eigens, odes)])
     results.append(SuiteResult("method-agreement", dev, 1e-8))
 
     checks = [
@@ -685,6 +692,6 @@ def run_verification(seed: int = 0, perturb: float = 0.0) -> list[SuiteResult]:
         for sep in (0.1, 1.0, 5.0, 20.0)
         for temp in (None, 2.0, 0.5, 0.1)
     ]
-    dev = max(max(c.max_relative_deviation, c.kms_deviation or 0.0) for c in checks)
+    dev = _worst(x for c in checks for x in (c.max_relative_deviation, c.kms_deviation or 0.0))
     results.append(SuiteResult("coefficient-oracle", dev, 1e-12))
     return results

@@ -72,6 +72,28 @@ def _times(x, y, out):
     return np.multiply(x, y, out=out) if isinstance(y, np.ndarray) else x * y
 
 
+def _scalar_zero(x) -> bool:
+    """Whether x is a scalar +-0, as a coherence part that starts at zero stays."""
+    return not isinstance(x, np.ndarray) and x == 0.0
+
+
+def _hypot(x, y, out=None):
+    """hypot(x, y), into out if given; |x| or |y| where the other is a scalar
+    +-0, as C99 defines it. Same bits as np.hypot but for the sign of a NaN,
+    which glibc's hypot keeps and abs clears."""
+    if _scalar_zero(y):
+        return np.abs(x, out=out)
+    if _scalar_zero(x):
+        return np.abs(y, out=out)
+    return np.hypot(x, y, out=out)
+
+
+def _k1(pop_g, pop_a, pop_s, pop_e, im_as, one, tmp):
+    k1 = _hypot(np.subtract(pop_a, pop_s, out=one), _times(2.0, im_as, tmp), one)
+    root = _clipped_sqrt(np.multiply(pop_g, pop_e, out=tmp), tmp)
+    return np.subtract(k1, np.multiply(2.0, root, out=tmp), out=one)
+
+
 def _concurrence_pair(pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as, out=(None,) * 3):
     """Concurrence branch values (k1, k2); concurrence is max(0, k1, k2)
     (Wootters). The radicands that roundoff can push below zero are clipped
@@ -79,9 +101,7 @@ def _concurrence_pair(pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as, out=(Non
     writes into them in the order of the allocating call (out None): same bits.
     """
     one, two, tmp = out
-    k1 = np.hypot(np.subtract(pop_a, pop_s, out=one), _times(2.0, im_as, tmp), out=one)
-    root = _clipped_sqrt(np.multiply(pop_g, pop_e, out=tmp), tmp)
-    k1 = np.subtract(k1, np.multiply(2.0, root, out=tmp), out=one)
+    k1 = _k1(pop_g, pop_a, pop_s, pop_e, im_as, one, tmp)
     total = np.add(pop_a, pop_s, out=two)
     square = _times(_times(4.0, re_as, tmp), re_as, tmp)
     radicand = np.subtract(np.multiply(total, total, out=two), square, out=two)
@@ -102,13 +122,26 @@ def _negativity_pair(pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as, out=(None
     radicand = np.add(radicand, np.multiply(gap, gap, out=tmp), out=one)
     n1 = np.subtract(np.add(pop_g, pop_e, out=tmp), np.sqrt(radicand, out=one), out=one)
     arrays = isinstance(abs_ge, np.ndarray) or isinstance(re_as, np.ndarray)
-    norm = _times(2.0, np.hypot(abs_ge, re_as, out=tmp if arrays else None), tmp)
+    norm = _times(2.0, _hypot(abs_ge, re_as, tmp if arrays else None), tmp)
     n2 = np.subtract(np.add(pop_a, pop_s, out=two), norm, out=two)
     return np.multiply(0.5, n1, out=one), np.multiply(0.5, n2, out=two)
 
 
 def _concurrence_of(k1, k2, out=None):
     return np.maximum(0.0, np.maximum(k1, k2, out=out), out=out)
+
+
+def _concurrence(*entries, out):
+    """max(0, k1, k2) into out[0], buffers as for _concurrence_pair. Where
+    |coh_ge| is a scalar +0, k2 = +0 - sqrt(.) <= +0 is skipped: max(0, k1)
+    has the same bits, since no branch is -0.0 (abs gives +0, x - x is +0)
+    and np.maximum(0.0, -0.0) would be -0.0 (a tie returns the second
+    operand). Only entries no propagator gives make k2 NaN where k1 is not:
+    a NaN or infinite re coh_as, or pa = -ps = +-inf."""
+    (one, _, tmp), abs_ge = out, entries[4]
+    if _scalar_zero(abs_ge) and math.copysign(1.0, abs_ge) > 0.0:
+        return np.maximum(0.0, _k1(*entries[:4], entries[6], one, tmp), out=one)
+    return _concurrence_of(*_concurrence_pair(*entries, out=out), out=one)
 
 
 def _negativity_of(n1, n2, out=(None, None)):
@@ -123,7 +156,7 @@ def _negativity_of(n1, n2, out=(None, None)):
 # pop_e, |coh_ge|, re coh_as, im coh_as) and buffers (result, two spares) or
 # three Nones. A selector is a tuple of names.
 _MEASURES = {
-    "concurrence": lambda *x, out: _concurrence_of(*_concurrence_pair(*x, out=out), out=out[0]),
+    "concurrence": _concurrence,
     "negativity": lambda *x, out: _negativity_of(*_negativity_pair(*x, out=out), out=out[:2]),
 }
 BOTH = tuple(_MEASURES)
@@ -135,10 +168,10 @@ def _measure_bounds(diff, total, gap, low_g, low_e, abs_ge, re_as, im_as, select
     low_g, pe >= low_e and coherence parts no larger than |abs_ge|, |re_as|,
     |im_as|: the measure of its branch bounds, each widened by 1e-12 for
     roundoff (so branch bounds below 0 bound it by exactly 0)."""
-    k1 = np.hypot(diff, 2.0 * im_as) - 2.0 * _clipped_sqrt(low_g) * _clipped_sqrt(low_e)
+    k1 = _hypot(diff, 2.0 * im_as) - 2.0 * _clipped_sqrt(low_g) * _clipped_sqrt(low_e)
     k2 = 2.0 * abs_ge - _clipped_sqrt(np.maximum(total, 0.0) ** 2 - 4.0 * re_as * re_as)
     n1 = 0.5 * (low_g + low_e - np.sqrt(diff * diff + 4.0 * im_as * im_as + gap * gap))
-    n2 = 0.5 * (total - 2.0 * np.hypot(abs_ge, re_as))
+    n2 = 0.5 * (total - 2.0 * _hypot(abs_ge, re_as))
     bounds = {"concurrence": _concurrence_of(k1 + 1e-12, k2 + 1e-12),
               "negativity": _negativity_of(n1 - 0.5e-12, n2 - 0.5e-12)}
     return np.array([bounds[name] for name in select])

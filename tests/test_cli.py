@@ -1038,6 +1038,18 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--seed", "-1"], "--seed"),
+        (["--perturb", "inf"], "--perturb"),
+        (["--perturb", "nan"], "--perturb"),
+        (["--perturb=-inf"], "--perturb"),
+    ], ids=["negative-seed", "inf-perturb", "nan-perturb", "negative-inf-perturb"])
+    def test_bad_flag_exits_2_naming_it_before_any_suite(self, argv, flag, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_verification", lambda **_: pytest.fail("a suite ran"))
+        code, out, err = run_cli(["verify", *argv], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: {flag} must be ") and err.count("\n") == 1
+
 
 class TestParser:
     def test_built_once_per_process(self):

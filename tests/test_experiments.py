@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import time
 
 import numpy as np
@@ -544,6 +546,50 @@ class TestRunVerification:
         results = run_verification(seed=7, perturb=1e-6)
         oracle = [s for s in results if s.name == "coefficient-oracle"][0]
         assert not oracle.passed
+
+    @pytest.mark.parametrize("name, call, suite, poison", [
+        ("scaling_check", 2, "scaling-vacuum", lambda dev: math.nan),
+        ("scaling_check", 11, "scaling-thermal", lambda dev: math.nan),
+        ("_state_distance", 2, "method-agreement", lambda dev: math.nan),
+        ("_relative", 2, "coefficient-oracle", lambda dev: math.nan),
+        ("verify_coefficients", 2, "coefficient-oracle",
+         lambda check: dataclasses.replace(check, max_relative_deviation=math.nan)),
+        ("verify_coefficients", 3, "coefficient-oracle",
+         lambda check: dataclasses.replace(check, kms_deviation=math.nan)),
+    ], ids=["scaling-vacuum", "scaling-thermal", "method-agreement", "relative",
+            "coefficient-oracle", "kms"])
+    def test_a_nan_check_after_the_first_fails_its_suite(self, monkeypatch, name, call, suite,
+                                                        poison):
+        real, calls = getattr(experiments, name), []
+
+        def poisoned(*args, **kwargs):
+            calls.append(None)
+            result = real(*args, **kwargs)
+            return poison(result) if len(calls) == call else result
+
+        monkeypatch.setattr(experiments, name, poisoned)
+        results = {s.name: s for s in run_verification(seed=0)}
+        assert len(calls) > call
+        assert math.isnan(results[suite].max_deviation) and not results[suite].passed
+        assert all(s.passed for s in results.values() if s.name != suite)
+
+    def test_scaling_check_carries_a_nan_of_its_second_measure(self, monkeypatch):
+        real = experiments.evolve_scan
+
+        def scan(*args):
+            result = real(*args)
+            negativity = result.negativity.copy()
+            negativity.flat[-1] = np.nan
+            return dataclasses.replace(result, negativity=negativity)
+
+        monkeypatch.setattr(experiments, "evolve_scan", scan)
+        grid = np.linspace(0.1, 2.0, 3)
+        assert math.isnan(scaling_check(0.5, XState.bell_ge(), None, grid, grid))
+
+    def test_relative_deviation_of_a_nan_is_nan(self):
+        assert math.isnan(experiments._relative(0.0, math.nan))
+        assert math.isnan(experiments._relative(math.nan, 0.0))
+        assert experiments._relative(0.0, -0.0) == 0.0
 
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_sudden_death_draws_match_one_at_a_time(self, seed):

@@ -29,6 +29,7 @@ from massbath import (
     FieldBathConfig,
 )
 from massbath.measures import (
+    BOTH,
     RADICAND_TOL,
     _bisect,
     _measure_bounds,
@@ -152,6 +153,109 @@ class TestMeasureBounds:
         intervals = (0.0, 0.5, 0.0, 0.25, 0.25, 0.0, 0.0, 0.0)
         assert _measure_bounds(*intervals).tolist() == [0.0, 0.0]
         assert _measure_bounds(*intervals, select=("negativity",)).tolist() == [0.0]
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _shortcut_populations(rng) -> np.ndarray:
+    """(4, N) populations (pg, pa, ps, pe): Dirichlet draws, then edges: pa =
+    ps, pg*pe = 0, signed zeros, subnormals, k1 < 0 and a NaN in each slot."""
+    tiny = 5e-324
+    edges = [
+        (0.2, 0.3, 0.3, 0.2), (0.0, 0.6, 0.1, 0.3), (0.4, 0.1, 0.5, 0.0),
+        (-0.0, 0.0, -0.0, 1.0), (0.0, -0.0, 0.0, -0.0), (0.5, -0.0, 0.0, 0.5),
+        (tiny, 2 * tiny, tiny, 1.0), (0.0, tiny, 0.0, 1e-310), (1e-310, -tiny, tiny, 1e-310),
+        (0.5, 0.0, 0.0, 0.5),  # k1 = -1
+        (np.nan, 0.3, 0.2, 0.5), (0.1, np.nan, 0.2, 0.7), (0.1, 0.2, np.nan, 0.7),
+        (0.1, 0.2, 0.3, np.nan),
+    ]
+    return np.concatenate([rng.dirichlet(np.ones(4), size=600).T, np.array(edges).T], axis=1)
+
+
+def _coherence_cases(pops, rng):
+    """Coherence parts (|coh_ge|, re coh_as, im coh_as) with scalar zeros, as
+    _faded_coherences leaves them for diagonal states, bell-GE and others.
+    The arrays reach past positivity, so that k2 > 0 and n2 < 0 occur."""
+    size = pops.shape[1]
+    abs_ge = rng.uniform(0.0, 1.0, size)
+    coh_as = rng.uniform(0.0, 1.0, size) * np.exp(2j * math.pi * rng.random(size))
+    re_as, im_as = coh_as.real, coh_as.imag
+    return {
+        "diagonal": (0.0, 0.0, 0.0),
+        "diagonal, signed zeros": (0.0, -0.0, -0.0),
+        "diagonal, -0 ge": (-0.0, 0.0, 0.0),
+        "ge only": (abs_ge, 0.0, 0.0),
+        "ge only, -0 as": (abs_ge, -0.0, -0.0),
+        "as only": (0.0, re_as, im_as),
+        "real as": (0.0, re_as, 0.0),
+        "imaginary as": (0.0, 0.0, im_as),
+        "ge and imaginary as": (abs_ge, 0.0, im_as),
+    }
+
+
+def _reference_branches(pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as):
+    """(k1, k2, n1, n2) with np.hypot and k2 always, in the kernel's steps."""
+    k1 = np.hypot(pop_a - pop_s, 2.0 * im_as) - 2.0 * np.sqrt(np.maximum(pop_g * pop_e, 0.0))
+    total = pop_a + pop_s
+    k2 = 2.0 * abs_ge - np.sqrt(np.maximum(total * total - 4.0 * re_as * re_as, 0.0))
+    diff, gap = pop_a - pop_s, pop_g - pop_e
+    n1 = 0.5 * ((pop_g + pop_e) - np.sqrt(diff * diff + 4.0 * im_as * im_as + gap * gap))
+    n2 = 0.5 * (total - 2.0 * np.hypot(abs_ge, re_as))
+    return k1, k2, n1, n2
+
+
+def _reference_measures(*entries):
+    k1, k2, n1, n2 = _reference_branches(*entries)
+    low = np.minimum(n1, 0.0) + np.minimum(n2, 0.0)
+    return {"concurrence": np.maximum(0.0, np.maximum(k1, k2)), "negativity": 0.0 - 2.0 * low}
+
+
+class TestZeroCoherenceShortcuts:
+    """A scalar-zero coherence part takes |x| for hypot(x, 0) and, for
+    |coh_ge|, skips k2; arrays of the same zeros take np.hypot and compute
+    k2. Both give the bits of the formulas with np.hypot and k2."""
+
+    @pytest.mark.parametrize("select", [("concurrence",), ("negativity",), BOTH])
+    @pytest.mark.parametrize("buffers", [False, True])
+    def test_scalar_zeros_give_the_bits_of_arrays_of_zeros(self, rng, select, buffers):
+        pops = _shortcut_populations(rng)
+        size = pops.shape[1]
+        for name, parts in _coherence_cases(pops, rng).items():
+            arrays = [np.full(size, part) if np.ndim(part) == 0 else part for part in parts]
+            with np.errstate(invalid="ignore"):
+                reference = _reference_measures(*pops, *arrays)
+                expected = _bits([reference[measure] for measure in select])
+                for entries in ((*pops, *parts), (*pops, *arrays)):
+                    out = dict(out=np.empty((len(select), size)), spare=np.empty((2, size)))
+                    got = _measures_arrays(*entries, select=select, **(out if buffers else {}))
+                    assert np.array_equal(_bits(got), expected), name
+
+    def test_bounds_of_scalar_zeros_are_the_bounds_of_arrays_of_zeros(self, rng):
+        pops = _shortcut_populations(rng)[:, :600]
+        pg, pa, ps, pe = pops
+        intervals = (np.abs(pa - ps), pa + ps, np.abs(pg - pe), pg, pe)
+        for name, parts in _coherence_cases(pops, rng).items():
+            arrays = [np.full(pops.shape[1], part) if np.ndim(part) == 0 else part
+                      for part in parts]
+            assert np.array_equal(_bits(_measure_bounds(*intervals, *parts)),
+                                  _bits(_measure_bounds(*intervals, *arrays))), name
+
+    @pytest.mark.parametrize("state", [
+        XState.excited(), XState.antisymmetric(), XState.bell_ge(),
+        XState(0.1, 0.4, 0.3, 0.2, coh_as=0.2 - 0.25j),
+    ], ids=["E", "A", "bell-GE", "coh_as only"])
+    def test_entanglement_reports_the_branches(self, state):
+        value = entanglement(state)
+        entries = (*state.populations(), abs(state.coh_ge), state.coh_as.real, state.coh_as.imag)
+        expected = _reference_branches(*map(np.float64, entries))
+        assert _bits([value.k1, value.k2, value.n1, value.n2]).tolist() == _bits(expected).tolist()
+
+    def test_named_states_keep_their_concurrence_branches(self):
+        branches = [(entanglement(state).k1, entanglement(state).k2) for state in
+                    (XState.excited(), XState.antisymmetric(), XState.bell_ge())]
+        assert _bits(branches).tolist() == _bits([(0.0, 0.0), (1.0, -1.0), (-1.0, 1.0)]).tolist()
 
 
 class TestNegativity:
