@@ -46,7 +46,6 @@ from .xstate import (
 )
 from .measures import (
     CONCURRENCE_CUTOFF,
-    NEGATIVITY_CUTOFF,
     EntanglementEvents,
     EntanglementValue,
     concurrence,

@@ -160,22 +160,19 @@ def evolve_scan(mass_ratio: float, initial: XState, temp_ratio: float | None,
     return SweepResult(taus, seps, out[0].T, out[1].T, np.tile(prop.routes, (taus.size, 1)))
 
 
-def _grid_peaks(values: np.ndarray, grid: np.ndarray):
-    """Best sample along the last axis and the bracket of its neighbours."""
+def _zoom(evaluate, values: np.ndarray, grid: np.ndarray, points: int = ZOOM_POINTS) -> np.ndarray:
+    """Largest of each row's best sample of `values` (taken at `grid`, along
+    the last axis) and the values sampled by two calls of `evaluate` between
+    that sample's grid neighbours: evaluate(g) on `points` equally spaced
+    points (g: values.shape[:-1] + (points,)), then at the vertex of the
+    parabola through the best of those and its neighbours (the interior ones
+    at an end), one step of successive parabolic interpolation (Brent, 1973).
+    A bracket not strictly concave there, or whose vertex is not inside it,
+    keeps its best sample: a repeat would differ by roundoff alone."""
     i = np.argmax(values, axis=-1)
     cells, last = np.indices(i.shape, sparse=True), grid.shape[-1] - 1
-    low, high = grid[(*cells, np.maximum(i - 1, 0))], grid[(*cells, np.minimum(i + 1, last))]
-    return values[(*cells, i)], low, high
-
-
-def _zoom(evaluate, lo: np.ndarray, hi: np.ndarray, points: int = ZOOM_POINTS) -> np.ndarray:
-    """Largest value sampled by two calls of `evaluate` in every bracket
-    [lo, hi]: evaluate(grid) on `points` equally spaced points (grid of shape
-    lo.shape + (points,)), then at the vertex of the parabola through the
-    best sample and its neighbours (the interior ones at an end), one step
-    of successive parabolic interpolation (Brent, 1973). A bracket not
-    strictly concave there, or whose vertex is not inside it, keeps its best
-    sample: a repeat would differ by roundoff alone."""
+    on_grid = values[(*cells, i)]  # a copy: the first call may reuse values' memory
+    lo, hi = grid[(*cells, np.maximum(i - 1, 0))], grid[(*cells, np.minimum(i + 1, last))]
     values = evaluate(np.linspace(lo, hi, points, axis=-1))
     best = values.max(axis=-1)  # before the second call, which may reuse values' memory
     mid = np.clip(np.argmax(values, axis=-1), 1, points - 2)
@@ -186,7 +183,7 @@ def _zoom(evaluate, lo: np.ndarray, hi: np.ndarray, points: int = ZOOM_POINTS) -
     vertex = lo + (mid + shift) * ((hi - lo) / (points - 1))
     moves = (curve < 0.0) & (lo < vertex) & (vertex < hi)
     at_vertex = evaluate(np.where(moves, vertex, lo)[..., None])[..., 0]
-    return np.maximum(best, np.where(moves, at_vertex, -np.inf))
+    return np.maximum(on_grid, np.maximum(best, np.where(moves, at_vertex, -np.inf)))
 
 
 # perfbench/tracing.py times the refinement stage under its former name.
@@ -266,17 +263,17 @@ def _search(initial: XState, prop: EigenPropagator, cells: list[tuple], horizon:
     pass samples [0, horizon] on `points` points; each later pass doubles
     the horizon and samples only its new half, at the doubled spacing. A
     pass measures the open cells in chunks of MAP_BLOCK // points, which
-    bounds its samples: it slices a chunk from prop with take and measures
-    it through _propagated_measures in the search's one _workspace, sized
-    for the first chunk, then refines the best sample of each measure
-    between its neighbours with _zoom: three propagation calls a chunk. A
+    bounds its samples: it slices a chunk from prop with one take and
+    measures it through _propagated_measures in the search's one _workspace,
+    sized for the first chunk, and _zoom refines the best sample of each
+    measure between its neighbours: three propagation calls a chunk. A
     cell retires, each step one array operation over a chunk, on the first
     pass that raised none of its maxima by tol or more, or certified them
-    all: every bound of _propagated_bounds at or below its maximum (expm
-    cells have no bound). A certified maximum cannot rise later: the search
-    that would confirm it on the next horizon returns the same bits. A cell
-    still open after MAX_DOUBLINGS passes raises NonConvergedMaxError, the
-    first in grid order.
+    all: every bound of _propagated_bounds, on the chunk's slice, at or
+    below its maximum (expm cells have no bound). A certified maximum cannot
+    rise later: the search that would confirm it on the next horizon returns
+    the same bits. A cell still open after MAX_DOUBLINGS passes raises
+    NonConvergedMaxError, the first in grid order.
     """
     tol = 1e-6
     best = np.full((len(select), len(cells)), -np.inf)
@@ -292,17 +289,17 @@ def _search(initial: XState, prop: EigenPropagator, cells: list[tuple], horizon:
         still_open = np.zeros(len(cells), dtype=bool)
         for start in range(0, active.size, width):
             chunk = active[start:start + width]
-            measures = _propagated_measures(initial, prop.take(chunk), select, work)
+            block = prop.take(chunk)
+            measures = _propagated_measures(initial, block, select, work)
             grid = np.broadcast_to(taus, (len(select), chunk.size, taus.size))
-            on_grid, lo, hi = _grid_peaks(measures(grid[0, :, None]), grid)
             # Each measure's bracket is one row of one propagation call.
-            new = np.maximum(on_grid, _zoom(lambda g: measures(np.swapaxes(g, 0, 1)), lo, hi))
+            new = _zoom(lambda g: measures(np.swapaxes(g, 0, 1)), measures(grid[0, :, None]), grid)
             stable = np.all(new - best[:, chunk] < tol, axis=0)
             best[:, chunk] = np.maximum(best[:, chunk], new)
             previous[:, chunk], last[:, chunk] = last[:, chunk], new
             rest = chunk[~stable]
             if rest.size:  # the bounds of the cells still open
-                bounds = _propagated_bounds(initial, prop.take(rest), select, tau_max)
+                bounds = _propagated_bounds(initial, block, select, tau_max)[:, ~stable]
                 still_open[rest] = ~np.all(bounds <= best[:, rest], axis=0)
         active = np.flatnonzero(still_open)
         if not active.size:
@@ -539,8 +536,8 @@ def thermal_generation_threshold(
         values = peaks(sep_values)
         if values.max() > cutoff:
             return True
-        _, lo, hi = _grid_peaks(values, np.log(sep_values))
-        return bool(_zoom(lambda u: peaks(np.exp(u)), lo, hi, points=SEP_ZOOM_POINTS) > cutoff)
+        zoomed = _zoom(lambda u: peaks(np.exp(u)), values, np.log(sep_values), SEP_ZOOM_POINTS)
+        return bool(zoomed > cutoff)
 
     t_lo, t_hi = bracket
     if not generates(t_lo):

@@ -17,11 +17,10 @@ import numpy as np
 from .errors import FrozenDynamicsError, NotAStateError
 from .xstate import POP_TOL, PSD_TOL, Trajectory, XState
 
-# Cutoffs below which a measure counts as "no entanglement" when locating
-# generation regions; CONCURRENCE_CUTOFF is the default of generation_reach,
+# The cutoff below which a measure counts as "no entanglement" when locating
+# generation regions: the default of generation_reach (for either measure),
 # enlargement_factor and thermal_generation_threshold.
 CONCURRENCE_CUTOFF = 1e-3
-NEGATIVITY_CUTOFF = 1e-5
 
 # Radicands more negative than this signal an unphysical state instead of
 # roundoff and raise; anything in (-tol, 0) is clipped to zero. A state that
@@ -39,7 +38,6 @@ __all__ = [
     "lifetime",
     "detect_events",
     "CONCURRENCE_CUTOFF",
-    "NEGATIVITY_CUTOFF",
 ]
 
 

@@ -242,6 +242,35 @@ class TestEvolve:
         assert out == ""
         assert "unrecognized arguments: --seed 0" in err
 
+    def test_config_equals_path_reads_the_file(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("mass-ratio=0.6\nsep=1.0\ntemp-ratio=0.5\n")
+        spaced = run_cli(["coeffs", "--config", str(config)], capsys)
+        joined = run_cli(["coeffs", f"--config={config}"], capsys)
+        assert spaced == joined and spaced[0] == 0
+        assert parse_table(joined[1])["gray_factor"] == pytest.approx(0.8)
+
+    def test_missing_config_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "absent.cfg"
+        code, out, err = run_cli(["coeffs", "--config", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: [Errno 2] No such file or directory: '{path}'\n"
+
+    def test_config_line_without_equals_is_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("mass-ratio=0.6\n  junk  \n")
+        code, out, err = run_cli(["coeffs", "--config", str(config), "--sep", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "usage error: config line without '=': 'junk'\n"
+
+    def test_raw_initial_of_five_values_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            ["evolve", "--initial", "0.5,0,0,0.5,0", "--mass-ratio", "0"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == ("usage error: invalid --initial '0.5,0,0,0.5,0': expected a named "
+                       "state, diag:e,g,a,s, or 8 comma-separated values\n")
+
     @pytest.mark.parametrize("argv, text", [
         (["coeffs", "--config", "CFG", "--mass", "0.5", "--sep", "1"], "mass-ratio=0.9"),
         (["coeffs", "--conf", "CFG", "--mass-ratio", "0.5", "--sep", "1"], "mass-ratio=0.9"),

@@ -33,6 +33,7 @@ from massbath import (
 from massbath.experiments import (
     _max_over_time,
     _vacuum_max_over_time,
+    _zoom,
 )
 from massbath.measures import BOTH, _coherence_parts
 from massbath.xstate import (
@@ -376,14 +377,16 @@ def test_vacuum_one_measure_is_bit_identical(name, measure):
 
 
 def _zoom_calls(brackets: int = 3) -> int:
-    """The evaluate calls of one _zoom over `brackets` brackets of a parabola."""
+    """The evaluate calls of one _zoom over `brackets` rows of a parabola's
+    samples (the module's own _zoom, whatever a test patches in)."""
     calls = []
 
     def evaluate(grid):
         calls.append(grid.shape)
         return -((grid - 0.3) ** 2)
 
-    experiments._zoom(evaluate, np.zeros(brackets), np.ones(brackets))
+    grid = np.broadcast_to(np.linspace(0.0, 1.0, 5), (brackets, 5))
+    _zoom(evaluate, -((grid - 0.3) ** 2), grid)
     return len(calls)
 
 
@@ -739,15 +742,16 @@ def test_default_temp_sep_map_passes_per_cell(initial, retired, grid_calls, monk
     # The default `map temp-sep` grids at m/omega = 0.9: how many of the 800
     # cells retire after one pass and after two, as the README quotes them.
     # Each pass measures every open cell in chunks of MAP_BLOCK // 1201 = 54,
-    # one grid measure call each: 15 for the 800 cells, then 5 or 1.
+    # one grid measure call and one refinement each: 15 for the 800 cells,
+    # then 5 or 1.
     grid = (0.9, initial, np.linspace(0.02, 0.4, 20), np.linspace(0.05, 20.0, 40))
-    sizes, grid_peaks = [], experiments._grid_peaks
+    sizes = []
 
-    def recorded(values, *args):
+    def recorded(evaluate, values, *args):
         sizes.append(values.shape[1])
-        return grid_peaks(values, *args)
+        return _zoom(evaluate, values, *args)
 
-    monkeypatch.setattr(experiments, "_grid_peaks", recorded)
+    monkeypatch.setattr(experiments, "_zoom", recorded)
     _, passes = _counted_passes(monkeypatch, lambda: thermal_scan(*grid).concurrence.ravel())
     assert np.bincount(passes).tolist() == retired
     assert len(sizes) == grid_calls and max(sizes) == experiments.MAP_BLOCK // 1201
@@ -787,14 +791,19 @@ def test_zoom_refines_every_bracket_in_two_calls():
         parabola = 1.0 - (grid - 0.3) ** 2
         return np.where(np.arange(4)[:, None] < 3, parabola, np.abs(grid - 0.3))
 
+    # Three samples a row, best in the middle, so each bracket runs from lo
+    # to hi; the samples lie below every refined value.
     lo, hi = np.array([0.0, 0.25, 0.3, 0.0]), np.array([1.0, 0.5, 0.9, 1.0])
-    got = experiments._zoom(evaluate, lo, hi)
+    grid, samples = np.stack([lo, 0.5 * (lo + hi), hi], axis=-1), np.array([-1.0, -0.5, -1.0])
+    got = experiments._zoom(evaluate, np.tile(samples, (4, 1)), grid)
     points = experiments.ZOOM_POINTS
     assert shapes == [(4, points), (4, 1)]
     # The vertex of a parabola is exact; an end maximum (the third bracket
     # starts at the peak) and a convex bracket keep their best sample.
     assert got[:2] == pytest.approx(1.0, abs=1e-15)
     assert got[2] == 1.0 and got[3] == 0.7
+    # A best sample above everything the refinement finds is the result.
+    assert np.all(experiments._zoom(evaluate, np.tile(samples + 2.0, (4, 1)), grid) == 1.5)
     assert _zoom_calls(brackets=1) == _zoom_calls(brackets=50) == 2
 
 

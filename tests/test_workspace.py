@@ -193,23 +193,34 @@ class TestFreshResults:
 
     def test_zoom_keeps_its_first_values_through_the_vertex_call(self):
         # An evaluator that, like a search's measures, returns views of one
-        # buffer that its next call overwrites.
+        # buffer that its next call overwrites; the samples the zoom starts
+        # from sit at the start of that buffer too, as a search's grid call
+        # leaves them.
         buffer = np.empty(4 * experiments.ZOOM_POINTS)
 
         def shared(grid):
             out = buffer[:grid.size].reshape(grid.shape)
             np.subtract(1.0, (grid - 0.31) ** 2, out=out)
-            out[0] -= 11.0  # peaks at -10, below the vertex value of the last bracket
+            out[0] -= 11.0  # peaks at -10, below the vertex value of the third bracket
             out[1] = -grid[1]  # falls: the best sample is the bracket's start
             return out
 
         def fresh(grid):
             return shared(grid).copy()
 
-        lo, hi = np.array([0.0, 0.2, 0.3]), np.array([1.0, 0.5, 0.9])
-        assert np.array_equal(_zoom(shared, lo, hi), _zoom(fresh, lo, hi))
-        got = _zoom(shared, lo, hi)
-        assert got[0] == pytest.approx(-10.0, abs=1e-15) and got[1] == -0.2
+        grid = np.array([[0.0, 0.5, 1.0], [0.2, 0.35, 0.5], [0.3, 0.6, 0.9], [0.0, 0.5, 1.0]])
+        samples = fresh(grid)
+        samples[3, 1] = 5.0  # a best sample above anything the refinement finds
+
+        def in_buffer():
+            values = buffer[:samples.size].reshape(samples.shape)
+            values[...] = samples
+            return values
+
+        expected = _zoom(fresh, samples.copy(), grid)
+        assert np.array_equal(_zoom(shared, in_buffer(), grid), expected)
+        assert expected[0] == pytest.approx(-10.0, abs=1e-15) and expected[1] == -0.2
+        assert expected[2] == pytest.approx(1.0, abs=1e-15) and expected[3] == 5.0
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
