@@ -5,17 +5,16 @@ import time
 import numpy as np
 import pytest
 
-from conftest import propagate_eigen, state_distance, vacuum_like
+from conftest import propagate_eigen, state_distance
 from massbath import (
     FieldBathConfig,
     NoGenerationError,
     NonConvergedMaxError,
+    RateMatrix,
     SweepCellError,
     XState,
     build_rate_matrix,
-    closed_form_state,
     coefficients,
-    decay_factor,
     detect_events,
     eigen_trajectory,
     enlargement_factor,
@@ -36,7 +35,7 @@ from massbath import (
 )
 import massbath.experiments as experiments
 from massbath.experiments import _vacuum_max_over_time
-from massbath.xstate import RateStack
+from massbath.xstate import CLOSED_FORM, EigenPropagator, RateStack, _vacuum_rates
 from paper_formulas import scalar_lifetime_by_bisection
 
 
@@ -617,14 +616,11 @@ class TestRunVerification:
             formula = lifetime(e, g, a, s, 1.0, 1.0)
             oracle = scalar_lifetime_by_bisection(e, g, a, s, 1.0, 1.0)
             lifetime_dev = max(lifetime_dev, abs(formula - oracle) / oracle)
-        method_dev, systems = 0.0, []
+        systems = []
         for _ in range(30):
             state, lam, tau = random_xstate(rng), rng.uniform(-0.9, 0.9), rng.uniform(0.1, 5.0)
-            rates = build_rate_matrix(vacuum_like(lam))
-            closed = closed_form_state(state, lam, decay_factor(tau, 1.0, 1.0))
-            eigen = propagate_eigen(state, rates, tau)
-            method_dev = max(method_dev, state_distance(closed, eigen))
-            systems.append((state, rates, tau, eigen))
+            rates = RateMatrix(*(part[0] for part in _vacuum_rates(lam)))
+            systems.append((state, rates, tau, propagate_eigen(state, rates, tau)))
         for _ in range(30):
             state, temp, sep = random_xstate(rng), rng.uniform(0.05, 2.0), rng.uniform(0.1, 10.0)
             tau = rng.uniform(0.1, 5.0)
@@ -632,7 +628,31 @@ class TestRunVerification:
             systems.append((state, rates, tau, propagate_eigen(state, rates, tau)))
         states, rates, taus, eigens = zip(*systems)
         odes = integrate_ode_many(states, rates, taus, tol=1e-10)
-        method_dev = max(method_dev, *map(state_distance, eigens, odes))
+        method_dev = max(map(state_distance, eigens, odes))
         suites = {suite.name: suite.max_deviation for suite in run_verification(seed)}
         assert suites["lifetime-bisection"] == lifetime_dev
         assert suites["method-agreement"] == method_dev
+
+    def test_method_agreement_runs_the_vacuum_cascade_against_rkf45(self, monkeypatch):
+        # The first 30 systems that RKF45 checks are the cascade the reach
+        # searches, _vacuum_rates of the drawn lam, on the closed_form route.
+        real, stacks = experiments.integrate_ode_many, []
+
+        def capture(states, rates, *args, **kwargs):
+            stacks.append(rates)
+            return real(states, rates, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "integrate_ode_many", capture)
+        run_verification(0)
+        rng = np.random.default_rng(0)
+        experiments._sudden_death_draws(rng, 300)
+        lams = []
+        for _ in range(30):
+            random_xstate(rng)
+            lams.append(rng.uniform(-0.9, 0.9))
+            rng.uniform(0.1, 5.0)
+        (rates,) = stacks
+        cold = rates.take(slice(30))
+        for got, want in zip(cold, _vacuum_rates(np.array(lams))):
+            assert np.array_equal(got, want)
+        assert list(EigenPropagator(cold).routes) == [CLOSED_FORM] * 30
