@@ -506,8 +506,8 @@ class EigenPropagator:
     def tail(self, pops0: np.ndarray, tau: float, weights: np.ndarray):
         """(center, radius), each (N, W): w·p(t) lies within center ± radius
         for each row w of weights (W, 4) at all t >= tau, from pops0 (4,).
-        EIGEN: c = V^-1 pops0; the stationary mode (largest eigenvalue, zero
-        to roundoff) is the center and mode j adds |w·V_j c_j| e^(lambda_j tau).
+        EIGEN: c = V^-1 pops0; the stationary mode (largest eigenvalue, set to
+        0 by _diagonalize) is the center and mode j adds |w·V_j c_j| e^(lambda_j tau).
         CLOSED_FORM, FROZEN: A, S and E only drain, so pa, ps, pe lie in [0, X]
         and pg in [1 - X, 1], X = (pa + ps + pe)(tau). EXPM: radius inf. Each
         population widens by 64 eps sum_j |V_ij c_j| + eps (sum 1 off EIGEN)."""
@@ -589,6 +589,8 @@ def _diagonalize(gens: np.ndarray):
     if np.iscomplexobj(eigvals):
         real = np.all(eigvals.imag == 0.0, axis=-1)
         eigvals, eigvecs = eigvals.real, eigvecs.real
+    # The generator conserves probability: its largest eigenvalue is 0 exactly.
+    eigvals[np.arange(len(gens)), eigvals.argmax(axis=1)] = 0.0
     try:
         inv = np.linalg.inv(eigvecs)
     except np.linalg.LinAlgError:

@@ -141,6 +141,19 @@ class TestEvolve:
         rows = [line.split(",")[1:] for line in out.strip().splitlines()[1:]]
         assert all(row == rows[0] for row in rows)
 
+    def test_eigen_rows_keep_their_trace_at_long_times(self, capsys):
+        # An eigen cell out to Gamma0*tau = 1e6, where any drift of the
+        # stationary mode would fail the output's 1e-10 trace check (exit 3).
+        code, out, _ = run_cli(
+            ["evolve", "--initial", "E", "--mass-ratio", "0.5", "--sep", "0.7",
+             "--temp-ratio", "0.3", "--tmax", "1e6", "--steps", "3"],
+            capsys,
+        )
+        assert code == 0
+        rows = [[float(x) for x in line.split(",")] for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 3
+        assert all(abs(sum(row[1:5]) - 1.0) <= 1e-12 for row in rows)
+
     def test_antisymmetric_decay_without_sudden_death(self, capsys):
         code, out, _ = run_cli(
             ["evolve", "--initial", "A", "--mass-ratio", "0", "--sep", "1e9",

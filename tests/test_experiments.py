@@ -452,7 +452,7 @@ class TestCutoffDecidedSearches:
         "the log-separation zoom brackets the argmax of grid maxima that are "
         "all roundoff near the threshold, so the coarse threshold moves with "
         "the mass (0.2271484375 at m/omega = 0.5, 0.2283203125 at 0.9); "
-        "mended by maximizing the signed margin (ROADMAP item 4)"))
+        "mended by maximizing the signed margin (ROADMAP item 1)"))
     def test_coarse_threshold_is_independent_of_the_mass(self):
         # The same six separations in units of 1/gray at every mass; the
         # default 24-separation grid gives 0.2318359375 at every mass.

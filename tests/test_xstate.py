@@ -482,11 +482,6 @@ class TestEigenPropagator:
                 check_block_positivity(out)
                 assert off_x_magnitude(out) == 0.0
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the stationary eigenvalue comes out of the eigendecomposition as "
-        "roundoff, not 0 (-1.73e-16 at the first cell, +8.7e-19 at the second), "
-        "so e^(lambda0*tau) drains or grows the stationary mode at long times"
-    ))
     def test_trace_holds_at_long_times(self):
         # (m/omega, omega*L, T/omega); the second is a cell of the default
         # `map temp-sep --mass-ratio 0.9` grid.
@@ -670,6 +665,33 @@ class TestUniformizedExponential:
             for tau, pops in zip(taus, got):
                 ref = mp_expm_populations(rates.generator, state.populations(), tau)
                 assert np.max(np.abs(pops - ref)) <= 1e-12, tau
+
+    def test_singular_eigenvectors_take_expm(self, monkeypatch):
+        # inv raises on the stack of eigenvector matrices, so _diagonalize
+        # inverts them one at a time; on the second cell's it raises again,
+        # and that cell's NaN inverse fails the residual check.
+        stack = RateStack.of([
+            build_rate_matrix(thermal_coefficients(FieldBathConfig.from_ratios(*cell)))
+            for cell in [(0.5, 0.7, 0.3), (0.0, 2.0, 0.5), (0.9, 1.0, 0.2)]
+        ])
+        plain = EigenPropagator(stack)
+        assert list(plain.routes) == [EIGEN] * 3
+        singular, real_inv = plain._eig[1][1].copy(), np.linalg.inv
+
+        def inv(matrix):
+            if np.ndim(matrix) == 3 or np.array_equal(matrix, singular):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_inv(matrix)
+
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        prop = EigenPropagator(stack)
+        assert list(prop.routes) == [EIGEN, EXPM, EIGEN]
+        pops0, taus = XState.excited().populations(), np.array([0.0, 0.3, 2.5, 40.0])
+        got, want = prop.populations(pops0, taus), plain.populations(pops0, taus)
+        assert np.array_equal(got[[0, 2]], want[[0, 2]])
+        for tau, pops in zip(taus, got[1]):
+            ref = mp_expm_populations(stack.generator[1], pops0, tau)
+            assert np.max(np.abs(pops - ref)) <= 1e-12, tau
 
     def test_late_horizon_keeps_the_trace(self, corner):
         stack, prop, pops0 = corner
