@@ -142,21 +142,27 @@ def evolve_scan(mass_ratio: float, initial: XState, temp_ratio: float | None,
     """Instantaneous measure values over the grids taus (Gamma0*tau) and seps
     (omega*L), in a vacuum (temp_ratio None) or a bath at one T/omega. A bath
     or grid entry no cell could take raises ValueError before any cell runs.
-    One propagator, and one measure call per block of separations in one
-    workspace, each at most MAP_BLOCK (tau, sep) cells or one column."""
+    One propagator, measured by _scan on taus shared by every separation."""
     FieldBathConfig.from_ratios(mass_ratio, 0.0, temp_ratio)
     seps = _positive("seps (omega*L)", seps, allow_zero=True)
     taus = _positive("taus (Gamma0*tau)", taus, allow_zero=True)
     prop = EigenPropagator(_cell_rates(mass_ratio, seps, temp_ratio))
-    width = max(1, MAP_BLOCK // taus.size)
-    rows = np.broadcast_to(taus, (width, 1, taus.size))
-    work = _workspace(2, min(width, seps.size) * taus.size)
-    out = np.empty((2, seps.size, taus.size))
-    for i in range(0, seps.size, width):
-        block = prop.take(slice(i, i + width))
-        measures = _propagated_measures(initial, block, BOTH, work)
-        out[:, i:i + width] = measures(rows[:len(block.routes)])
+    out = _scan(initial, prop, np.broadcast_to(taus, (seps.size, taus.size)))
     return SweepResult(taus, seps, out[0].T, out[1].T, np.tile(prop.routes, (taus.size, 1)))
+
+
+def _scan(initial: XState, prop: EigenPropagator, rows: np.ndarray) -> np.ndarray:
+    """(2, N, K) concurrence and negativity of the N cells of prop from initial,
+    each on its own time row of rows (N, K; a shared grid is a broadcast view):
+    one measure call per block in one workspace, at most MAP_BLOCK samples or one cell."""
+    cells, points = rows.shape
+    width = max(1, MAP_BLOCK // points)
+    work = _workspace(2, min(width, cells) * points)
+    out = np.empty((2, cells, points))
+    for i in range(0, cells, width):
+        measures = _propagated_measures(initial, prop.take(slice(i, i + width)), BOTH, work)
+        out[:, i:i + width] = measures(rows[i:i + width, None])
+    return out
 
 
 def _zoom(evaluate, values: np.ndarray, grid: np.ndarray, points: int = ZOOM_POINTS) -> np.ndarray:
@@ -362,16 +368,31 @@ def scaling_check(mass_ratio: float, initial: XState, temp_ratio: float | None,
     evolve_scan.
 
     Compares both measures of the massive system at (L, tau) against the
-    massless one at (gray*L, gray*tau), each from one evolve_scan; the identity
-    holds exactly, so the returned deviation is pure numerical noise.
+    massless one at (gray*L, gray*tau), in one stack (_rescaling_deviations);
+    the identity holds exactly, so the returned deviation is pure numerical noise.
     """
     if not 0.0 <= mass_ratio < 1.0:
         raise ValueError(f"mass_ratio must lie in [0, 1), got {mass_ratio}")
-    massive = evolve_scan(mass_ratio, initial, temp_ratio, taus, seps)
-    gray = gray_factor(mass_ratio, 1.0)
-    massless = evolve_scan(0.0, initial, temp_ratio, gray * massive.axis1, gray * massive.axis2)
-    return _worst(np.max(np.abs(getattr(massive, name) - getattr(massless, name)))
-                  for name in ("concurrence", "negativity"))
+    FieldBathConfig.from_ratios(mass_ratio, 0.0, temp_ratio)
+    seps = _positive("seps (omega*L)", seps, allow_zero=True)
+    taus = _positive("taus (Gamma0*tau)", taus, allow_zero=True)
+    return float(_rescaling_deviations([initial], [(mass_ratio, temp_ratio)], taus, seps)[0, 0])
+
+
+def _rescaling_deviations(initials, baths, taus: np.ndarray, seps: np.ndarray) -> np.ndarray:
+    """(len(initials), len(baths)) max |difference| of both measures, NaN if any
+    is NaN, between each bath's (mass_ratio, T/omega or None) massive cells at
+    (L, tau) on the grids taus x seps and its massless ones at (gray*L, gray*tau).
+    All cells share one EigenPropagator, each on its own time row: one _scan per initial."""
+    stacks, grids = [], []
+    for mass, temp in baths:
+        gray = gray_factor(mass, 1.0)
+        stacks += [_cell_rates(mass, seps, temp), _cell_rates(0.0, gray * seps, temp)]
+        grids += [taus, gray * taus]
+    prop = EigenPropagator(RateStack(*map(np.concatenate, zip(*stacks))))
+    rows = np.repeat(grids, seps.size, axis=0)  # each cell's time row
+    scans = np.array([_scan(state, prop, rows).reshape(2, len(baths), 2, -1) for state in initials])
+    return np.abs(scans[:, :, :, 0] - scans[:, :, :, 1]).max(axis=(1, 3))  # massive - massless
 
 
 def _vacuum_max_over_time(initial: XState, mass_ratio: float, seps, measure: str):
@@ -626,26 +647,15 @@ def run_verification(seed: int = 0, perturb: float = 0.0) -> list[SuiteResult]:
     """Run the self-check suites used by the `verify` command.
 
     Deterministic for a given seed. `perturb` is forwarded to the coefficient
-    comparison as a fault-injection hook.
+    comparison as a fault-injection hook. The rescaling suites share one stack.
     """
     rng = np.random.default_rng(seed)
-    results = []
-
     grid = np.linspace(0.05, 6.0, 8), np.linspace(0.1, 12.0, 8)  # taus, seps
     initials = [XState.excited(), XState.antisymmetric(), XState.bell_ge()]
-    dev = _worst(
-        scaling_check(mass, initial, None, *grid)
-        for mass in (0.3, 0.8, 0.995)
-        for initial in initials
-    )
-    results.append(SuiteResult("scaling-vacuum", dev, 1e-10))
-
-    dev = _worst(
-        scaling_check(0.8, initial, temp, *grid)
-        for temp in (0.05, 0.2)
-        for initial in initials
-    )
-    results.append(SuiteResult("scaling-thermal", dev, 1e-9))
+    baths = [(0.3, None), (0.8, None), (0.995, None), (0.8, 0.05), (0.8, 0.2)]
+    devs = _rescaling_deviations(initials, baths, *grid)
+    results = [SuiteResult("scaling-vacuum", _worst(devs[:, :3].flat), 1e-10),
+               SuiteResult("scaling-thermal", _worst(devs[:, 3:].flat), 1e-9)]
 
     weights = _sudden_death_draws(rng, 300)
     formula = np.array([lifetime(e, g, a, s, 1.0, 1.0) for g, a, s, e in weights])

@@ -526,6 +526,23 @@ class TestVerifyCoefficients:
         assert check.max_relative_deviation > 1e-7
 
 
+def _with_nan(values: np.ndarray, index: tuple) -> np.ndarray:
+    """A copy of values with NaN at index."""
+    values = values.copy()
+    values[index] = math.nan
+    return values
+
+
+def two_scan_deviation(mass_ratio, initial, temp_ratio, taus, seps) -> float:
+    """The rescaling deviation from one evolve_scan on the massive grid and
+    one on the massless grid at (gray*L, gray*tau)."""
+    massive = evolve_scan(mass_ratio, initial, temp_ratio, taus, seps)
+    gray = gray_factor(mass_ratio, 1.0)
+    massless = evolve_scan(0.0, initial, temp_ratio, gray * massive.axis1, gray * massive.axis2)
+    return max(np.max(np.abs(getattr(massive, name) - getattr(massless, name)))
+               for name in ("concurrence", "negativity"))
+
+
 class TestRunVerification:
     def test_all_pass_and_deterministic(self):
         first = run_verification(seed=7)
@@ -546,9 +563,14 @@ class TestRunVerification:
         oracle = [s for s in results if s.name == "coefficient-oracle"][0]
         assert not oracle.passed
 
+    # The rescaling suites make one _scan per initial state, on the stack of
+    # their five baths: 16 cells a bath (8 massive, then 8 massless), the
+    # three vacuum baths first. The second scan (the second initial state)
+    # gets a NaN in one negativity cell of the first vacuum bath or of the
+    # first thermal one.
     @pytest.mark.parametrize("name, call, suite, poison", [
-        ("scaling_check", 2, "scaling-vacuum", lambda dev: math.nan),
-        ("scaling_check", 11, "scaling-thermal", lambda dev: math.nan),
+        ("_scan", 2, "scaling-vacuum", lambda out: _with_nan(out, (1, 15, -1))),
+        ("_scan", 2, "scaling-thermal", lambda out: _with_nan(out, (1, 3 * 16 + 9, 4))),
         ("_state_distance", 2, "method-agreement", lambda dev: math.nan),
         ("_relative", 2, "coefficient-oracle", lambda dev: math.nan),
         ("verify_coefficients", 2, "coefficient-oracle",
@@ -573,15 +595,12 @@ class TestRunVerification:
         assert all(s.passed for s in results.values() if s.name != suite)
 
     def test_scaling_check_carries_a_nan_of_its_second_measure(self, monkeypatch):
-        real = experiments.evolve_scan
+        real = experiments._scan
 
         def scan(*args):
-            result = real(*args)
-            negativity = result.negativity.copy()
-            negativity.flat[-1] = np.nan
-            return dataclasses.replace(result, negativity=negativity)
+            return _with_nan(real(*args), (1, -1, -1))  # the last massless cell's negativity
 
-        monkeypatch.setattr(experiments, "evolve_scan", scan)
+        monkeypatch.setattr(experiments, "_scan", scan)
         grid = np.linspace(0.1, 2.0, 3)
         assert math.isnan(scaling_check(0.5, XState.bell_ge(), None, grid, grid))
 
@@ -632,6 +651,51 @@ class TestRunVerification:
         suites = {suite.name: suite.max_deviation for suite in run_verification(seed)}
         assert suites["lifetime-bisection"] == lifetime_dev
         assert suites["method-agreement"] == method_dev
+
+    @pytest.mark.parametrize("seed", [5, 13])
+    def test_scaling_suites_equal_two_scan_loops(self, seed):
+        # Each check from two evolve_scan calls per (initial, bath), as the
+        # stacked suites must reproduce bit for bit.
+        grid = np.linspace(0.05, 6.0, 8), np.linspace(0.1, 12.0, 8)
+        initials = [XState.excited(), XState.antisymmetric(), XState.bell_ge()]
+        vacuum = max(two_scan_deviation(mass, initial, None, *grid)
+                     for mass in (0.3, 0.8, 0.995) for initial in initials)
+        thermal = max(two_scan_deviation(0.8, initial, temp, *grid)
+                      for temp in (0.05, 0.2) for initial in initials)
+        suites = {suite.name: suite.max_deviation for suite in run_verification(seed)}
+        assert suites["scaling-vacuum"] == vacuum
+        assert suites["scaling-thermal"] == thermal
+
+    @pytest.mark.parametrize("mass, temp", [(0.9, None), (0.6, 0.15)], ids=["vacuum", "thermal"])
+    def test_scaling_check_equals_two_scans_beyond_one_block(self, mass, temp):
+        # 300 x 240 samples a grid: evolve_scan measures 218 separations a
+        # block, and the stack of 480 cells takes three blocks.
+        taus, seps = np.linspace(0.0, 30.0, 300), np.linspace(0.0, 20.0, 240)
+        assert taus.size * seps.size > experiments.MAP_BLOCK
+        initial = random_xstate(np.random.default_rng(5))
+        reference = two_scan_deviation(mass, initial, temp, taus, seps)
+        assert scaling_check(mass, initial, temp, taus, seps) == reference
+        assert 0.0 < reference < 1e-10
+
+    def test_scaling_suites_build_one_propagator(self, monkeypatch):
+        # Before the lifetime suite draws its states: one EigenPropagator on
+        # the stack of 2 x 5 baths' cells, 10 _cell_rates calls and one
+        # measure call per initial state.
+        calls = []
+
+        def count(name, real):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(experiments, name, counted)
+
+        for name in ("EigenPropagator", "_cell_rates", "_propagated_measures",
+                     "_sudden_death_draws"):
+            count(name, getattr(experiments, name))
+        run_verification(0)
+        scaling = calls[:calls.index("_sudden_death_draws")]
+        assert {name: scaling.count(name) for name in set(scaling)} == {
+            "EigenPropagator": 1, "_cell_rates": 10, "_propagated_measures": 3}
 
     def test_method_agreement_runs_the_vacuum_cascade_against_rkf45(self, monkeypatch):
         # The first 30 systems that RKF45 checks are the cascade the reach
