@@ -159,9 +159,8 @@ def _scan(initial: XState, prop: EigenPropagator, rows: np.ndarray) -> np.ndarra
     width = max(1, MAP_BLOCK // points)
     work = _workspace(2, min(width, cells) * points)
     out = np.empty((2, cells, points))
-    for i in range(0, cells, width):
-        measures = _propagated_measures(initial, prop.take(slice(i, i + width)), BOTH, work)
-        out[:, i:i + width] = measures(rows[i:i + width, None])
+    for chunk, block in _chunks(prop, width):
+        out[:, chunk] = _propagated_measures(initial, block, BOTH, work)(rows[chunk, None])
     return out
 
 
@@ -178,14 +177,16 @@ def _zoom(evaluate, values: np.ndarray, grid: np.ndarray, points: int = ZOOM_POI
     cells, last = np.indices(i.shape, sparse=True), grid.shape[-1] - 1
     on_grid = values[(*cells, i)]  # a copy: the first call may reuse values' memory
     lo, hi = grid[(*cells, np.maximum(i - 1, 0))], grid[(*cells, np.minimum(i + 1, last))]
-    values = evaluate(np.linspace(lo, hi, points, axis=-1))
+    step = (hi - lo) / (points - 1)
+    level = lo[..., None] + np.arange(points) * step[..., None]  # np.linspace's arithmetic
+    level[..., -1] = hi
+    values = evaluate(level)
     best = values.max(axis=-1)  # before the second call, which may reuse values' memory
-    mid = np.clip(np.argmax(values, axis=-1), 1, points - 2)
-    three = np.take_along_axis(values, mid[..., None] + np.arange(-1, 2), axis=-1)
-    left, centre, right = np.moveaxis(three, -1, 0)
+    mid = np.minimum(np.maximum(np.argmax(values, axis=-1), 1), points - 2)
+    left, centre, right = (values[(*cells, mid + k)] for k in (-1, 0, 1))
     curve = left - 2.0 * centre + right
     shift = 0.5 * (left - right) / np.where(curve < 0.0, curve, -1.0)
-    vertex = lo + (mid + shift) * ((hi - lo) / (points - 1))
+    vertex = lo + (mid + shift) * step
     moves = (curve < 0.0) & (lo < vertex) & (vertex < hi)
     at_vertex = evaluate(np.where(moves, vertex, lo)[..., None])[..., 0]
     return np.maximum(on_grid, np.maximum(best, np.where(moves, at_vertex, -np.inf)))
@@ -267,46 +268,50 @@ def _search(initial: XState, prop: EigenPropagator, cells: list[tuple], horizon:
     Frozen cells keep the initial values. The others are open. The first
     pass samples [0, horizon] on `points` points; each later pass doubles
     the horizon and samples only its new half, at the doubled spacing. A
-    pass measures the open cells in chunks of MAP_BLOCK // points, which
-    bounds its samples: it slices a chunk from prop with one take and
-    measures it through _propagated_measures in the search's one _workspace,
-    sized for the first chunk, and _zoom refines the best sample of each
-    measure between its neighbours: three propagation calls a chunk. A
-    cell retires, each step one array operation over a chunk, on the first
-    pass that raised none of its maxima by tol or more, or certified them
-    all: every bound of _propagated_bounds, on the chunk's slice, at or
-    below its maximum (expm cells have no bound). A certified maximum cannot
-    rise later: the search that would confirm it on the next horizon returns
-    the same bits. A cell still open after MAX_DOUBLINGS passes raises
-    NonConvergedMaxError, the first in grid order.
+    pass takes its open cells from prop once and samples them in chunks of
+    MAP_BLOCK // points, through _propagated_measures in the search's one
+    _workspace, keeping each measure's best sample; one _zoom (chunked only
+    past MAP_BLOCK samples) then refines them all: three propagation calls
+    a pass. A cell retires on the first pass that raised none of its maxima
+    by tol or more, or certified them all: every bound of the pass's one
+    _propagated_bounds call at or below its maximum (expm cells have none).
+    A certified maximum cannot rise later: the search that would confirm it
+    on the next horizon returns the same bits. A cell still open after
+    MAX_DOUBLINGS passes raises NonConvergedMaxError, the first in grid order.
     """
-    tol = 1e-6
-    best = np.full((len(select), len(cells)), -np.inf)
+    tol, count = 1e-6, len(select)
+    best = np.full((count, len(cells)), -np.inf)
     frozen = prop.routes == FROZEN
     entries = (*initial.populations(), *_coherence_parts(initial.coh_ge, initial.coh_as))
     best[:, frozen] = np.array(_measures_arrays(*entries, select=select))[:, None]
     previous, last = np.full_like(best, np.nan), np.full_like(best, np.nan)
     active = np.flatnonzero(~frozen)
-    width = max(1, MAP_BLOCK // points)
-    work = _workspace(len(select), min(width, active.size) * max(points, len(select) * ZOOM_POINTS))
+    width, zoom_width = max(1, MAP_BLOCK // points), max(1, MAP_BLOCK // (count * ZOOM_POINTS))
+    work = _workspace(count, max(min(width, active.size) * points,
+                                 min(zoom_width, active.size) * count * ZOOM_POINTS))
     taus, tau_max = np.linspace(0.0, horizon, points), horizon
     for _ in range(MAX_DOUBLINGS):
-        still_open = np.zeros(len(cells), dtype=bool)
-        for start in range(0, active.size, width):
-            chunk = active[start:start + width]
-            block = prop.take(chunk)
+        part = prop.take(active)
+        # _zoom's rows: each best sample between -inf, on its grid neighbours.
+        peaks, at = np.full((count, active.size, 3), -np.inf), np.empty((count, active.size), int)
+        for chunk, block in _chunks(part, width):
+            grid = np.broadcast_to(taus, (len(block.routes), 1, taus.size))
+            values = _propagated_measures(initial, block, select, work)(grid)
+            at[:, chunk] = np.argmax(values, axis=-1)
+            peaks[:, chunk, 1] = np.take_along_axis(values, at[:, chunk, None], axis=-1)[..., 0]
+        grid = taus[np.minimum(np.maximum(at[..., None] + np.arange(-1, 2), 0), taus.size - 1)]
+        new = np.empty(at.shape)
+        for chunk, block in _chunks(part, zoom_width):
             measures = _propagated_measures(initial, block, select, work)
-            grid = np.broadcast_to(taus, (len(select), chunk.size, taus.size))
-            # Each measure's bracket is one row of one propagation call.
-            new = _zoom(lambda g: measures(np.swapaxes(g, 0, 1)), measures(grid[0, :, None]), grid)
-            stable = np.all(new - best[:, chunk] < tol, axis=0)
-            best[:, chunk] = np.maximum(best[:, chunk], new)
-            previous[:, chunk], last[:, chunk] = last[:, chunk], new
-            rest = chunk[~stable]
-            if rest.size:  # the bounds of the cells still open
-                bounds = _propagated_bounds(initial, block, select, tau_max)[:, ~stable]
-                still_open[rest] = ~np.all(bounds <= best[:, rest], axis=0)
-        active = np.flatnonzero(still_open)
+            new[:, chunk] = _zoom(lambda g: measures(np.swapaxes(g, 0, 1)),
+                                  peaks[:, chunk], grid[:, chunk])
+        stable = np.all(new - best[:, active] < tol, axis=0)
+        best[:, active] = np.maximum(best[:, active], new)
+        previous[:, active], last[:, active] = last[:, active], new
+        active = active[~stable]
+        if active.size:  # the bounds of the cells still open
+            bounds = _propagated_bounds(initial, part, select, tau_max)[:, ~stable]
+            active = active[~np.all(bounds <= best[:, active], axis=0)]
         if not active.size:
             return best
         taus = np.linspace(tau_max, 2.0 * tau_max, points // 2 + 1)
@@ -322,6 +327,12 @@ def _search(initial: XState, prop: EigenPropagator, cells: list[tuple], horizon:
         maxima={name: (float(previous[i, k]), float(last[i, k]))
                 for i, name in enumerate(select)},
     )
+
+
+def _chunks(prop: EigenPropagator, width: int):
+    """(slice, propagator) of each run of `width` cells of prop; prop itself if one run."""
+    for chunk in (slice(i, i + width) for i in range(0, len(prop.routes), width)):
+        yield chunk, prop if len(prop.routes) <= width else prop.take(chunk)
 
 
 def _max_over_time(initial: XState, rates: RateStack, gray: float, cells: list[tuple],

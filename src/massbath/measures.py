@@ -165,14 +165,16 @@ def _measure_bounds(diff, total, gap, low_g, low_e, abs_ge, re_as, im_as, select
     states with |pa - ps| <= diff, pa + ps >= total, |pg - pe| <= gap, pg >=
     low_g, pe >= low_e and coherence parts no larger than |abs_ge|, |re_as|,
     |im_as|: the measure of its branch bounds, each widened by 1e-12 for
-    roundoff (so branch bounds below 0 bound it by exactly 0)."""
-    k1 = _hypot(diff, 2.0 * im_as) - 2.0 * _clipped_sqrt(low_g) * _clipped_sqrt(low_e)
-    k2 = 2.0 * abs_ge - _clipped_sqrt(np.maximum(total, 0.0) ** 2 - 4.0 * re_as * re_as)
-    n1 = 0.5 * (low_g + low_e - np.sqrt(diff * diff + 4.0 * im_as * im_as + gap * gap))
-    n2 = 0.5 * (total - 2.0 * _hypot(abs_ge, re_as))
-    bounds = {"concurrence": _concurrence_of(k1 + 1e-12, k2 + 1e-12),
-              "negativity": _negativity_of(n1 - 0.5e-12, n2 - 0.5e-12)}
-    return np.array([bounds[name] for name in select])
+    roundoff (so branch bounds below 0 bound it by exactly 0); only select's are built."""
+    def bound(name):
+        if name == "concurrence":
+            k1 = _hypot(diff, 2.0 * im_as) - 2.0 * _clipped_sqrt(low_g) * _clipped_sqrt(low_e)
+            k2 = 2.0 * abs_ge - _clipped_sqrt(np.maximum(total, 0.0) ** 2 - 4.0 * re_as * re_as)
+            return _concurrence_of(k1 + 1e-12, k2 + 1e-12)
+        n1 = 0.5 * (low_g + low_e - np.sqrt(diff * diff + 4.0 * im_as * im_as + gap * gap))
+        n2 = 0.5 * (total - 2.0 * _hypot(abs_ge, re_as))
+        return _negativity_of(n1 - 0.5e-12, n2 - 0.5e-12)
+    return np.array([bound(name) for name in select])
 
 
 def _selector(measure: str) -> tuple[str]:

@@ -390,12 +390,14 @@ def _zoom_calls(brackets: int = 3) -> int:
     return len(calls)
 
 
-def _counted_passes(monkeypatch, search):
+def _counted_passes(monkeypatch, search, calls=None):
     """search() with every propagator's cells tagged by their index in the
     propagator it was built as (through __init__, kept by take) and every
-    measures call of _propagated_measures recording the cells it measures;
-    returns its result and each cell's number of passes."""
-    calls = []
+    measures call of _propagated_measures recording, into calls, the cells it
+    measures and the shape of its taus; returns its result and each cell's
+    number of passes, after checking that every pass measured each open cell
+    once on its grid, once on a refinement level and once at a vertex."""
+    calls = [] if calls is None else calls
     init, take = EigenPropagator.__init__, EigenPropagator.take
     propagated_measures = experiments._propagated_measures
 
@@ -412,7 +414,7 @@ def _counted_passes(monkeypatch, search):
         measures = propagated_measures(initial, prop, select, work)
 
         def counted(taus):
-            calls.append(prop.cell_ids)
+            calls.append((prop.cell_ids, taus.shape))
             return measures(taus)
 
         return counted
@@ -422,11 +424,14 @@ def _counted_passes(monkeypatch, search):
         patch.setattr(EigenPropagator, "take", tagged_take)
         patch.setattr(experiments, "_propagated_measures", counted_measures)
         got = search()
-    per_call = 1 + _zoom_calls()  # a grid and the calls of its refinement
-    assert len(calls) % per_call == 0
-    counts = np.bincount(np.concatenate(calls), minlength=np.size(got, -1))
-    assert np.all(counts % per_call == 0)
-    return got, counts // per_call
+    assert _zoom_calls() == 2  # a level and a vertex
+    stages = {"grid": [], experiments.ZOOM_POINTS: [], 1: []}
+    for ids, shape in calls:
+        stages[shape[-1] if shape[-1] in stages else "grid"].append(ids)
+    counts = [np.bincount(np.concatenate(ids or [[]]).astype(int), minlength=np.size(got, -1))
+              for ids in stages.values()]
+    assert all(np.array_equal(counts[0], each) for each in counts[1:])
+    return got, counts[0]
 
 
 def _counted_max_over_time(monkeypatch, initial, rates, gray, cell, select):
@@ -741,21 +746,102 @@ def test_certificate_keeps_every_bit(monkeypatch):
 def test_default_temp_sep_map_passes_per_cell(initial, retired, grid_calls, monkeypatch):
     # The default `map temp-sep` grids at m/omega = 0.9: how many of the 800
     # cells retire after one pass and after two, as the README quotes them.
-    # Each pass measures every open cell in chunks of MAP_BLOCK // 1201 = 54,
-    # one grid measure call and one refinement each: 15 for the 800 cells,
-    # then 5 or 1.
+    # Each pass samples every open cell in chunks of MAP_BLOCK // 1201 = 54,
+    # one grid measure call each: 15 for the 800 cells, then 5 or 1. Each
+    # pass then refines all its open cells at once.
     grid = (0.9, initial, np.linspace(0.02, 0.4, 20), np.linspace(0.05, 20.0, 40))
-    sizes = []
+    sizes, calls = [], []
 
     def recorded(evaluate, values, *args):
         sizes.append(values.shape[1])
         return _zoom(evaluate, values, *args)
 
     monkeypatch.setattr(experiments, "_zoom", recorded)
-    _, passes = _counted_passes(monkeypatch, lambda: thermal_scan(*grid).concurrence.ravel())
+    _, passes = _counted_passes(monkeypatch, lambda: thermal_scan(*grid).concurrence.ravel(),
+                                calls)
     assert np.bincount(passes).tolist() == retired
-    assert len(sizes) == grid_calls and max(sizes) == experiments.MAP_BLOCK // 1201
+    chunks = [shape[0] for _, shape in calls if shape[-1] not in (experiments.ZOOM_POINTS, 1)]
+    assert len(chunks) == grid_calls and max(chunks) == experiments.MAP_BLOCK // 1201
+    assert sizes == [800, retired[2]]
     assert sum(sizes) == 800 + retired[2]
+
+
+def test_reach_scan_refines_and_bounds_once_per_pass(monkeypatch):
+    # generation_reach(0.0) first searches its 520 separations on 1600 points:
+    # 13 chunks of MAP_BLOCK // 1600 = 40 on the first pass and 5 on the
+    # second. Each pass refines all its open cells in one _zoom call and
+    # bounds them in at most one _propagated_bounds call; so do the one-cell
+    # searches of the bisection that follows, each pass with one take and
+    # three propagation calls (a grid, a level and a vertex), as before.
+    searches = []
+    search, zoom, take = experiments._search, experiments._zoom, EigenPropagator.take
+    bounds, propagated_measures = experiments._propagated_bounds, experiments._propagated_measures
+
+    def counted_search(initial, prop, cells, *args):
+        searches.append({"cells": len(cells), "grids": [], "zooms": [], "bounds": 0,
+                         "takes": 0, "calls": 0})
+        return search(initial, prop, cells, *args)
+
+    def counted_measures(initial, prop, select, work):
+        measures = propagated_measures(initial, prop, select, work)
+
+        def counted(taus):
+            searches[-1]["calls"] += 1
+            if taus.shape[-1] not in (experiments.ZOOM_POINTS, 1):
+                searches[-1]["grids"].append(taus.shape[-1])
+            return measures(taus)
+
+        return counted
+
+    def counted_zoom(evaluate, values, *args):
+        searches[-1]["zooms"].append(values.shape[1])
+        return zoom(evaluate, values, *args)
+
+    def counted_bounds(*args):
+        searches[-1]["bounds"] += 1
+        return bounds(*args)
+
+    def counted_take(self, index):
+        searches[-1]["takes"] += 1
+        return take(self, index)
+
+    monkeypatch.setattr(experiments, "_search", counted_search)
+    monkeypatch.setattr(experiments, "_propagated_measures", counted_measures)
+    monkeypatch.setattr(experiments, "_zoom", counted_zoom)
+    monkeypatch.setattr(experiments, "_propagated_bounds", counted_bounds)
+    monkeypatch.setattr(EigenPropagator, "take", counted_take)
+    assert generation_reach(0.0) == 2.48740234375
+    scan, *bisection = searches
+    assert scan["cells"] == 520 and scan["grids"] == [1600] * 13 + [801] * 5
+    assert len(scan["zooms"]) == 2 and scan["zooms"][0] == 520
+    assert 160 < scan["zooms"][1] <= 200 and scan["bounds"] <= 2
+    assert bisection and all(one["cells"] == 1 for one in bisection)
+    for one in bisection:
+        passes = len(one["grids"])
+        assert one["zooms"] == [1] * passes and one["bounds"] <= passes
+        assert one["takes"] == passes and one["calls"] == 3 * passes
+
+
+def test_split_grid_and_zoom_keep_every_bit(monkeypatch):
+    # 40 cells of both measures from E: MAP_BLOCK = 2 * 1201 samples two cells
+    # a grid chunk and refines 2402 // (2 * 33) = 36 a zoom chunk, so both
+    # stages split on the first pass; 14 cells take a second.
+    grid = (0.9, XState.excited(), np.linspace(0.02, 0.4, 5), np.linspace(0.05, 20.0, 8))
+    zooms, maps = [], []
+    zoom = experiments._zoom
+
+    def counted_zoom(evaluate, values, *args):
+        zooms.append(values.shape[1])
+        return zoom(evaluate, values, *args)
+
+    monkeypatch.setattr(experiments, "_zoom", counted_zoom)
+    for block in (2 * 1201, 1 << 30):
+        monkeypatch.setattr(experiments, "MAP_BLOCK", block)
+        result = thermal_scan(*grid)
+        maps.append(np.stack([result.concurrence, result.negativity]))
+        zooms.append(None)
+    assert zooms == [36, 4, 14, None, 40, 14, None]
+    assert np.array_equal(maps[0], maps[1])
 
 
 def test_first_open_cell_in_grid_order_is_named_across_chunks(monkeypatch):

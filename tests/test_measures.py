@@ -353,12 +353,16 @@ class TestSuddenDeath:
             sudden_death_condition(0.5, 0.5, 0.5, 0.5)
 
     def test_predicts_finite_root(self, rng):
-        # finite death time (by root-finding) occurs iff the condition holds
-        for _ in range(10_000):
-            g, a, s, e = rng.dirichlet(np.ones(4))
-            expected = sudden_death_condition(e, g, a, s)
-            root = lifetime_by_bisection(e, g, a, s, 1.0, 1.0)
-            assert (0.0 < root < math.inf) == expected
+        # finite death time (by root-finding) occurs iff the condition holds;
+        # a batch of Dirichlet draws equals as many single draws
+        weights = rng.dirichlet(np.ones(4), size=10_000)
+        expected = [sudden_death_condition(e, g, a, s) for g, a, s, e in weights]
+        g, a, s, e = weights.T
+        roots = lifetime_by_bisection(e, g, a, s, 1.0, 1.0)
+        assert ((0.0 < roots) & (roots < math.inf)).tolist() == expected
+        # the array bisection gives each draw the bits of its own scalar call
+        singles = [lifetime_by_bisection(e, g, a, s, 1.0, 1.0) for g, a, s, e in weights[:100]]
+        assert roots[:100].tobytes() == np.array(singles).tobytes()
 
 
 class TestLifetime:

@@ -510,6 +510,26 @@ class TestEigenPropagator:
                 prop.populations(pops0, np.zeros((lead, 1, 5)))
         assert prop.populations(pops0, np.zeros((3, 1, 5))).shape == (3, 1, 5, 4)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "near the expm-fallback corner the eigendecomposition passes its 1e-12 "
+        "residual check, yet E's populations miss a 40-digit expm by 2.2e-12 at "
+        "omega*L = 0.065 and 1.2e-12 at 0.075: the residual bounds the "
+        "reconstruction of G, not the conditioning of the eigenvectors "
+        "(the edge-domain oracle sweep, ROADMAP item 7)"))
+    @pytest.mark.parametrize("sep", [0.065, 0.075])
+    def test_eigen_route_at_the_fallback_corner_meets_a_40_digit_expm(self, sep):
+        # m/omega = 0.9, T/omega = 0.03; at omega*L = 0.085 the worst reads
+        # 9.1e-13, within the 1e-12 that the expm route meets.
+        rates = build_rate_matrix(thermal_coefficients(FieldBathConfig.from_ratios(0.9, sep, 0.03)))
+        prop = EigenPropagator(rates)
+        assert list(prop.routes) == [EIGEN]
+        pops0 = np.stack([XState.excited().populations(), XState.bell_ge().populations()])
+        taus = np.linspace(0.0, 20.0, 41)
+        got = np.stack([prop.populations(p, taus)[0] for p in pops0], axis=-1)  # (K, 4, 2)
+        for tau, pops in zip(taus, got):
+            ref = mp_expm_populations(rates.generator, pops0.T, tau)
+            assert np.max(np.abs(pops - ref)) <= 1e-12, tau
+
 
 class TestOneEvaluator:
     """Every XState entry point is one `evolve` call of the propagator, bit
