@@ -36,6 +36,7 @@ from .measures import (
     _measure_bounds,
     _measures_arrays,
     _selector,
+    _state_entries,
     lifetime,
 )
 from .xstate import (
@@ -164,24 +165,21 @@ def _scan(initial: XState, prop: EigenPropagator, rows: np.ndarray) -> np.ndarra
     return out
 
 
-def _zoom(evaluate, values: np.ndarray, grid: np.ndarray, points: int = ZOOM_POINTS) -> np.ndarray:
-    """Largest of each row's best sample of `values` (taken at `grid`, along
-    the last axis) and the values sampled by two calls of `evaluate` between
-    that sample's grid neighbours: evaluate(g) on `points` equally spaced
-    points (g: values.shape[:-1] + (points,)), then at the vertex of the
-    parabola through the best of those and its neighbours (the interior ones
-    at an end), one step of successive parabolic interpolation (Brent, 1973).
-    A bracket not strictly concave there, or whose vertex is not inside it,
-    keeps its best sample: a repeat would differ by roundoff alone."""
-    i = np.argmax(values, axis=-1)
-    cells, last = np.indices(i.shape, sparse=True), grid.shape[-1] - 1
-    on_grid = values[(*cells, i)]  # a copy: the first call may reuse values' memory
-    lo, hi = grid[(*cells, np.maximum(i - 1, 0))], grid[(*cells, np.minimum(i + 1, last))]
+def _zoom(evaluate, best: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+          points: int = ZOOM_POINTS) -> np.ndarray:
+    """Largest of `best` and the values sampled by two calls of `evaluate` in
+    each bracket [lo, hi] (arrays of best's shape): evaluate(g) on `points`
+    equally spaced points (g: best.shape + (points,)), then at the vertex of
+    the parabola through the best of those and its neighbours (the interior
+    ones at an end), one step of successive parabolic interpolation (Brent,
+    1973). A bracket not strictly concave there, or whose vertex is not
+    inside it, keeps its best sample: a repeat would differ by roundoff alone."""
+    cells = np.indices(np.shape(best), sparse=True)
     step = (hi - lo) / (points - 1)
     level = lo[..., None] + np.arange(points) * step[..., None]  # np.linspace's arithmetic
     level[..., -1] = hi
     values = evaluate(level)
-    best = values.max(axis=-1)  # before the second call, which may reuse values' memory
+    top = values.max(axis=-1)  # before the second call, which may reuse values' memory
     mid = np.minimum(np.maximum(np.argmax(values, axis=-1), 1), points - 2)
     left, centre, right = (values[(*cells, mid + k)] for k in (-1, 0, 1))
     curve = left - 2.0 * centre + right
@@ -189,7 +187,7 @@ def _zoom(evaluate, values: np.ndarray, grid: np.ndarray, points: int = ZOOM_POI
     vertex = lo + (mid + shift) * step
     moves = (curve < 0.0) & (lo < vertex) & (vertex < hi)
     at_vertex = evaluate(np.where(moves, vertex, lo)[..., None])[..., 0]
-    return np.maximum(on_grid, np.maximum(best, np.where(moves, at_vertex, -np.inf)))
+    return np.maximum(best, np.maximum(top, np.where(moves, at_vertex, -np.inf)))
 
 
 # perfbench/tracing.py times the refinement stage under its former name.
@@ -270,11 +268,12 @@ def _search(initial: XState, prop: EigenPropagator, cells: list[tuple], horizon:
     the horizon and samples only its new half, at the doubled spacing. A
     pass takes its open cells from prop once and samples them in chunks of
     MAP_BLOCK // points, through _propagated_measures in the search's one
-    _workspace, keeping each measure's best sample; one _zoom (chunked only
-    past MAP_BLOCK samples) then refines them all: three propagation calls
-    a pass. A cell retires on the first pass that raised none of its maxima
-    by tol or more, or certified them all: every bound of the pass's one
-    _propagated_bounds call at or below its maximum (expm cells have none).
+    _workspace, keeping each measure's best sample and the grid times on
+    either side (clipped at the row's ends); one _zoom (chunked only past
+    MAP_BLOCK samples) then refines each between them: three propagation
+    calls a pass. A cell retires on the first pass that raised none of its
+    maxima by tol or more, or certified them all: every bound of the pass's
+    one _propagated_bounds call at or below its maximum (expm cells have none).
     A certified maximum cannot rise later: the search that would confirm it
     on the next horizon returns the same bits. A cell still open after
     MAX_DOUBLINGS passes raises NonConvergedMaxError, the first in grid order.
@@ -282,8 +281,7 @@ def _search(initial: XState, prop: EigenPropagator, cells: list[tuple], horizon:
     tol, count = 1e-6, len(select)
     best = np.full((count, len(cells)), -np.inf)
     frozen = prop.routes == FROZEN
-    entries = (*initial.populations(), *_coherence_parts(initial.coh_ge, initial.coh_as))
-    best[:, frozen] = np.array(_measures_arrays(*entries, select=select))[:, None]
+    best[:, frozen] = np.array(_measures_arrays(*_state_entries(initial), select=select))[:, None]
     previous, last = np.full_like(best, np.nan), np.full_like(best, np.nan)
     active = np.flatnonzero(~frozen)
     width, zoom_width = max(1, MAP_BLOCK // points), max(1, MAP_BLOCK // (count * ZOOM_POINTS))
@@ -292,19 +290,18 @@ def _search(initial: XState, prop: EigenPropagator, cells: list[tuple], horizon:
     taus, tau_max = np.linspace(0.0, horizon, points), horizon
     for _ in range(MAX_DOUBLINGS):
         part = prop.take(active)
-        # _zoom's rows: each best sample between -inf, on its grid neighbours.
-        peaks, at = np.full((count, active.size, 3), -np.inf), np.empty((count, active.size), int)
+        peak, at = np.empty((count, active.size)), np.empty((count, active.size), int)
         for chunk, block in _chunks(part, width):
             grid = np.broadcast_to(taus, (len(block.routes), 1, taus.size))
             values = _propagated_measures(initial, block, select, work)(grid)
             at[:, chunk] = np.argmax(values, axis=-1)
-            peaks[:, chunk, 1] = np.take_along_axis(values, at[:, chunk, None], axis=-1)[..., 0]
-        grid = taus[np.minimum(np.maximum(at[..., None] + np.arange(-1, 2), 0), taus.size - 1)]
+            peak[:, chunk] = np.take_along_axis(values, at[:, chunk, None], axis=-1)[..., 0]
+        lo, hi = taus[np.maximum(at - 1, 0)], taus[np.minimum(at + 1, taus.size - 1)]
         new = np.empty(at.shape)
         for chunk, block in _chunks(part, zoom_width):
             measures = _propagated_measures(initial, block, select, work)
             new[:, chunk] = _zoom(lambda g: measures(np.swapaxes(g, 0, 1)),
-                                  peaks[:, chunk], grid[:, chunk])
+                                  peak[:, chunk], lo[:, chunk], hi[:, chunk])
         stable = np.all(new - best[:, active] < tol, axis=0)
         best[:, active] = np.maximum(best[:, active], new)
         previous[:, active], last[:, active] = last[:, active], new
@@ -330,9 +327,9 @@ def _search(initial: XState, prop: EigenPropagator, cells: list[tuple], horizon:
 
 
 def _chunks(prop: EigenPropagator, width: int):
-    """(slice, propagator) of each run of `width` cells of prop; prop itself if one run."""
+    """(slice, propagator) of each run of `width` cells of prop (prop itself if one run)."""
     for chunk in (slice(i, i + width) for i in range(0, len(prop.routes), width)):
-        yield chunk, prop if len(prop.routes) <= width else prop.take(chunk)
+        yield chunk, prop.take(chunk)
 
 
 def _max_over_time(initial: XState, rates: RateStack, gray: float, cells: list[tuple],
@@ -567,7 +564,9 @@ def thermal_generation_threshold(
         values = peaks(sep_values)
         if values.max() > cutoff:
             return True
-        zoomed = _zoom(lambda u: peaks(np.exp(u)), values, np.log(sep_values), SEP_ZOOM_POINTS)
+        i, logs = int(np.argmax(values)), np.log(sep_values)  # [i, ...]: 0-d arrays
+        ends = logs[max(i - 1, 0), ...], logs[min(i + 1, logs.size - 1), ...]
+        zoomed = _zoom(lambda u: peaks(np.exp(u)), values[i, ...], *ends, SEP_ZOOM_POINTS)
         return bool(zoomed > cutoff)
 
     t_lo, t_hi = bracket

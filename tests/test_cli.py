@@ -976,6 +976,22 @@ class TestAxisFlags:
         assert err == f"usage error: {message.format(p=p)}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, message", [
+        ("time-sep", "--sep-min=-1", "seps (omega*L) must be finite and >= 0, got -1.0 at entry 0"),
+        ("time-sep", "--tau-min=-1",
+         "taus (Gamma0*tau) must be finite and >= 0, got -1.0 at entry 0"),
+        ("temp-sep", "--temp-min=0", "temps (T/omega) must be finite and > 0, got 0.0 at entry 0"),
+    ], ids=["sep-min", "tau-min", "temp-min"])
+    def test_an_axis_out_of_range_is_named_by_its_grid(self, capsys, tmp_path, command, flag,
+                                                       message):
+        # The range of an axis is the scan's rule, so the message names the
+        # scan's grid, not the flag.
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(["map", command, "--mass-ratio", "0.5", flag, "--out", str(out)],
+                               capsys)
+        assert (code, err) == (2, f"usage error: {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, other", [("time-sep", "tau"), ("temp-sep", "temp")])
     def test_separation_axis_is_checked_first(self, capsys, tmp_path, command, other):
         code, _, err = run_cli(

@@ -377,16 +377,17 @@ def test_vacuum_one_measure_is_bit_identical(name, measure):
 
 
 def _zoom_calls(brackets: int = 3) -> int:
-    """The evaluate calls of one _zoom over `brackets` rows of a parabola's
-    samples (the module's own _zoom, whatever a test patches in)."""
+    """The evaluate calls of one _zoom over `brackets` brackets [0, 0.5] of a
+    parabola, each from its sample at 0.25 (the module's own _zoom, whatever
+    a test patches in)."""
     calls = []
 
     def evaluate(grid):
         calls.append(grid.shape)
         return -((grid - 0.3) ** 2)
 
-    grid = np.broadcast_to(np.linspace(0.0, 1.0, 5), (brackets, 5))
-    _zoom(evaluate, -((grid - 0.3) ** 2), grid)
+    lo, hi = np.zeros(brackets), np.full(brackets, 0.5)
+    _zoom(evaluate, np.full(brackets, -(0.05 ** 2)), lo, hi)
     return len(calls)
 
 
@@ -771,15 +772,17 @@ def test_reach_scan_refines_and_bounds_once_per_pass(monkeypatch):
     # 13 chunks of MAP_BLOCK // 1600 = 40 on the first pass and 5 on the
     # second. Each pass refines all its open cells in one _zoom call and
     # bounds them in at most one _propagated_bounds call; so do the one-cell
-    # searches of the bisection that follows, each pass with one take and
-    # three propagation calls (a grid, a level and a vertex), as before.
+    # searches of the bisection that follows, each pass with one take of its
+    # open cells, one per chunk (a grid and a zoom chunk, each the pass's
+    # propagator itself) and three propagation calls (a grid, a level and a
+    # vertex).
     searches = []
     search, zoom, take = experiments._search, experiments._zoom, EigenPropagator.take
     bounds, propagated_measures = experiments._propagated_bounds, experiments._propagated_measures
 
     def counted_search(initial, prop, cells, *args):
         searches.append({"cells": len(cells), "grids": [], "zooms": [], "bounds": 0,
-                         "takes": 0, "calls": 0})
+                         "takes": [], "calls": 0})
         return search(initial, prop, cells, *args)
 
     def counted_measures(initial, prop, select, work):
@@ -802,8 +805,9 @@ def test_reach_scan_refines_and_bounds_once_per_pass(monkeypatch):
         return bounds(*args)
 
     def counted_take(self, index):
-        searches[-1]["takes"] += 1
-        return take(self, index)
+        sub = take(self, index)
+        searches[-1]["takes"].append((isinstance(index, slice), sub is self))
+        return sub
 
     monkeypatch.setattr(experiments, "_search", counted_search)
     monkeypatch.setattr(experiments, "_propagated_measures", counted_measures)
@@ -819,7 +823,8 @@ def test_reach_scan_refines_and_bounds_once_per_pass(monkeypatch):
     for one in bisection:
         passes = len(one["grids"])
         assert one["zooms"] == [1] * passes and one["bounds"] <= passes
-        assert one["takes"] == passes and one["calls"] == 3 * passes
+        assert one["takes"] == [(False, True), (True, True), (True, True)] * passes
+        assert one["calls"] == 3 * passes
 
 
 def test_split_grid_and_zoom_keep_every_bit(monkeypatch):
@@ -877,11 +882,10 @@ def test_zoom_refines_every_bracket_in_two_calls():
         parabola = 1.0 - (grid - 0.3) ** 2
         return np.where(np.arange(4)[:, None] < 3, parabola, np.abs(grid - 0.3))
 
-    # Three samples a row, best in the middle, so each bracket runs from lo
-    # to hi; the samples lie below every refined value.
+    # Four brackets from lo to hi, each from a best sample of -0.5, which
+    # lies below every refined value.
     lo, hi = np.array([0.0, 0.25, 0.3, 0.0]), np.array([1.0, 0.5, 0.9, 1.0])
-    grid, samples = np.stack([lo, 0.5 * (lo + hi), hi], axis=-1), np.array([-1.0, -0.5, -1.0])
-    got = experiments._zoom(evaluate, np.tile(samples, (4, 1)), grid)
+    got = experiments._zoom(evaluate, np.full(4, -0.5), lo, hi)
     points = experiments.ZOOM_POINTS
     assert shapes == [(4, points), (4, 1)]
     # The vertex of a parabola is exact; an end maximum (the third bracket
@@ -889,8 +893,85 @@ def test_zoom_refines_every_bracket_in_two_calls():
     assert got[:2] == pytest.approx(1.0, abs=1e-15)
     assert got[2] == 1.0 and got[3] == 0.7
     # A best sample above everything the refinement finds is the result.
-    assert np.all(experiments._zoom(evaluate, np.tile(samples + 2.0, (4, 1)), grid) == 1.5)
+    assert np.all(experiments._zoom(evaluate, np.full(4, 1.5), lo, hi) == 1.5)
     assert _zoom_calls(brackets=1) == _zoom_calls(brackets=50) == 2
+
+
+def test_zoom_returns_the_vertex_of_count_by_cell_brackets():
+    # (count, N) = (2, 3) brackets of parabolas peaking at `peak`, each
+    # bracket off-centre around its peak, as a search's measures see them.
+    peak = np.array([[0.3, 1.7, 4.0], [0.02, 2.5, 9.0]])
+    calls = []
+
+    def evaluate(grid):
+        values = 1.0 - (grid - peak[..., None]) ** 2
+        calls.append((grid.shape, values))
+        return values
+
+    got = experiments._zoom(evaluate, np.full(peak.shape, -1.0), peak - 0.2, peak + 0.35)
+    assert [shape for shape, _ in calls] == [peak.shape + (experiments.ZOOM_POINTS,),
+                                            peak.shape + (1,)]
+    (_, level), (_, vertex) = calls
+    assert np.all(vertex[..., 0] > level.max(axis=-1))  # the vertex beats the level
+    assert np.array_equal(got, vertex[..., 0])
+    assert got == pytest.approx(1.0, abs=1e-15)
+
+
+def test_zoom_keeps_its_best_sample_where_a_bracket_is_not_strictly_concave():
+    # A flat bracket (no curvature) and a convex one, each below its best
+    # sample; the vertex call returns far more, and must not be read.
+    calls = []
+
+    def evaluate(grid):
+        calls.append(grid.shape)
+        if grid.shape[-1] == 1:
+            return np.full(grid.shape, 99.0)
+        return np.stack([np.full(grid.shape[1:], 0.5), (grid[1] - 0.5) ** 2])
+
+    best = np.array([0.75, 0.6])
+    got = experiments._zoom(evaluate, best, np.zeros(2), np.ones(2))
+    assert len(calls) == 2 and np.array_equal(got, best)
+
+
+def test_zoom_refines_a_0d_bracket():
+    # The thermal threshold's use: one bracket in log-separation, 0-d arrays.
+    shapes = []
+
+    def evaluate(grid):
+        shapes.append(grid.shape)
+        return 1.0 - (grid - 0.3) ** 2
+
+    points = experiments.SEP_ZOOM_POINTS
+    got = experiments._zoom(evaluate, np.array(-1.0), np.array(0.0), np.array(1.0), points)
+    assert shapes == [(points,), (1,)]
+    assert np.ndim(got) == 0 and got == pytest.approx(1.0, abs=1e-15)
+
+
+def test_search_zooms_between_the_grid_neighbours_of_each_best_sample(monkeypatch):
+    # E at m/omega = 0, T/omega = 0.02: the first pass's best concurrence
+    # sample is the last of the row at omega*L = 0.01, interior at 0.05 and
+    # the first at 3.0. The first _zoom gets, for every (measure, cell), that
+    # sample and the grid times on either side of it, clipped at the ends.
+    initial, temps, seps = XState.excited(), np.array([0.02]), np.array([0.01, 0.05, 3.0])
+    received = []
+
+    def recorded(evaluate, best, lo, hi, *args):
+        received.append((best.copy(), lo.copy(), hi.copy()))
+        return _zoom(evaluate, best, lo, hi, *args)
+
+    monkeypatch.setattr(experiments, "_zoom", recorded)
+    thermal_scan(0.0, initial, temps, seps)
+    prop = EigenPropagator(experiments._cell_rates(0.0, seps, np.repeat(temps, seps.size)))
+    taus = np.linspace(0.0, 20.0, 1201)
+    rows = np.broadcast_to(taus, (seps.size, 1, taus.size))
+    values = experiments._propagated_measures(
+        initial, prop, BOTH, experiments._workspace(len(BOTH), rows.size))(rows)
+    at = np.argmax(values, axis=-1)
+    assert at[0].tolist() == [taus.size - 1, at[0, 1], 0] and 0 < at[0, 1] < taus.size - 1
+    best, lo, hi = received[0]
+    assert np.array_equal(best, np.take_along_axis(values, at[..., None], axis=-1)[..., 0])
+    assert np.array_equal(lo, taus[np.maximum(at - 1, 0)])
+    assert np.array_equal(hi, taus[np.minimum(at + 1, taus.size - 1)])
 
 
 def _mp_x_measures(pops, abs_ge, re_as, im_as):

@@ -193,9 +193,8 @@ class TestFreshResults:
 
     def test_zoom_keeps_its_first_values_through_the_vertex_call(self):
         # An evaluator that, like a search's measures, returns views of one
-        # buffer that its next call overwrites; the samples the zoom starts
-        # from sit at the start of that buffer too, as a search's grid call
-        # leaves them.
+        # buffer that its next call overwrites. The best samples the zoom
+        # starts from are the caller's own, as a search keeps them.
         buffer = np.empty(4 * experiments.ZOOM_POINTS)
 
         def shared(grid):
@@ -208,17 +207,11 @@ class TestFreshResults:
         def fresh(grid):
             return shared(grid).copy()
 
-        grid = np.array([[0.0, 0.5, 1.0], [0.2, 0.35, 0.5], [0.3, 0.6, 0.9], [0.0, 0.5, 1.0]])
-        samples = fresh(grid)
-        samples[3, 1] = 5.0  # a best sample above anything the refinement finds
-
-        def in_buffer():
-            values = buffer[:samples.size].reshape(samples.shape)
-            values[...] = samples
-            return values
-
-        expected = _zoom(fresh, samples.copy(), grid)
-        assert np.array_equal(_zoom(shared, in_buffer(), grid), expected)
+        lo, hi = np.array([0.0, 0.2, 0.3, 0.0]), np.array([1.0, 0.35, 0.6, 1.0])
+        best = fresh(np.array([[0.5], [0.2], [0.3], [0.5]]))[:, 0]
+        best[3] = 5.0  # a best sample above anything the refinement finds
+        expected = _zoom(fresh, best.copy(), lo, hi)
+        assert np.array_equal(_zoom(shared, best, lo, hi), expected)
         assert expected[0] == pytest.approx(-10.0, abs=1e-15) and expected[1] == -0.2
         assert expected[2] == pytest.approx(1.0, abs=1e-15) and expected[3] == 5.0
 
