@@ -86,60 +86,39 @@ def _hypot(x, y, out=None):
     return np.hypot(x, y, out=out)
 
 
-def _k1(pop_g, pop_a, pop_s, pop_e, im_as, one, tmp):
-    k1 = _hypot(np.subtract(pop_a, pop_s, out=one), _times(2.0, im_as, tmp), one)
-    root = _clipped_sqrt(np.multiply(pop_g, pop_e, out=tmp), tmp)
-    return np.subtract(k1, np.multiply(2.0, root, out=tmp), out=one)
+# The branch kernels, each formula once for values and bounds: into buffers one
+# (result) and tmp when given, in the steps and bits of the allocating call.
+def _k1(diff, im_as, root, one=None, tmp=None):
+    """k1 = hypot(diff, 2 im coh_as) - 2 root, diff = pa - ps, root = sqrt(pg pe)."""
+    norm = _hypot(diff, _times(2.0, im_as, tmp), one)
+    return np.subtract(norm, np.multiply(2.0, root, out=tmp), out=one)
 
 
-def _concurrence_pair(pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as, out=(None,) * 3):
-    """Concurrence branch values (k1, k2); concurrence is max(0, k1, k2)
-    (Wootters). The radicands that roundoff can push below zero are clipped
-    to it (see RADICAND_TOL). With buffers out = (k1, k2, tmp), each step
-    writes into them in the order of the allocating call (out None): same bits.
-    """
-    one, two, tmp = out
-    k1 = _k1(pop_g, pop_a, pop_s, pop_e, im_as, one, tmp)
-    total = np.add(pop_a, pop_s, out=two)
+def _k2(total, abs_ge, re_as, one=None, tmp=None):
+    """k2 = 2|coh_ge| - sqrt(max(total^2 - 4 re(coh_as)^2, 0)), total = pa + ps."""
     square = _times(_times(4.0, re_as, tmp), re_as, tmp)
-    radicand = np.subtract(np.multiply(total, total, out=two), square, out=two)
-    k2 = np.subtract(_times(2.0, abs_ge, tmp), _clipped_sqrt(radicand, two), out=two)
-    return k1, k2
+    radicand = np.subtract(np.multiply(total, total, out=one), square, out=one)
+    return np.subtract(_times(2.0, abs_ge, tmp), _clipped_sqrt(radicand, one), out=one)
 
 
-def _negativity_pair(pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as, out=(None,) * 3):
-    """Negativity branch values (n1, n2), the smaller eigenvalues of the two
-    blocks of the partial transpose; negativity is -2 times the sum of the
-    negative ones (Vidal & Werner). Buffers as for _concurrence_pair.
-    """
-    one, two, tmp = out
-    diff = np.subtract(pop_a, pop_s, out=one)
+def _n1(pop_g, pop_e, diff, gap, im_as, one=None, tmp=None):
+    """n1 = (pg + pe - sqrt(diff^2 + 4 im(coh_as)^2 + gap^2)) / 2, gap = pg - pe."""
     square = _times(_times(4.0, im_as, tmp), im_as, tmp)
     radicand = np.add(np.multiply(diff, diff, out=one), square, out=one)
-    gap = np.subtract(pop_g, pop_e, out=tmp)
     radicand = np.add(radicand, np.multiply(gap, gap, out=tmp), out=one)
     n1 = np.subtract(np.add(pop_g, pop_e, out=tmp), np.sqrt(radicand, out=one), out=one)
+    return np.multiply(0.5, n1, out=one)
+
+
+def _n2(total, abs_ge, re_as, one=None, tmp=None):
+    """n2 = (total - 2 hypot(|coh_ge|, re coh_as)) / 2."""
     arrays = isinstance(abs_ge, np.ndarray) or isinstance(re_as, np.ndarray)
     norm = _times(2.0, _hypot(abs_ge, re_as, tmp if arrays else None), tmp)
-    n2 = np.subtract(np.add(pop_a, pop_s, out=two), norm, out=two)
-    return np.multiply(0.5, n1, out=one), np.multiply(0.5, n2, out=two)
+    return np.multiply(0.5, np.subtract(total, norm, out=one), out=one)
 
 
 def _concurrence_of(k1, k2, out=None):
     return np.maximum(0.0, np.maximum(k1, k2, out=out), out=out)
-
-
-def _concurrence(*entries, out):
-    """max(0, k1, k2) into out[0], buffers as for _concurrence_pair. Where
-    |coh_ge| is a scalar +0, k2 = +0 - sqrt(.) <= +0 is skipped: max(0, k1)
-    has the same bits, since no branch is -0.0 (abs gives +0, x - x is +0)
-    and np.maximum(0.0, -0.0) would be -0.0 (a tie returns the second
-    operand). Only entries no propagator gives make k2 NaN where k1 is not:
-    a NaN or infinite re coh_as, or pa = -ps = +-inf."""
-    (one, _, tmp), abs_ge = out, entries[4]
-    if _scalar_zero(abs_ge) and math.copysign(1.0, abs_ge) > 0.0:
-        return np.maximum(0.0, _k1(*entries[:4], entries[6], one, tmp), out=one)
-    return _concurrence_of(*_concurrence_pair(*entries, out=out), out=one)
 
 
 def _negativity_of(n1, n2, out=(None, None)):
@@ -150,13 +129,34 @@ def _negativity_of(n1, n2, out=(None, None)):
     return np.subtract(0.0, np.multiply(2.0, low, out=result), out=result)
 
 
+def _concurrence(pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as, out):
+    """max(0, k1, k2) into out[0] (Wootters). Where |coh_ge| is a scalar +0,
+    k2 = +0 - sqrt(.) <= +0 is skipped: max(0, k1) has the same bits, since
+    no branch is -0.0 (abs gives +0, x - x is +0) and np.maximum(0.0, -0.0)
+    would be -0.0 (a tie returns the second operand). Only entries no
+    propagator gives make k2 NaN where k1 is not: a NaN or infinite re
+    coh_as, or pa = -ps = +-inf."""
+    one, two, tmp = out
+    root = _clipped_sqrt(np.multiply(pop_g, pop_e, out=tmp), tmp)
+    k1 = _k1(np.subtract(pop_a, pop_s, out=one), im_as, root, one, two)
+    if _scalar_zero(abs_ge) and math.copysign(1.0, abs_ge) > 0.0:
+        return np.maximum(0.0, k1, out=one)
+    return _concurrence_of(k1, _k2(np.add(pop_a, pop_s, out=two), abs_ge, re_as, two, tmp), one)
+
+
+def _negativity(pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as, out):
+    """-2 (min(n1, 0) + min(n2, 0)) into out[0] (Vidal & Werner)."""
+    one, two, tmp = out
+    gap = np.subtract(pop_g, pop_e, out=tmp)
+    n1 = _n1(pop_g, pop_e, np.subtract(pop_a, pop_s, out=one), gap, im_as, one, two)
+    n2 = _n2(np.add(pop_a, pop_s, out=two), abs_ge, re_as, two, tmp)
+    return _negativity_of(n1, n2, out=(one, two))
+
+
 # Every measure by name, as a function of the entries (pop_g, pop_a, pop_s,
 # pop_e, |coh_ge|, re coh_as, im coh_as) and buffers (result, two spares) or
 # three Nones. A selector is a tuple of names.
-_MEASURES = {
-    "concurrence": _concurrence,
-    "negativity": lambda *x, out: _negativity_of(*_negativity_pair(*x, out=out), out=out[:2]),
-}
+_MEASURES = {"concurrence": _concurrence, "negativity": _negativity}
 BOTH = tuple(_MEASURES)
 
 
@@ -164,15 +164,14 @@ def _measure_bounds(diff, total, gap, low_g, low_e, abs_ge, re_as, im_as, select
     """(len(select), ...) bounds of the measures named by `select` over the
     states with |pa - ps| <= diff, pa + ps >= total, |pg - pe| <= gap, pg >=
     low_g, pe >= low_e and coherence parts no larger than |abs_ge|, |re_as|,
-    |im_as|: the measure of its branch bounds, each widened by 1e-12 for
-    roundoff (so branch bounds below 0 bound it by exactly 0); only select's are built."""
+    |im_as|: the measure of the branch kernels at those ends, each widened by
+    1e-12 for roundoff (branch bounds below 0 bound it by exactly 0); only select's."""
     def bound(name):
         if name == "concurrence":
-            k1 = _hypot(diff, 2.0 * im_as) - 2.0 * _clipped_sqrt(low_g) * _clipped_sqrt(low_e)
-            k2 = 2.0 * abs_ge - _clipped_sqrt(np.maximum(total, 0.0) ** 2 - 4.0 * re_as * re_as)
+            k1 = _k1(diff, im_as, _clipped_sqrt(low_g) * _clipped_sqrt(low_e))
+            k2 = _k2(np.maximum(total, 0.0), abs_ge, re_as)
             return _concurrence_of(k1 + 1e-12, k2 + 1e-12)
-        n1 = 0.5 * (low_g + low_e - np.sqrt(diff * diff + 4.0 * im_as * im_as + gap * gap))
-        n2 = 0.5 * (total - 2.0 * _hypot(abs_ge, re_as))
+        n1, n2 = _n1(low_g, low_e, diff, gap, im_as), _n2(total, abs_ge, re_as)
         return _negativity_of(n1 - 0.5e-12, n2 - 0.5e-12)
     return np.array([bound(name) for name in select])
 
@@ -198,9 +197,10 @@ def _state_entries(state: XState):
 
 def entanglement(state: XState) -> EntanglementValue:
     """Concurrence and negativity of an X state with their branch values."""
-    entries = _state_entries(state)
-    k1, k2 = _concurrence_pair(*entries)
-    n1, n2 = _negativity_pair(*entries)
+    pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as = _state_entries(state)
+    diff, total = pop_a - pop_s, pop_a + pop_s
+    k1, k2 = _k1(diff, im_as, _clipped_sqrt(pop_g * pop_e)), _k2(total, abs_ge, re_as)
+    n1, n2 = _n1(pop_g, pop_e, diff, pop_g - pop_e, im_as), _n2(total, abs_ge, re_as)
     values = (_concurrence_of(k1, k2), _negativity_of(n1, n2), k1, k2, n1, n2)
     return EntanglementValue(*map(float, values))
 

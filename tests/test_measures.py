@@ -126,7 +126,42 @@ def _tight_intervals(pop_g, pop_a, pop_s, pop_e, abs_ge, re_as, im_as):
             abs_ge, re_as, im_as)
 
 
+def _loose_intervals(rng, size):
+    """(4, N) Dirichlet populations and the intervals of _measure_bounds that
+    hold each with slack, so that pa + ps, pg and pe reach below zero."""
+    pops = rng.dirichlet(np.ones(4), size=size).T
+    pg, pa, ps, pe = pops
+    slack = rng.uniform(0.0, 0.4, (5, size))
+    return pops, (np.abs(pa - ps) + slack[0], pa + ps - slack[1], np.abs(pg - pe) + slack[2],
+                  pg - slack[3], pe - slack[4])
+
+
+def _reference_bounds(diff, total, gap, low_g, low_e, abs_ge, re_as, im_as):
+    """The bounds of _measure_bounds as plain branch expressions, by name."""
+    root = np.sqrt(np.maximum(low_g, 0.0)) * np.sqrt(np.maximum(low_e, 0.0))
+    k1 = np.hypot(diff, 2.0 * im_as) - 2.0 * root
+    k2 = 2.0 * abs_ge - np.sqrt(np.maximum(np.maximum(total, 0.0) ** 2 - 4.0 * re_as * re_as, 0.0))
+    n1 = 0.5 * (low_g + low_e - np.sqrt(diff * diff + 4.0 * im_as * im_as + gap * gap))
+    n2 = 0.5 * (total - 2.0 * np.hypot(abs_ge, re_as))
+    low = np.minimum(n1 - 0.5e-12, 0.0) + np.minimum(n2 - 0.5e-12, 0.0)
+    return {"concurrence": np.maximum(0.0, np.maximum(k1 + 1e-12, k2 + 1e-12)),
+            "negativity": 0.0 - 2.0 * low}
+
+
 class TestMeasureBounds:
+    @pytest.mark.parametrize("select", [("concurrence",), ("negativity",), BOTH,
+                                        ("negativity", "concurrence")],
+                             ids=["concurrence", "negativity", "both", "reversed"])
+    def test_bounds_match_the_plain_branch_expressions(self, rng, select):
+        # The retirement certificate and the pinned pass counts rest on these bits.
+        pops, intervals = _loose_intervals(rng, 2000)
+        assert all(np.min(intervals[k]) < 0.0 for k in (1, 3, 4))
+        for name, parts in _coherence_cases(pops, rng).items():
+            expected = _reference_bounds(*intervals, *parts)
+            got = _measure_bounds(*intervals, *parts, select=select)
+            assert got.shape == (len(select), pops.shape[1]), name
+            assert np.array_equal(_bits(got), _bits([expected[m] for m in select])), name
+
     def test_tight_intervals_bound_by_the_value_plus_the_margin(self, rng):
         states = [random_xstate(rng) for _ in range(2000)]
         states += [XState.excited(), XState.bell_ge(), XState(0.0, 0.5, 0.5, 0.0, coh_as=0.5j)]
