@@ -394,11 +394,11 @@ class EigenPropagator:
     cascade solution), EIGEN or EXPM. EIGEN diagonalizes the generator once,
     in real arithmetic: the physical generators obey detailed balance
     (up_a*down_s == up_s*down_a), so their spectrum is real. A generator whose
-    eigenvalues are not all real, or whose eigendecomposition does not
-    reconstruct it to 1e-12 (a nearly defective spectrum, as for a thermal
-    bath at |spatial factor| ~ 1), takes EXPM: matrix exponentials by
-    uniformization, a sum of nonnegative terms accurate entry by entry, for
-    every EXPM generator and time row in one batched call.
+    eigenvalues are not all real, or whose eigenvectors V have eps * kappa >
+    1e-12, kappa = max entry of |V| |V^-1| (nearly defective, as for a thermal
+    bath at |spatial factor| ~ 1; kappa is scale-free), takes EXPM: matrix
+    exponentials by uniformization, a sum of nonnegative terms accurate entry
+    by entry, for every EXPM generator and time row in one batched call.
 
     `populations` stores the populations population-major, one contiguous
     plane each, behind the (..., 4) view it returns. `take` slices a stack,
@@ -580,9 +580,9 @@ def _apply(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 def _diagonalize(gens: np.ndarray):
     """(ok, eigvals, eigvecs, inv) of a stack of generators, in real arithmetic.
 
-    ok is False where an eigenvalue is complex or the decomposition does not
-    reconstruct the generator to 1e-12 (NaN residuals from singular
-    eigenvectors fail too).
+    ok is False where an eigenvalue is complex or eps * kappa > 1e-12, kappa =
+    max entry of |V| |V^-1|: the eigenvector method's error follows cond(V)
+    (Moler & Van Loan 2003). A singular V's NaN inverse fails too.
     """
     eigvals, eigvecs = np.linalg.eig(gens)
     real = True
@@ -595,11 +595,8 @@ def _diagonalize(gens: np.ndarray):
         inv = np.linalg.inv(eigvecs)
     except np.linalg.LinAlgError:
         inv = np.stack([_inverse_or_nan(v) for v in eigvecs])
-    count = len(gens)
-    rebuilt = (eigvecs * eigvals[:, None, :]) @ inv
-    residual = np.abs(rebuilt - gens).reshape(count, 16).max(1)
-    scale = np.maximum(1.0, np.abs(gens).reshape(count, 16).max(1))
-    return real & (residual <= 1e-12 * scale), eigvals, eigvecs, inv
+    kappa = (np.abs(eigvecs) @ np.abs(inv)).max(axis=(1, 2))
+    return real & (np.finfo(float).eps * kappa <= 1e-12), eigvals, eigvecs, inv
 
 
 def _inverse_or_nan(matrix: np.ndarray) -> np.ndarray:

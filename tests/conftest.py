@@ -76,6 +76,22 @@ def mp_expm_populations(generator, pops0, tau: float, dps: int = 40) -> np.ndarr
         return np.array(out.tolist(), dtype=float).reshape(np.shape(pops0))
 
 
+def mp_conserving_expm_populations(generator, pops0, tau: float, dps: int = 40) -> np.ndarray:
+    """As mp_expm_populations, with each diagonal entry rebuilt at dps digits
+    as M_jj = -sum_{i != j} M_ij. The float columns sum to roundoff, not 0, so
+    the plain reference's top eigenvalue is ~1e-16 and its trace drifts as tau
+    grows; this one conserves probability."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        gen = mpmath.matrix([[mpmath.mpf(float(x)) for x in row] for row in generator])
+        for j in range(4):
+            gen[j, j] = -mpmath.fsum(gen[i, j] for i in range(4) if i != j)
+        vec = mpmath.matrix(np.asarray(pops0, dtype=float).tolist())
+        out = mpmath.expm(gen * mpmath.mpf(float(tau))) * vec
+        return np.array(out.tolist(), dtype=float).reshape(np.shape(pops0))
+
+
 def mp_reference_state(rates, initial: XState, tau: float) -> XState:
     """State at tau from a 40-digit matrix exponential of the generator."""
     import mpmath

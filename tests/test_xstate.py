@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     check_block_positivity,
+    mp_conserving_expm_populations,
     mp_expm_populations,
     mp_reference_state,
     off_x_magnitude,
@@ -38,6 +39,7 @@ from massbath import (
     vacuum_coefficients,
 )
 import massbath
+from massbath.experiments import _cell_rates
 from massbath.xstate import (
     CLOSED_FORM,
     EIGEN,
@@ -342,7 +344,7 @@ class TestEigenPropagator:
 
     def test_defective_generator_falls_back(self):
         # A thermal bath at small omega*L is nearly defective: its
-        # eigendecomposition fails the residual check and expm takes over.
+        # eigenvectors' kappa is 2.6e4, so eps * kappa > 1e-12 and expm takes over.
         rates = build_rate_matrix(
             thermal_coefficients(FieldBathConfig.from_ratios(0.9, 0.07, 0.028))
         )
@@ -524,25 +526,48 @@ class TestEigenPropagator:
                 prop.populations(pops0, np.zeros((lead, 1, 5)))
         assert prop.populations(pops0, np.zeros((3, 1, 5))).shape == (3, 1, 5, 4)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "near the expm-fallback corner the eigendecomposition passes its 1e-12 "
-        "residual check, yet E's populations miss a 40-digit expm by 2.2e-12 at "
-        "omega*L = 0.065 and 1.2e-12 at 0.075: the residual bounds the "
-        "reconstruction of G, not the conditioning of the eigenvectors "
-        "(the edge-domain oracle sweep, ROADMAP item 7)"))
     @pytest.mark.parametrize("sep", [0.065, 0.075])
-    def test_eigen_route_at_the_fallback_corner_meets_a_40_digit_expm(self, sep):
-        # m/omega = 0.9, T/omega = 0.03; at omega*L = 0.085 the worst reads
-        # 9.1e-13, within the 1e-12 that the expm route meets.
+    def test_ill_conditioned_corner_takes_expm_and_meets_a_40_digit_expm(self, sep):
+        # m/omega = 0.9, T/omega = 0.03: the eigenvectors' kappa is 3.0e4 and
+        # 2.2e4, so eps * kappa > 1e-12; the eigen route misses this bound
+        # here by 2.2e-12 and 1.2e-12.
         rates = build_rate_matrix(thermal_coefficients(FieldBathConfig.from_ratios(0.9, sep, 0.03)))
         prop = EigenPropagator(rates)
-        assert list(prop.routes) == [EIGEN]
+        assert list(prop.routes) == [EXPM]
         pops0 = np.stack([XState.excited().populations(), XState.bell_ge().populations()])
         taus = np.linspace(0.0, 20.0, 41)
         got = np.stack([prop.populations(p, taus)[0] for p in pops0], axis=-1)  # (K, 4, 2)
         for tau, pops in zip(taus, got):
             ref = mp_expm_populations(rates.generator, pops0.T, tau)
             assert np.max(np.abs(pops - ref)) <= 1e-12, tau
+
+    @pytest.mark.parametrize("mass", [0.5, 0.9, 0.995, 0.999999])
+    def test_rescaled_cells_route_alike(self, mass):
+        # A massive cell at omega*L = x/g has g times the generator of the
+        # massless cell at x, so the route rule, which reads the eigenvectors'
+        # shape and not the rates' scale, picks the same route for both.
+        temps, seps = np.meshgrid(np.geomspace(0.02, 1.0, 30), np.geomspace(1e-4, 20.0, 60),
+                                  indexing="ij")
+        temps, seps = temps.ravel(), seps.ravel()
+        gray = massbath.gray_factor(mass, 1.0)
+        massless = EigenPropagator(_cell_rates(0.0, seps, temps)).routes
+        massive = EigenPropagator(_cell_rates(mass, seps / gray, temps)).routes
+        assert np.array_equal(massive, massless)
+
+    def test_cold_band_near_the_mass_edge_meets_a_conserving_40_digit_expm(self):
+        # m/omega = 0.995, T/omega = 0.05, gray*omega*L in [1e-4, 3e-2]: the
+        # eigenvectors' kappa is 1.7e4 to 2.2e4, and the eigen route misses
+        # this reference by 1.5e-12 to 3.8e-12.
+        gray = massbath.gray_factor(0.995, 1.0)
+        rates = _cell_rates(0.995, np.geomspace(1e-4, 3e-2, 6) / gray, 0.05)
+        prop = EigenPropagator(rates)
+        pops0 = np.stack([XState.excited().populations(), XState.bell_ge().populations()])
+        taus = np.geomspace(0.01, 100.0, 9)
+        got = np.stack([prop.populations(p, taus) for p in pops0], axis=-1)  # (N, K, 4, 2)
+        for gen, cell in zip(rates.generator, got):
+            for tau, pops in zip(taus, cell):
+                ref = mp_conserving_expm_populations(gen, pops0.T, tau)
+                assert np.max(np.abs(pops - ref)) <= 1e-12, tau
 
 
 class TestOneEvaluator:
@@ -703,7 +728,7 @@ class TestUniformizedExponential:
     def test_singular_eigenvectors_take_expm(self, monkeypatch):
         # inv raises on the stack of eigenvector matrices, so _diagonalize
         # inverts them one at a time; on the second cell's it raises again,
-        # and that cell's NaN inverse fails the residual check.
+        # and that cell's NaN inverse gives a NaN kappa, which fails the route rule.
         stack = RateStack.of([
             build_rate_matrix(thermal_coefficients(FieldBathConfig.from_ratios(*cell)))
             for cell in [(0.5, 0.7, 0.3), (0.0, 2.0, 0.5), (0.9, 1.0, 0.2)]
